@@ -147,7 +147,6 @@ type PlanCache struct {
 	// Sub-plan layer (see subplan.go): per-component grid evaluations
 	// keyed by component fingerprint + options digest, bounded by a
 	// separate entry-count LRU. Not persisted in snapshots.
-	subCap     int
 	subLL      *list.List // front = most recently used
 	subEntries map[subPlanKey]*list.Element
 
@@ -171,7 +170,6 @@ func NewPlanCache(capacity int) *PlanCache {
 		ll:         list.New(),
 		entries:    make(map[cacheKey]*list.Element),
 		inflight:   make(map[cacheKey]*flight),
-		subCap:     DefaultSubPlanCapacity,
 		subLL:      list.New(),
 		subEntries: make(map[subPlanKey]*list.Element),
 	}
@@ -273,11 +271,10 @@ func (c *PlanCache) GridEval(ctx context.Context, g *graph.Graph, opts Options) 
 		c.inflight[key] = f
 		c.mu.Unlock()
 
-		// The miss path assembles the evaluation component-wise from the
-		// sub-plan layer (subplan.go) — bit-identical to the monolithic
-		// evaluateGridCSR, but after a graph mutation only the touched
-		// components re-plan.
-		f.ge, f.err = c.assembleGridCSR(ctx, csr, key.fp, opts)
+		// The miss path evaluates with this cache as the sub-plan store
+		// (subplan.go): after a graph mutation only the touched components
+		// re-plan.
+		f.ge, f.err = evaluateGrid(ctx, csr, key.fp, opts, c)
 		// Failpoint between evaluation and admission: a firing site turns a
 		// finished evaluation into an error *before* the insert gate below,
 		// proving no partial or fault-tainted plan can enter the cache (the

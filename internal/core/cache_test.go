@@ -458,3 +458,55 @@ func TestPlanCacheInvalidateUpdatesWeight(t *testing.T) {
 		t.Fatalf("weight %d → %d after invalidation, want a strict drop to > 0", before, after)
 	}
 }
+
+// TestSubPlanCapacityKeepsWholeAssembly is the sub-plan LRU cliff
+// regression: a graph with more non-trivial components than
+// DefaultSubPlanCapacity must keep all of them cached through its cold
+// open, so every later bridge delta re-plans exactly the merged component
+// instead of the components the open evicted.
+func TestSubPlanCapacityKeepsWholeAssembly(t *testing.T) {
+	const blocks, size = 300, 6
+	// Block b is a path on its vertices plus the chords selected by the
+	// bits of b: distinct edge sets, hence distinct component fingerprints.
+	var edges []graph.Edge
+	for b := 0; b < blocks; b++ {
+		base, bit := b*size, 0
+		for u := 0; u < size; u++ {
+			if u+1 < size {
+				edges = append(edges, graph.NewEdge(base+u, base+u+1))
+			}
+			for v := u + 2; v < size; v++ {
+				if b>>bit&1 == 1 {
+					edges = append(edges, graph.NewEdge(base+u, base+v))
+				}
+				bit++
+			}
+		}
+	}
+	g, err := graph.FromEdges(blocks*size, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cache := NewPlanCache(4)
+	if _, _, err := cache.GridEval(ctx, g, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.SubPlanEntries != blocks || st.SubPlanEvictions != 0 {
+		t.Errorf("cold open kept %d of %d sub-plans (%d evicted)", st.SubPlanEntries, blocks, st.SubPlanEvictions)
+	}
+	for k := 0; k < 3; k++ {
+		before := cache.Stats()
+		if err := g.AddEdge(2*k*size, (2*k+1)*size); err != nil {
+			t.Fatal(err)
+		}
+		if _, hit, err := cache.GridEval(ctx, g, Options{}); err != nil || hit {
+			t.Fatalf("bridge %d: hit=%v err=%v, want a planned miss", k, hit, err)
+		}
+		st := cache.Stats()
+		misses, hits := st.SubPlanMisses-before.SubPlanMisses, st.SubPlanHits-before.SubPlanHits
+		if misses != 1 || hits != int64(blocks-k-2) {
+			t.Fatalf("bridge %d re-planned %d components and reused %d, want 1 and %d", k, misses, hits, blocks-k-2)
+		}
+	}
+}

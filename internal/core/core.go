@@ -166,11 +166,23 @@ func EstimateSpanningForestSize(g *graph.Graph, opts Options) (Result, error) {
 // long-running part of Algorithm 1 — abort promptly with ctx.Err() when
 // ctx is done. A canceled run releases nothing and spends no budget.
 func EstimateSpanningForestSizeCtx(ctx context.Context, g *graph.Graph, opts Options) (Result, error) {
-	opts, err := opts.withDefaults(g.N())
+	ge, opts, err := oneShotGrid(ctx, g, opts)
 	if err != nil {
 		return Result{}, err
 	}
-	return estimateSF(ctx, g, opts, opts.Epsilon)
+	return EstimateSpanningForestSizeFromGrid(ctx, ge, opts)
+}
+
+// oneShotGrid applies the defaults and evaluates g's grid for a one-shot
+// estimator, which never consults a cache and so skips the fingerprint;
+// each estimator then releases through its FromGrid twin.
+func oneShotGrid(ctx context.Context, g *graph.Graph, opts Options) (*GridEval, Options, error) {
+	opts, err := opts.withDefaults(g.N())
+	if err != nil {
+		return nil, opts, err
+	}
+	ge, err := evaluateGrid(ctx, graph.NewCSR(g), graph.Fingerprint{}, opts, nil)
+	return ge, opts, err
 }
 
 // GridEval is the deterministic, expensive half of Algorithm 1: the values
@@ -232,37 +244,7 @@ func EvaluateGrid(ctx context.Context, g *graph.Graph, opts Options) (*GridEval,
 		return nil, err
 	}
 	csr := graph.NewCSR(g)
-	return evaluateGridCSR(ctx, csr, csr.Fingerprint(), opts)
-}
-
-// evaluateGridCSR is EvaluateGrid on an existing snapshot with a
-// precomputed fingerprint; opts must already carry defaults.
-func evaluateGridCSR(ctx context.Context, csr *graph.CSR, fp graph.Fingerprint, opts Options) (*GridEval, error) {
-	grid, err := mechanism.PowerOfTwoGrid(opts.DeltaMax)
-	if err != nil {
-		return nil, err
-	}
-	// One CSR snapshot and shard plan serve the whole Δ-grid: the component
-	// decomposition, the per-component subgraphs, and the delta-independent
-	// fast-path certificates are derived once instead of once per grid
-	// point. Each grid evaluation then runs on the shared worker pool
-	// configured by opts.ForestLP.Workers.
-	plan := forestlp.NewPlanCSR(csr)
-	values, stats, err := plan.GridValues(ctx, grid, opts.ForestLP)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return &GridEval{
-		n:           csr.N(),
-		m:           csr.M(),
-		deltaMax:    opts.DeltaMax,
-		optsDigest:  planOptionsDigest(opts),
-		fingerprint: fp,
-		grid:        grid,
-		fdeltas:     values,
-		fsf:         float64(plan.SpanningForestSize()),
-		stats:       stats,
-	}, nil
+	return evaluateGrid(ctx, csr, csr.Fingerprint(), opts, nil)
 }
 
 // Prepared caches the deterministic, expensive part of Algorithm 1 — the
@@ -314,20 +296,11 @@ func PrepareSpanningForest(g *graph.Graph, opts Options) (*Prepared, error) {
 // PrepareSpanningForestCtx is PrepareSpanningForest with cancelation and
 // deadline support.
 func PrepareSpanningForestCtx(ctx context.Context, g *graph.Graph, opts Options) (*Prepared, error) {
-	opts, err := opts.withDefaults(g.N())
+	ge, opts, err := oneShotGrid(ctx, g, opts)
 	if err != nil {
 		return nil, err
 	}
-	return prepareSF(ctx, g, opts, opts.Epsilon)
-}
-
-func prepareSF(ctx context.Context, g *graph.Graph, opts Options, eps float64) (*Prepared, error) {
-	csr := graph.NewCSR(g)
-	ge, err := evaluateGridCSR(ctx, csr, graph.Fingerprint{}, opts) // one-shot path: no cache, skip hashing
-	if err != nil {
-		return nil, err
-	}
-	return newPrepared(ge, opts, eps), nil
+	return newPrepared(ge, opts, opts.Epsilon), nil
 }
 
 // newPrepared performs the ε-dependent scoring of a grid evaluation: the
@@ -392,21 +365,10 @@ func (p *Prepared) Release() (Result, error) {
 	return res, nil
 }
 
-// estimateSF implements Algorithm 1 with total budget eps (callers may pass
-// a partial budget when composing).
-func estimateSF(ctx context.Context, g *graph.Graph, opts Options, eps float64) (Result, error) {
-	csr := graph.NewCSR(g)
-	ge, err := evaluateGridCSR(ctx, csr, graph.Fingerprint{}, opts) // one-shot path: no cache, skip hashing
-	if err != nil {
-		return Result{}, err
-	}
-	return estimateSFFromGrid(ctx, ge, opts, eps)
-}
-
-// estimateSFFromGrid is the release half of estimateSF on a precomputed
-// grid evaluation. The one-shot estimators and the session serving layer
-// both funnel through here, which is what makes a seeded session query
-// bit-for-bit identical to the equivalent one-shot call.
+// estimateSFFromGrid is the release half of Algorithm 1 with total budget
+// eps on a grid evaluation. The one-shot estimators and the session serving
+// layer both funnel through here, which is what makes a seeded session
+// query bit-for-bit identical to the equivalent one-shot call.
 func estimateSFFromGrid(ctx context.Context, ge *GridEval, opts Options, eps float64) (Result, error) {
 	p := newPrepared(ge, opts, eps)
 	// A cancelation landing after the last grid evaluation must still
@@ -470,7 +432,7 @@ func estimateCCFromGrid(ctx context.Context, ge *GridEval, opts Options) (Result
 	epsCount := opts.Epsilon * opts.CountBudgetFraction
 	epsSF := opts.Epsilon - epsCount
 	p := newPrepared(ge, opts, epsSF)
-	// As in estimateSF: no noise draws once ctx is done.
+	// As in estimateSFFromGrid: no noise draws once ctx is done.
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
@@ -518,16 +480,11 @@ func EstimateComponentCount(g *graph.Graph, opts Options) (Result, error) {
 // deadline support. The noisy vertex count is drawn only after the
 // extension evaluations succeed, so a canceled run spends no budget.
 func EstimateComponentCountCtx(ctx context.Context, g *graph.Graph, opts Options) (Result, error) {
-	opts, err := opts.withDefaults(g.N())
+	ge, opts, err := oneShotGrid(ctx, g, opts)
 	if err != nil {
 		return Result{}, err
 	}
-	csr := graph.NewCSR(g)
-	ge, err := evaluateGridCSR(ctx, csr, graph.Fingerprint{}, opts) // one-shot path: no cache, skip hashing
-	if err != nil {
-		return Result{}, err
-	}
-	return estimateCCFromGrid(ctx, ge, opts)
+	return EstimateComponentCountFromGrid(ctx, ge, opts)
 }
 
 // EstimateComponentCountKnownN is EstimateComponentCount for settings where
@@ -542,15 +499,9 @@ func EstimateComponentCountKnownN(g *graph.Graph, opts Options) (Result, error) 
 // EstimateComponentCountKnownNCtx is EstimateComponentCountKnownN with
 // cancelation and deadline support.
 func EstimateComponentCountKnownNCtx(ctx context.Context, g *graph.Graph, opts Options) (Result, error) {
-	opts, err := opts.withDefaults(g.N())
+	ge, opts, err := oneShotGrid(ctx, g, opts)
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := estimateSF(ctx, g, opts, opts.Epsilon)
-	if err != nil {
-		return res, err
-	}
-	res.NHat = float64(g.N())
-	res.Value = float64(g.N()) - res.Value
-	return res, nil
+	return EstimateComponentCountKnownNFromGrid(ctx, ge, opts)
 }

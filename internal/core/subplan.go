@@ -1,42 +1,36 @@
 package core
 
-// This file implements the component-keyed sub-plan layer of the PlanCache.
+// This file implements evaluateGrid, the one producer of every GridEval,
+// and the component-keyed sub-plan layer of the PlanCache it draws on.
 // f_Δ is additive over connected components, so a whole-graph grid
 // evaluation is the per-grid-point sum of independent per-component
 // evaluations — and those per-component results are cacheable under the
-// component's own canonical fingerprint. The cache's miss path therefore
-// assembles evaluations component-wise: each non-trivial component either
-// hits the sub-plan cache or is evaluated as a single-shard forestlp plan,
-// and the per-component value vectors are merged in deterministic shard
-// order. After a graph mutation (Session.ApplyDelta) only the touched
-// components have new fingerprints; every untouched component hits, so a
-// delta-open re-plans O(touched) instead of O(graph).
+// component's own canonical fingerprint. evaluateGrid looks every
+// non-trivial component up in a sub-plan store (the PlanCache on its miss
+// path; nil for uncached callers, which then evaluate every component),
+// evaluates the missing ones in one forestlp grid sweep, admits them, and
+// merges all components in shard order. After a graph mutation
+// (Session.ApplyDelta) only the touched components have new fingerprints;
+// every untouched component hits, so a delta-open re-plans O(touched)
+// instead of O(graph).
 //
-// Bit-identity is the load-bearing property: the assembled evaluation must
-// equal the monolithic forestlp sweep bit for bit, in values and counters,
-// or a delta-open would diverge from a cold open of the same graph. It
-// holds by construction:
+// Merging per component is exact, which is what makes a delta-open equal a
+// cold open of the same graph bit for bit, in values and counters:
 //
-//   - Values: the monolithic engine evaluates each shard independently
-//     (per-shard clamp to [0, n_i−1] inside planShard.eval), sums the
-//     per-shard values in shard-index order, and clamps the total to
-//     [0, f_sf]. A single-component plan's outer clamp to its own f_sf is
-//     a no-op re-clamp, so the stored sub-plan vector is exactly the
-//     per-shard contribution, and the merge below repeats the monolithic
-//     sum — same addends, same order, same final clamp.
-//   - Warm state: a grid sweep's warm-start state is strictly per-shard
-//     and the grid points run sequentially in both shapes, so each shard
-//     sees the identical (Δ, warm-state) sequence.
+//   - Values: a component's value vector depends only on its own edges and
+//     the options. Each shard is evaluated independently (per-shard clamp
+//     to [0, n_i−1]) with strictly per-shard warm state over a sequential
+//     grid, so a cached vector equals a fresh one, and the merge sums every
+//     component in shard order and clamps the total to [0, f_sf] whichever
+//     of them were cached.
 //   - Stats: integer counters are additive and max-gauges commute, so
-//     summing per-component grid aggregates equals aggregating the
-//     monolithic per-round sums; the only two fields that depend on the
-//     evaluation's shape rather than its content — Workers and Components
-//     — are overwritten with the values the monolithic sweep would have
-//     reported. (Per-shard timing records are the one diagnostic that is
-//     not propagated: their shard indices are meaningless across cache
-//     reuse, so stored sub-plans drop them.)
+//     adding a cached component's work equals evaluating it again. The
+//     sweep's plan covers every component, supplied ones included, so the
+//     Components and Workers it reports are those of the whole graph.
+//     (Per-shard timing records are wall-clock diagnostics and cover the
+//     evaluated shards only.)
 //
-// Sub-plans are bounded by a simple entry-count LRU, separate from the
+// Sub-plans are bounded by an entry-count LRU, separate from the
 // whole-graph entry bounds, and are not persisted in snapshots: they are
 // derived state, cheap to refill, and keyed by fingerprints that a snapshot
 // of whole-graph evaluations cannot validate.
@@ -54,7 +48,9 @@ import (
 // DefaultSubPlanCapacity bounds the number of cached per-component
 // sub-plans. Components are much smaller than whole graphs (their value
 // vectors are one float per grid point), so the sub-plan cache affords a
-// larger entry count than the whole-graph bound.
+// larger entry count than the whole-graph bound. An evaluation of a graph
+// with more non-trivial components than this keeps all of them: admission
+// never evicts below the admitting evaluation's component count.
 const DefaultSubPlanCapacity = 256
 
 // subPlanKey identifies one component's grid evaluation: the component's
@@ -73,25 +69,11 @@ type subPlanKey struct {
 //
 //privacy:secret — values are exact per-component f_Δ evaluations, pre-noise (see GridEval).
 type subPlan struct {
-	n, m int
 	// values[j] is the component's contribution to f_Δ at grid point j,
 	// clamped to [0, n−1] by the per-shard evaluator.
 	values []float64
-	// stats is the component's grid-aggregated work, with Shards timings
-	// stripped (see the file comment).
+	// stats is the component's grid-aggregated work (Components = 1).
 	stats forestlp.Stats
-}
-
-// subLookupLocked returns the cached sub-plan for key and refreshes its
-// recency, or nil. c.mu must be held. Sub-plan recency is not persisted
-// state, so no gen bump.
-func (c *PlanCache) subLookupLocked(key subPlanKey) *subPlan {
-	el, ok := c.subEntries[key]
-	if !ok {
-		return nil
-	}
-	c.subLL.MoveToFront(el)
-	return el.Value.(*subPlanEntry).sub
 }
 
 type subPlanEntry struct {
@@ -99,97 +81,41 @@ type subPlanEntry struct {
 	sub *subPlan
 }
 
-// subInsertLocked admits a sub-plan (c.mu held), evicting the
-// least-recently-used entry past the capacity bound. A racing insert of
-// the same key keeps the existing entry — both computed identical values.
-func (c *PlanCache) subInsertLocked(key subPlanKey, sp *subPlan) {
-	if el, ok := c.subEntries[key]; ok {
-		c.subLL.MoveToFront(el)
-		return
-	}
-	c.subEntries[key] = c.subLL.PushFront(&subPlanEntry{key: key, sub: sp})
-	for c.subLL.Len() > c.subCap {
-		victim := c.subLL.Back()
-		c.subLL.Remove(victim)
-		delete(c.subEntries, victim.Value.(*subPlanEntry).key)
-		c.stats.SubPlanEvictions++
-	}
-}
-
-// assembleGridCSR is the cache's evaluation path: a whole-graph grid
-// evaluation assembled from per-component sub-plans, bit-identical to
-// evaluateGridCSR on the same snapshot (see the file comment for why).
-// Both cold opens and delta-opens funnel through here, which is what makes
-// "delta-open ≡ cold open" hold by construction rather than by parallel
-// maintenance of two evaluation paths. opts must already carry defaults.
-func (c *PlanCache) assembleGridCSR(ctx context.Context, csr *graph.CSR, fp graph.Fingerprint, opts Options) (*GridEval, error) {
+// evaluateGrid runs the deterministic half of Algorithm 1 on a snapshot
+// and is the only producer of a GridEval: EvaluateGrid and the one-shot
+// estimators pass a nil store, the PlanCache's miss path passes itself
+// (see the file comment). opts must already carry defaults; fp may be zero
+// (the one-shot estimators never consult a cache and skip hashing).
+func evaluateGrid(ctx context.Context, csr *graph.CSR, fp graph.Fingerprint, opts Options, store *PlanCache) (*GridEval, error) {
 	grid, err := mechanism.PowerOfTwoGrid(opts.DeltaMax)
 	if err != nil {
 		return nil, err
 	}
 	digest := planOptionsDigest(opts)
 	shards := csr.ComponentShards()
-	fps := csr.ComponentFingerprints()
+	keys, subs := store.subLookup(csr, shards, digest)
 
-	// Non-trivial components in shard order. Singletons contribute zero to
-	// every grid value and to f_sf and carry no stats; they enter only the
-	// Components count.
-	type compSlot struct {
-		shard *graph.Shard
-		key   subPlanKey
-		sub   *subPlan
-	}
-	slots := make([]compSlot, 0, len(shards))
-	fsf := 0
-	for i, sh := range shards {
-		if sh.N() < 2 {
-			continue
-		}
-		fsf += sh.N() - 1
-		slots = append(slots, compSlot{shard: sh, key: subPlanKey{fp: fps[i], opts: digest}})
-	}
-
-	c.mu.Lock()
-	for i := range slots {
-		if sp := c.subLookupLocked(slots[i].key); sp != nil {
-			slots[i].sub = sp
-			c.stats.SubPlanHits++
-		} else {
-			c.stats.SubPlanMisses++
+	// One sweep plans and evaluates every component the store lacks, on
+	// the Workers pool; the supplied components are never materialized.
+	var stats forestlp.Stats
+	for _, sp := range subs {
+		if sp != nil {
+			stats.MergeComponent(sp.stats)
 		}
 	}
-	c.mu.Unlock()
-
-	// Evaluate the missing components sequentially in shard order. Grid
-	// points inside each component still run on the configured SepWorkers
-	// pool, and sequential component order keeps span creation — and
-	// therefore the trace tree — deterministic, exactly like the
-	// monolithic sweep's sequential grid loop. A completed component is
-	// admitted immediately: if a later component fails (error, fault,
-	// cancelation), the finished sub-plans are complete, correct
-	// evaluations and stay cached for the retry, while the whole-graph
-	// entry is never formed.
-	for i := range slots {
-		if slots[i].sub != nil {
-			continue
+	plan := forestlp.NewPlanShards(shards, func(c int) bool { return subs[c] != nil })
+	sweep, err := plan.Sweep(ctx, grid, opts.ForestLP)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	stats.MergeComponent(sweep.Stats)
+	for c, v := range sweep.Values {
+		if v != nil {
+			subs[c] = &subPlan{values: v, stats: sweep.Work[c]}
 		}
-		sh := slots[i].shard
-		values, stats, err := forestlp.NewPlanCSR(&sh.CSR).GridValues(ctx, grid, opts.ForestLP)
-		if err != nil {
-			return nil, fmt.Errorf("core: component %d (n=%d): %w", i, sh.N(), err)
-		}
-		// Failpoint between a component's evaluation and its admission: a
-		// firing site proves a fault-tainted sub-plan never enters the
-		// sub-plan cache and never reaches the merge below.
-		if err := fault.Hit("core.subplan.admit"); err != nil {
-			return nil, err
-		}
-		stats.Shards = nil // timing indices are meaningless across reuse
-		sp := &subPlan{n: sh.N(), m: sh.M(), values: values, stats: stats}
-		slots[i].sub = sp
-		c.mu.Lock()
-		c.subInsertLocked(slots[i].key, sp)
-		c.mu.Unlock()
+	}
+	if err := store.subAdmit(keys, subs, sweep.Values); err != nil {
+		return nil, err
 	}
 
 	// Failpoint before the merge: every sub-plan is admitted, but the
@@ -200,33 +126,24 @@ func (c *PlanCache) assembleGridCSR(ctx context.Context, csr *graph.CSR, fp grap
 	}
 
 	// Deterministic merge: per grid point, sum the component contributions
-	// in shard-index order and clamp to [0, f_sf] — the exact arithmetic of
-	// the monolithic engine's merge loop.
+	// in shard order and clamp to [0, f_sf]. Singletons contribute zero.
+	fsf := float64(plan.SpanningForestSize())
 	values := make([]float64, len(grid))
 	for j := range grid {
 		total := 0.0
-		for i := range slots {
-			//detlint:allow floatorder — deterministic merge: components are summed in shard-index order, the same fixed order as the monolithic engine, so the result is bit-identical regardless of which sub-plans were cached
-			total += slots[i].sub.values[j]
+		for _, sp := range subs {
+			if sp != nil {
+				total += sp.values[j]
+			}
 		}
-		if f := float64(fsf); total > f {
-			total = f
+		if total > fsf {
+			total = fsf
 		}
 		if total < 0 {
 			total = 0
 		}
 		values[j] = total
 	}
-	var merged forestlp.Stats
-	for i := range slots {
-		merged.MergeComponent(slots[i].sub.stats)
-	}
-	// The two shape-dependent fields, stamped as the monolithic sweep
-	// would have: Workers resolves against the non-trivial shard count,
-	// Components counts every component including singletons.
-	merged.Workers = forestlp.ResolveWorkers(opts.ForestLP.Workers, len(slots))
-	merged.Components = len(shards)
-
 	return &GridEval{
 		n:           csr.N(),
 		m:           csr.M(),
@@ -235,7 +152,83 @@ func (c *PlanCache) assembleGridCSR(ctx context.Context, csr *graph.CSR, fp grap
 		fingerprint: fp,
 		grid:        grid,
 		fdeltas:     values,
-		fsf:         float64(fsf),
-		stats:       merged,
+		fsf:         fsf,
+		stats:       stats,
 	}, nil
+}
+
+// subLookup resolves every non-trivial component of shards against the
+// sub-plan layer, counting hits and misses, and returns keys[c] and
+// subs[c] (nil on a miss) for component c. The nil cache is the uncached
+// store: it computes no fingerprints and supplies nothing.
+func (c *PlanCache) subLookup(csr *graph.CSR, shards []*graph.Shard, digest string) ([]subPlanKey, []*subPlan) {
+	subs := make([]*subPlan, len(shards))
+	if c == nil {
+		return nil, subs
+	}
+	fps := csr.ComponentFingerprints()
+	keys := make([]subPlanKey, len(shards))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, sh := range shards {
+		if sh.N() < 2 {
+			continue
+		}
+		keys[i] = subPlanKey{fp: fps[i], opts: digest}
+		if el, ok := c.subEntries[keys[i]]; ok {
+			subs[i] = el.Value.(*subPlanEntry).sub
+			c.stats.SubPlanHits++
+		} else {
+			c.stats.SubPlanMisses++
+		}
+	}
+	return keys, subs
+}
+
+// subAdmit admits one evaluation's sub-plans after its sweep succeeded:
+// every component the sweep evaluated (fresh[c] non-nil) passes the
+// admission failpoint, and only if none fired are they inserted and the
+// supplied ones refreshed, so the evaluation's components end up the most
+// recently used. Eviction then never goes below their count: a graph with
+// more non-trivial components than the capacity would otherwise evict its
+// own sub-plans while being planned and re-plan them on every later delta.
+// A racing insert of the same key keeps the existing entry — both computed
+// identical values. Sub-plan recency is not persisted state, so no gen
+// bump. The nil cache admits nothing.
+func (c *PlanCache) subAdmit(keys []subPlanKey, subs []*subPlan, fresh [][]float64) error {
+	if c == nil {
+		return nil
+	}
+	for _, v := range fresh {
+		if v == nil {
+			continue
+		}
+		// Failpoint between a component's evaluation and its admission: a
+		// firing site proves a fault-tainted sub-plan never enters the
+		// sub-plan cache and never reaches the merge.
+		if err := fault.Hit("core.subplan.admit"); err != nil {
+			return err
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	count := 0
+	for i, sp := range subs {
+		if sp == nil {
+			continue
+		}
+		count++
+		if el, ok := c.subEntries[keys[i]]; ok {
+			c.subLL.MoveToFront(el)
+		} else {
+			c.subEntries[keys[i]] = c.subLL.PushFront(&subPlanEntry{key: keys[i], sub: sp})
+		}
+	}
+	for c.subLL.Len() > max(DefaultSubPlanCapacity, count) {
+		victim := c.subLL.Back()
+		c.subLL.Remove(victim)
+		delete(c.subEntries, victim.Value.(*subPlanEntry).key)
+		c.stats.SubPlanEvictions++
+	}
+	return nil
 }

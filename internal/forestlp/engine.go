@@ -18,7 +18,8 @@ import (
 
 // ShardTiming is the per-shard diagnostic record of one evaluation.
 type ShardTiming struct {
-	// Shard is the shard index (component order, non-trivial shards only).
+	// Shard is the shard index (component order, planned non-trivial
+	// shards only).
 	Shard int
 	// Vertices and Edges describe the shard.
 	Vertices int
@@ -42,14 +43,6 @@ type shardResult struct {
 	timing ShardTiming
 	err    error
 }
-
-// ResolveWorkers reports the worker count an evaluation with the given
-// configured Options.Workers uses over shards non-trivial component
-// shards: 0 means runtime.GOMAXPROCS, clamped to [1, shards]. It is
-// exported so the component-wise plan assembly in internal/core can stamp
-// the same Stats.Workers a monolithic evaluation would have reported,
-// keeping the two paths bit-identical counter for counter.
-func ResolveWorkers(configured, shards int) int { return resolveWorkers(configured, shards) }
 
 // resolveWorkers clamps the configured worker count to [1, shards].
 func resolveWorkers(configured, shards int) int {
@@ -76,28 +69,33 @@ func resolveWorkers(configured, shards int) int {
 // rounds and before each shard starts, so Value returns promptly with
 // ctx.Err() after the deadline.
 func (p *Plan) Value(ctx context.Context, delta float64, opts Options) (float64, Stats, error) {
-	return p.value(ctx, delta, opts, nil)
+	v, _, stats, err := p.point(ctx, delta, opts, nil)
+	return v, stats, err
 }
 
-// value is Value with an optional grid-sweep warm-start state: warm, when
-// non-nil, carries per-shard cut pools and basis memos between the calls
-// of one GridValues sweep. Each shard's state is touched only by the one
-// worker evaluating that shard, so no synchronization is needed.
-func (p *Plan) value(ctx context.Context, delta float64, opts Options, warm *gridWarm) (float64, Stats, error) {
+// point evaluates every planned shard at one Δ on the worker pool and
+// returns f_Δ of the planned shards — their values summed in shard order
+// and clamped to [0, f_sf] — together with the per-shard results in shard
+// order and their Stats merged in that order. warm, when non-nil, carries
+// per-shard cut pools and basis memos between the calls of one Sweep; each
+// shard's state is touched only by the one worker evaluating that shard,
+// so no synchronization is needed. Stats.Workers is resolved over every
+// non-trivial component, supplied ones included, so it is a property of
+// the graph and the options, not of which components this plan evaluates.
+func (p *Plan) point(ctx context.Context, delta float64, opts Options, warm *gridWarm) (float64, []shardResult, Stats, error) {
 	var stats Stats
 	if err := checkDelta(delta); err != nil {
-		return 0, stats, err
+		return 0, nil, stats, err
 	}
 	if opts.SepWaveWidth < 0 {
-		return 0, stats, fmt.Errorf("forestlp: SepWaveWidth must be ≥ 0 (0 = default %d), got %d",
+		return 0, nil, stats, fmt.Errorf("forestlp: SepWaveWidth must be ≥ 0 (0 = default %d), got %d",
 			sepWaveDefault, opts.SepWaveWidth)
 	}
 	if err := ctx.Err(); err != nil {
-		return 0, stats, err
+		return 0, nil, stats, err
 	}
 	opts = opts.withDefaults()
-	workers := resolveWorkers(opts.Workers, len(p.shards))
-	stats.Workers = workers
+	stats.Workers = resolveWorkers(opts.Workers, len(p.shards)+p.supplied)
 	shardWarmState := func(i int) *shardWarm {
 		if warm == nil {
 			return nil
@@ -106,7 +104,7 @@ func (p *Plan) value(ctx context.Context, delta float64, opts Options, warm *gri
 	}
 
 	results := make([]shardResult, len(p.shards))
-	if workers <= 1 {
+	if workers := min(stats.Workers, len(p.shards)); workers <= 1 {
 		for i, ps := range p.shards {
 			results[i] = p.evalShard(ctx, i, ps, delta, opts, shardWarmState(i))
 			if results[i].err != nil {
@@ -164,12 +162,12 @@ func (p *Plan) value(ctx context.Context, delta float64, opts Options, warm *gri
 		}
 		//detlint:allow floatorder — deterministic merge: the loop visits results in shard-index order after every worker has finished, so the summation order is fixed regardless of completion order
 		total += r.value
-		stats.add(r.stats)
+		stats.MergeComponent(r.stats)
 		if opts.ShardTimings {
 			stats.Shards = append(stats.Shards, r.timing)
 		}
 	}
-	stats.Components = p.components
+	stats.Components = p.components - p.supplied
 	if firstErr == nil {
 		// A cancelation can race every in-flight shard to completion,
 		// leaving unfed shards silently unevaluated; a partial sum must
@@ -177,18 +175,18 @@ func (p *Plan) value(ctx context.Context, delta float64, opts Options, warm *gri
 		for i := range results {
 			if !results[i].done {
 				if err := ctx.Err(); err != nil {
-					return 0, stats, err
+					return 0, nil, stats, err
 				}
-				return 0, stats, fmt.Errorf("forestlp: internal: shard %d was never evaluated", i)
+				return 0, nil, stats, fmt.Errorf("forestlp: internal: shard %d was never evaluated", i)
 			}
 		}
 	}
 	if firstErr != nil {
 		// A parent-context cancelation outranks the per-shard view of it.
 		if err := ctx.Err(); err != nil && errIsCancel(firstErr) {
-			return 0, stats, err
+			return 0, nil, stats, err
 		}
-		return 0, stats, firstErr
+		return 0, nil, stats, firstErr
 	}
 	if fsf := float64(p.fsf); total > fsf {
 		total = fsf
@@ -196,7 +194,7 @@ func (p *Plan) value(ctx context.Context, delta float64, opts Options, warm *gri
 	if total < 0 {
 		total = 0
 	}
-	return total, stats, nil
+	return total, results, stats, nil
 }
 
 // evalShard runs one shard and packages the outcome with its timing (the

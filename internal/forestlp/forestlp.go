@@ -30,8 +30,10 @@
 // engine (engine.go) then solves the independent shard LPs concurrently on
 // a worker pool with a deterministic merge, so results are bit-for-bit
 // identical for every Workers setting. Value and ValueCtx are one-shot
-// wrappers; Algorithm 1 builds one Plan and reuses it across its whole
-// Δ-grid.
+// wrappers. Algorithm 1 sweeps one Plan across its whole Δ-grid
+// (Plan.Sweep), which returns every component's value vector and work
+// counters; internal/core sums them with the components its sub-plan store
+// already holds, which the plan leaves unplanned (NewPlanShards).
 package forestlp
 
 import (
@@ -227,7 +229,8 @@ type Stats struct {
 	// pieces (0 when every piece converged or was certified exactly).
 	StallGap float64
 	// Workers is the worker-pool size the engine resolved for this
-	// evaluation (aggregations keep the maximum).
+	// evaluation over every non-trivial component, supplied ones included
+	// (aggregations keep the maximum).
 	Workers int
 	// Shards holds per-shard wall-clock diagnostics in deterministic shard
 	// order, collected only when Options.ShardTimings is set; durations
@@ -235,7 +238,11 @@ type Stats struct {
 	Shards []ShardTiming
 }
 
-func (s *Stats) add(t Stats) {
+// MergeComponent folds grid-aggregated statistics — one component's
+// GridSweep.Work entry, or a whole sweep's Stats — into a whole-graph
+// aggregate: counters (Components included) accumulate and gauges keep
+// maxima. The engine merges its shards' statistics the same way.
+func (s *Stats) MergeComponent(t Stats) {
 	s.Components += t.Components
 	s.FastPathHits += t.FastPathHits
 	s.LPSolves += t.LPSolves
@@ -259,21 +266,12 @@ func (s *Stats) add(t Stats) {
 	s.Shards = append(s.Shards, t.Shards...)
 }
 
-// MergeComponent folds the grid-aggregated statistics of one component's
-// evaluation into a whole-graph aggregate: counters accumulate and gauges
-// keep maxima, exactly as the parallel engine's shard merge does. It is
-// used by the component-wise plan assembly in internal/core; the caller is
-// responsible for stamping the shape-dependent Workers and Components
-// fields afterward (a per-component sweep reports Workers=1 and
-// Components=1 regardless of how the whole graph would be scheduled).
-func (s *Stats) MergeComponent(t Stats) { s.add(t) }
-
 // MergeGridRound folds the statistics of one evaluation into an aggregate
 // over a Δ-grid sweep of the same plan: counters accumulate, gauges keep
 // their maxima, and Components — identical each round by construction —
 // keeps the per-round value instead of summing.
 func (s *Stats) MergeGridRound(t Stats) {
-	s.add(t)
+	s.MergeComponent(t)
 	s.Components = t.Components
 }
 

@@ -173,7 +173,7 @@ func TestParametricObservability(t *testing.T) {
 	var stats Stats
 	warm := newGridWarm(p)
 	for _, d := range grid {
-		_, st, err := p.value(context.Background(), d, opts, warm)
+		_, _, st, err := p.point(context.Background(), d, opts, warm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestParametricSolverCap(t *testing.T) {
 	grid := warmTestGrid(t, g)
 	warm := newGridWarm(p)
 	for _, d := range grid {
-		if _, _, err := p.value(context.Background(), d, Options{Workers: 1}, warm); err != nil {
+		if _, _, _, err := p.point(context.Background(), d, Options{Workers: 1}, warm); err != nil {
 			t.Fatal(err)
 		}
 		for _, sw := range warm.shards {

@@ -32,16 +32,18 @@ import (
 // and call Value for as many (Δ, Options) pairs as needed.
 type Plan struct {
 	components int // total component count, including isolated vertices
-	fsf        int // f_sf = Σ over shards (|shard| − 1)
+	supplied   int // non-trivial components left unplanned (see NewPlanShards)
+	fsf        int // f_sf = Σ over non-trivial components (|C| − 1), supplied ones included
 	shards     []*planShard
 }
 
 // planShard is one connected component with ≥ 2 vertices, together with
 // its delta-independent triage data.
 type planShard struct {
-	sub *graph.Graph // materialized component, local vertex ids
-	n   int
-	m   int
+	comp int          // index in the component decomposition
+	sub  *graph.Graph // materialized component, local vertex ids
+	n    int
+	m    int
 
 	// bfsDeg is the maximum degree of the deterministic BFS spanning tree:
 	// Δ ≥ bfsDeg certifies f_Δ = f_sf on this shard (Lemma 3.3 Item 1).
@@ -59,44 +61,68 @@ type planShard struct {
 func NewPlan(g *graph.Graph) *Plan { return NewPlanCSR(graph.NewCSR(g)) }
 
 // NewPlanCSR plans the component shards of an existing CSR snapshot.
-func NewPlanCSR(csr *graph.CSR) *Plan {
-	shards := csr.ComponentShards()
+func NewPlanCSR(csr *graph.CSR) *Plan { return NewPlanShards(csr.ComponentShards(), nil) }
+
+// NewPlanShards plans a component decomposition in the order of
+// graph.CSR.ComponentShards. A non-trivial component c with supplied(c)
+// true is left unplanned — its values come from elsewhere (internal/core's
+// sub-plan store), so its shard is never materialized and Sweep skips it —
+// but it still counts toward the plan's shape: SpanningForestSize and the
+// worker-pool size reported in Stats.Workers. A nil supplied plans every
+// component. Value and GridValues cover the planned components only.
+func NewPlanShards(shards []*graph.Shard, supplied func(c int) bool) *Plan {
 	p := &Plan{components: len(shards)}
-	for _, sh := range shards {
+	for c, sh := range shards {
 		if sh.N() < 2 {
 			continue
 		}
+		p.fsf += sh.N() - 1
+		if supplied != nil && supplied(c) {
+			p.supplied++
+			continue
+		}
 		sub := sh.Graph()
-		ps := &planShard{
+		p.shards = append(p.shards, &planShard{
+			comp:   c,
 			sub:    sub,
 			n:      sub.N(),
 			m:      sub.M(),
 			bfsDeg: graph.MaxDegreeOfEdgeSet(sub.N(), sub.SpanningForest()),
-		}
-		p.fsf += ps.n - 1
-		p.shards = append(p.shards, ps)
+		})
 	}
 	return p
 }
 
-// Components returns the number of connected components (isolated vertices
-// included).
-func (p *Plan) Components() int { return p.components }
-
 // SpanningForestSize returns f_sf of the planned graph.
 func (p *Plan) SpanningForestSize() int { return p.fsf }
 
-// Shards returns the number of non-trivial (≥ 2 vertex) component shards,
-// i.e. the maximum useful worker count.
+// Shards returns the number of planned non-trivial (≥ 2 vertex) component
+// shards, i.e. the maximum useful worker count.
 func (p *Plan) Shards() int { return len(p.shards) }
 
-// GridValues evaluates f_Δ for every Δ in grid on the shared plan,
-// returning the values in grid order together with the grid-aggregated
-// statistics (counters accumulate across grid points, gauges keep maxima,
-// Components keeps the per-round value — see Stats.MergeGridRound). This is
-// the plan-reuse hook behind Algorithm 1's Δ-sweep and the serving-layer
-// plan cache: one snapshot, one shard decomposition, and one set of triage
-// certificates serve the whole grid.
+// GridSweep is the outcome of Plan.Sweep, per component and aggregated.
+type GridSweep struct {
+	// Values[c] is component c's contribution to f_Δ at each grid point
+	// (clamped to [0, |C|−1], not yet summed) and Work[c] its
+	// grid-aggregated work, with Components = 1. Both are empty for
+	// isolated vertices and supplied components; c indexes the
+	// decomposition the plan was built from.
+	Values [][]float64
+	Work   []Stats
+	// Stats aggregates the sweep: the counters of every evaluated
+	// component, Components counting them (isolated vertices included),
+	// the resolved Workers, and per-shard timings when
+	// Options.ShardTimings is set.
+	Stats Stats
+	// totals[j] is f_Δ of the planned components at grid[j] (GridValues).
+	totals []float64
+}
+
+// Sweep evaluates f_Δ for every Δ in grid on every planned component: one
+// grid point after another, each point's shards on the Workers pool. It
+// returns each component's value vector and work natively, so a caller
+// holding other components' values (see NewPlanShards) merges them in
+// shard order; GridValues is that merge for a fully planned graph.
 //
 // Unless opts.DisableWarmStart, the sweep threads a per-shard warm-start
 // state between grid points: subtour cuts generated at one Δ are valid at
@@ -107,39 +133,64 @@ func (p *Plan) Shards() int { return len(p.shards) }
 // (Stats.MaxFlowCalls, Stats.SimplexPivots, Stats.WarmCutsReused,
 // Stats.WarmBasisHits), never the returned values; see
 // Options.DisableWarmStart for the stall-bailout caveat. The state is
-// owned by this call, so concurrent GridValues on one Plan stay
-// independent.
-func (p *Plan) GridValues(ctx context.Context, grid []float64, opts Options) ([]float64, Stats, error) {
+// owned by this call, so concurrent sweeps on one Plan stay independent.
+func (p *Plan) Sweep(ctx context.Context, grid []float64, opts Options) (GridSweep, error) {
 	// Tracing (internal/obs): one "forestlp.grid" span for the sweep with
-	// the grid-aggregated Stats counters as attributes, plus one
+	// the aggregated Stats counters as attributes, plus one
 	// "forestlp.point" child per Δ carrying that point's deltas. Grid
 	// points run sequentially, so span creation order — and therefore the
 	// span tree — is deterministic; the per-point child context also
 	// collects the lp pivot-loop counters its shard workers accumulate.
-	sweep, ctx := obs.StartSpan(ctx, "forestlp.grid")
-	defer sweep.End()
-	values := make([]float64, len(grid))
+	span, ctx := obs.StartSpan(ctx, "forestlp.grid")
+	defer span.End()
+	out := GridSweep{
+		Values: make([][]float64, p.components),
+		Work:   make([]Stats, p.components),
+		totals: make([]float64, len(grid)),
+	}
+	for _, ps := range p.shards {
+		out.Values[ps.comp] = make([]float64, len(grid))
+		out.Work[ps.comp].Components = 1
+	}
 	var warm *gridWarm
 	if !opts.DisableWarmStart {
 		warm = newGridWarm(p)
 	}
-	var stats Stats
-	for i, d := range grid {
+	for j, d := range grid {
 		point, pctx := obs.StartSpan(ctx, "forestlp.point")
-		v, st, err := p.value(pctx, d, opts, warm)
+		total, results, st, err := p.point(pctx, d, opts, warm)
 		setStatAttrs(point, st)
 		point.SetLabel("delta", strconv.FormatFloat(d, 'g', -1, 64))
 		point.End()
 		if err != nil {
-			setStatAttrs(sweep, stats)
-			return nil, stats, fmt.Errorf("evaluating f_%v: %w", d, err)
+			setStatAttrs(span, out.Stats)
+			return out, fmt.Errorf("evaluating f_%v: %w", d, err)
 		}
-		stats.MergeGridRound(st)
-		values[i] = v
+		out.Stats.MergeGridRound(st)
+		out.totals[j] = total
+		for i, ps := range p.shards {
+			out.Values[ps.comp][j] = results[i].value
+			out.Work[ps.comp].MergeComponent(results[i].stats)
+		}
 	}
-	sweep.SetCounter("grid_points", int64(len(grid)))
-	setStatAttrs(sweep, stats)
-	return values, stats, nil
+	span.SetCounter("grid_points", int64(len(grid)))
+	setStatAttrs(span, out.Stats)
+	return out, nil
+}
+
+// GridValues evaluates f_Δ for every Δ in grid on the shared plan,
+// returning the values in grid order together with the grid-aggregated
+// statistics (counters accumulate across grid points, gauges keep maxima,
+// Components keeps the per-round value — see Stats.MergeGridRound). It is
+// Sweep with the shard values summed in shard order and clamped to
+// [0, f_sf]: one snapshot, one shard decomposition, and one set of triage
+// certificates serve the whole grid.
+func (p *Plan) GridValues(ctx context.Context, grid []float64, opts Options) ([]float64, Stats, error) {
+	sw, err := p.Sweep(ctx, grid, opts)
+	if err != nil {
+		return nil, sw.Stats, err
+	}
+	return sw.totals, sw.Stats, nil
 }
 
 // setStatAttrs exports the deterministic work counters of a Stats onto a

@@ -50,7 +50,7 @@ func TestSepWorkersDeterminism(t *testing.T) {
 				var stats Stats
 				values := make([]float64, len(grid))
 				for i, d := range grid {
-					v, st, err := p.value(context.Background(), d, Options{Workers: 1, SepWorkers: sepWorkers}, warm)
+					v, _, st, err := p.point(context.Background(), d, Options{Workers: 1, SepWorkers: sepWorkers}, warm)
 					if err != nil {
 						t.Fatalf("seed %d graph %d sepWorkers %d: %v", seed, gi, sepWorkers, err)
 					}
@@ -257,7 +257,7 @@ func TestSepWaveWidthDeterminism(t *testing.T) {
 				var stats Stats
 				values := make([]float64, len(grid))
 				for i, d := range grid {
-					v, st, err := p.value(context.Background(), d,
+					v, _, st, err := p.point(context.Background(), d,
 						Options{Workers: 1, SepWorkers: sepWorkers, SepWaveWidth: waveWidth}, warm)
 					if err != nil {
 						t.Fatalf("seed %d graph %d sepWorkers %d wave %d: %v", seed, gi, sepWorkers, waveWidth, err)

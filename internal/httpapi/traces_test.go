@@ -32,9 +32,39 @@ func queryBody(requestID string) QueryRequest {
 	return QueryRequest{Op: "cc", Epsilon: 0.25, Seed: 7, RequestID: requestID}
 }
 
+// planSpans returns a plan build's core.plan span and its one
+// forestlp.grid sweep, checking the sweep has one forestlp.point child per
+// grid point.
+func planSpans(t *testing.T, tr TraceItem) (plan, sweep SpanItem) {
+	t.Helper()
+	sweeps := 0
+	for _, sp := range tr.Spans {
+		switch sp.Name {
+		case "core.plan":
+			plan = sp
+		case "forestlp.grid":
+			sweep = sp
+			sweeps++
+		}
+	}
+	if sweeps != 1 {
+		t.Fatalf("%s: %d forestlp.grid spans, want one per plan build: %+v", tr.RequestID, sweeps, tr.Spans)
+	}
+	var points int64
+	for _, sp := range tr.Spans {
+		if sp.Name == "forestlp.point" && sp.ParentID == sweep.ID {
+			points++
+		}
+	}
+	if g := sweep.Counters["grid_points"]; g == 0 || points != g {
+		t.Fatalf("%s: %d point spans under the sweep, want its grid_points %d", tr.RequestID, points, g)
+	}
+	return plan, sweep
+}
+
 func TestAdminTracesTenantScopedSpanTree(t *testing.T) {
-	_, ts := testServer(t, Config{})
-	g := testGraph(t)
+	srv, ts := testServer(t, Config{})
+	g := testGraph(t) // three planted blocks: 0-7, 8-15, 16-23
 	sess := openSession(t, ts.URL, CreateSessionRequest{
 		Tenant: "acme", N: g.N(), Edges: edgePairs(g), Budget: 4, RequestID: "upload-1",
 	})
@@ -71,44 +101,59 @@ func TestAdminTracesTenantScopedSpanTree(t *testing.T) {
 		t.Fatalf("admit span counters %v", byName["serve.admit"].Counters)
 	}
 	// The upload trace carries the planning spans: core.plan (a cold
-	// cache miss) over one forestlp sweep per non-trivial component — the
-	// plan cache assembles evaluations component-wise — each with
-	// populated work counters and one child span per grid point.
+	// cache miss) over one forestlp sweep that evaluates every component,
+	// whose work counters are exactly the session's engine stats.
 	up := out.Traces[1]
 	if up.RequestID != "upload-1" {
 		t.Fatalf("upload trace identity %+v", up)
 	}
-	var plan SpanItem
-	var sweeps []SpanItem
-	points := 0
-	for _, sp := range up.Spans {
-		switch sp.Name {
-		case "core.plan":
-			plan = sp
-		case "forestlp.grid":
-			sweeps = append(sweeps, sp)
-		case "forestlp.point":
-			points++
-		}
-	}
+	plan, sweep := planSpans(t, up)
 	if v, ok := plan.Counters["cache_hit"]; !ok || v != 0 {
 		t.Fatalf("core.plan counters %v, want cache_hit=0 on a cold upload", plan.Counters)
 	}
-	if len(sweeps) == 0 {
-		t.Fatalf("no forestlp.grid spans in upload trace: %+v", up.Spans)
+	entry, ok := srv.registry.get(sess.SessionID)
+	if !ok {
+		t.Fatal("uploaded session not in the registry")
 	}
-	var totalPoints int64
-	for _, sweep := range sweeps {
-		if sweep.Counters["grid_points"] == 0 {
-			t.Fatalf("sweep counters %v, want grid_points > 0", sweep.Counters)
+	engine := entry.sess.Stats().Engine
+	for key, want := range map[string]int{
+		"components":            engine.Components,
+		"fast_path_hits":        engine.FastPathHits,
+		"lp_solves_total":       engine.LPSolves,
+		"cuts_added":            engine.CutsAdded,
+		"max_flow_calls":        engine.MaxFlowCalls,
+		"simplex_pivots":        engine.SimplexPivots,
+		"warm_cuts_reused":      engine.WarmCutsReused,
+		"warm_basis_hits":       engine.WarmBasisHits,
+		"parametric_slides":     engine.ParametricSlides,
+		"incremental_fallbacks": engine.IncrementalFallbacks,
+	} {
+		if got := sweep.Counters[key]; got != int64(want) {
+			t.Errorf("upload sweep counter %s = %d, session engine stats say %d", key, got, want)
 		}
-		if sweep.Counters["components"] != 1 {
-			t.Fatalf("per-component sweep components = %d, want 1", sweep.Counters["components"])
-		}
-		totalPoints += sweep.Counters["grid_points"]
 	}
-	if int64(points) != totalPoints {
-		t.Fatalf("%d point spans, want %d (sum of the sweeps' grid_points)", points, totalPoints)
+	if engine.Components != 3 || engine.FastPathHits == 0 {
+		t.Fatalf("engine stats %+v, want 3 components with attributable work", engine)
+	}
+
+	// A bridge PATCH re-plans only the merged component: one sweep over
+	// one component, every other component a sub-plan hit.
+	var pr PatchResponse
+	if code := doJSON(t, "PATCH", ts.URL+"/v1/graphs/"+sess.SessionID,
+		PatchRequest{Adds: [][2]int{{0, 8}}, RequestID: "patch-1"}, &pr); code != http.StatusOK {
+		t.Fatalf("patch status %d: %+v", code, pr)
+	}
+	if pr.SubPlanMisses != 1 || pr.SubPlanHits != 1 {
+		t.Fatalf("bridge patch %+v, want 1 sub-plan miss and 1 hit", pr)
+	}
+	if code := doJSON(t, "GET", ts.URL+"/v1/admin/traces?tenant=acme", nil, &out); code != http.StatusOK {
+		t.Fatalf("traces status %d", code)
+	}
+	if out.Traces[0].RequestID != "patch-1" {
+		t.Fatalf("newest trace %+v, want the patch", out.Traces[0])
+	}
+	if _, sweep := planSpans(t, out.Traces[0]); sweep.Counters["components"] != 1 {
+		t.Fatalf("patch sweep components = %d, want 1 (the touched component)", sweep.Counters["components"])
 	}
 
 	// Foreign tenants see nothing.

@@ -81,7 +81,9 @@ type CreateSessionRequest struct {
 	// Delta is the advanced-composition failure probability δ.
 	Delta float64 `json:"delta,omitempty"`
 	// Workers / SepWorkers / SepWaveWidth tune the one-time plan build
-	// (0 = defaults); they never change the released values.
+	// (0 = defaults): Workers spreads its components across a pool,
+	// SepWorkers one component's separation. They never change the
+	// released values.
 	Workers      int `json:"workers,omitempty"`
 	SepWorkers   int `json:"sep_workers,omitempty"`
 	SepWaveWidth int `json:"sep_wave_width,omitempty"`

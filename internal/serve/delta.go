@@ -7,8 +7,8 @@ package serve
 // component's grid values are reused verbatim. The keystone contract is
 // bit-identity: the post-delta session releases exactly what a session
 // cold-opened on the mutated graph would release — same grid values, same
-// work counters, same fingerprint — because both paths assemble their
-// evaluation from the same per-component sub-plans in internal/core.
+// work counters, same fingerprint — because both evaluations are the same
+// per-component merge in internal/core.
 //
 // Concurrency: deltas are serialized by a mutation mutex, and the served
 // state (grid evaluation + CSR) is swapped as one atomic snapshot only
@@ -86,8 +86,9 @@ type DeltaResult struct {
 // post-delta snapshot after it. Multiple ApplyDelta calls serialize.
 //
 // The post-delta session is bit-identical to a cold open of the mutated
-// graph under the same options: with a plan cache both assemble the same
-// per-component sub-plans; without one both evaluate monolithically.
+// graph under the same options: both merge the same per-component
+// evaluations, and with a plan cache the delta re-plans only the touched
+// components.
 func (s *Session) ApplyDelta(ctx context.Context, adds, removes []graph.Edge) (res DeltaResult, err error) {
 	info := obs.RequestInfoFrom(ctx)
 	sp, ctx := obs.StartSpan(ctx, "serve.delta")

@@ -5,15 +5,13 @@
 // One-shot usage:
 //
 //	ccdp -epsilon 1.0 [-mode cc|cc-known-n|sf] [-input graph.txt] [-seed 0]
-//	     [-workers 0] [-sep-workers 0] [-no-warm-start] [-no-incremental]
-//	     [-timeout 0] [-v]
+//	     [-workers 0] [-sep-workers 0] [-timeout 0] [-v]
 //
 // Serving usage (one plan, many budget-accounted queries):
 //
 //	ccdp serve -budget 4.0 -queries queries.txt [-input graph.txt]
 //	     [-accountant sequential|advanced] [-acct-delta 0]
-//	     [-seed 0] [-workers 0] [-sep-workers 0] [-no-warm-start]
-//	     [-no-incremental] [-timeout 0] [-v]
+//	     [-seed 0] [-workers 0] [-sep-workers 0] [-timeout 0] [-v]
 //
 // Daemon usage (multi-tenant HTTP/JSON front end over sessions):
 //
@@ -68,23 +66,6 @@
 // is one giant component, where -workers has nothing to parallelize
 // (0 = inherit -workers). The released value is identical for every
 // setting. Negative values are a usage error.
-//
-// -no-warm-start makes the Δ-grid evaluation solve every grid point from
-// scratch instead of carrying subtour cuts and simplex bases between
-// adjacent Δ (and between cutting-plane rounds). It exists for performance
-// bisection: on graphs whose cutting planes converge the release
-// distribution is unchanged and only the work counters move; a component
-// that hits the evaluator's stall bailout returns an approximate bound
-// whose exact value is solve-path-dependent and may differ across this
-// flag (see forestlp.Options.DisableWarmStart).
-//
-// -no-incremental disables only the parametric layer on top of warm starts:
-// the standing incremental LP solvers that slide an optimal basis across
-// adjacent Δ grid points instead of rebuilding each tableau. Seeded
-// releases are bit-identical with the flag on or off — the parametric
-// engine moves pivots, never answers — so the flag exists purely for
-// benchmarks and performance bisection (see
-// forestlp.Options.DisableIncremental). -no-warm-start implies it.
 //
 // -timeout bounds the whole run. In one-shot mode an expired deadline
 // aborts the single estimation before any noise is drawn, spending no
@@ -173,8 +154,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	seed := fs.Uint64("seed", 0, "0 = crypto randomness; nonzero = reproducible (testing only)")
 	workers := fs.Int("workers", 0, "concurrent component LP solves (0 = all CPUs, ≥ 0; result is identical for any value)")
 	sepWorkers := fs.Int("sep-workers", 0, "concurrent separation oracle calls within one component (0 = inherit -workers, ≥ 0; result is identical for any value)")
-	noWarm := fs.Bool("no-warm-start", false, "evaluate every Δ grid point from scratch (perf bisection; release distribution unchanged)")
-	noIncr := fs.Bool("no-incremental", false, "rebuild each LP tableau instead of sliding standing incremental solvers across the Δ grid (perf bisection; releases bit-identical)")
 	timeout := fs.Duration("timeout", 0, "abort the estimation after this long, spending no budget (0 = no deadline)")
 	verbose := fs.Bool("v", false, "print selection diagnostics (NOT private; testing only)")
 	if err := fs.Parse(args); err != nil {
@@ -202,8 +181,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	opts.ForestLP.Workers = *workers
 	opts.ForestLP.SepWorkers = *sepWorkers
-	opts.ForestLP.DisableWarmStart = *noWarm
-	opts.ForestLP.DisableIncremental = *noIncr
 	opts.ForestLP.ShardTimings = *verbose
 
 	ctx, cancel := timeoutContext(*timeout)
@@ -527,8 +504,6 @@ func runServe(args []string, stdin io.Reader, stdout io.Writer) error {
 	seed := fs.Uint64("seed", 0, "session noise source: 0 = crypto randomness; nonzero = reproducible (testing only); per-query seeds override")
 	workers := fs.Int("workers", 0, "concurrent component LP solves for the one-time plan build (0 = all CPUs, ≥ 0)")
 	sepWorkers := fs.Int("sep-workers", 0, "concurrent separation oracle calls within one component (0 = inherit -workers, ≥ 0)")
-	noWarm := fs.Bool("no-warm-start", false, "evaluate every Δ grid point of the plan from scratch (perf bisection)")
-	noIncr := fs.Bool("no-incremental", false, "rebuild each LP tableau instead of sliding standing incremental solvers across the Δ grid (perf bisection; releases bit-identical)")
 	timeout := fs.Duration("timeout", 0, "deadline for plan build + all queries; an expired query fails without spending its ε (0 = no deadline)")
 	auditLog := fs.String("audit-log", "", "append every privacy-ledger operation to this CRC-guarded file (verify offline with `ccdp audit -log <file>`)")
 	verbose := fs.Bool("v", false, "print per-query selection diagnostics (NOT private; testing only)")
@@ -584,8 +559,6 @@ func runServe(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	sopts.ForestLP.Workers = *workers
 	sopts.ForestLP.SepWorkers = *sepWorkers
-	sopts.ForestLP.DisableWarmStart = *noWarm
-	sopts.ForestLP.DisableIncremental = *noIncr
 
 	ctx, cancel := timeoutContext(*timeout)
 	defer cancel()

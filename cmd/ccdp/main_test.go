@@ -152,8 +152,8 @@ func TestRunSepWorkersNegativeIsUsageError(t *testing.T) {
 }
 
 // TestRunSepWorkersAndWarmStartDeterminism: for a fixed seed, the printed
-// release is identical across separation worker counts and with warm
-// starts disabled — both knobs move work, never values.
+// release of the warm-started engine is identical across separation
+// worker counts — the knob moves work, never values.
 func TestRunSepWorkersAndWarmStartDeterminism(t *testing.T) {
 	const input = "n 40\n0 1\n1 2\n2 0\n0 3\n3 4\n4 0\n1 5\n5 6\n6 1\n10 11\n"
 	var want string
@@ -161,8 +161,6 @@ func TestRunSepWorkersAndWarmStartDeterminism(t *testing.T) {
 		{"-epsilon", "1", "-seed", "99", "-sep-workers", "1"},
 		{"-epsilon", "1", "-seed", "99", "-sep-workers", "4"},
 		{"-epsilon", "1", "-seed", "99", "-sep-workers", "8"},
-		{"-epsilon", "1", "-seed", "99", "-no-warm-start"},
-		{"-epsilon", "1", "-seed", "99", "-no-warm-start", "-sep-workers", "8"},
 	} {
 		var out bytes.Buffer
 		if err := run(args, strings.NewReader(input), &out); err != nil {

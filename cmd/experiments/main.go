@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	id := flag.String("id", "", "run a single experiment (E0..E21, F1..F3); empty runs all")
+	id := flag.String("id", "", "run a single experiment (E0..E17, E19, E20, E22, F1..F3); empty runs all")
 	full := flag.Bool("full", false, "run publication-sized sweeps instead of the quick configuration")
 	seed := flag.Uint64("seed", 1, "base seed for all randomness")
 	flag.Parse()

@@ -89,17 +89,16 @@ type cacheKey struct {
 // identically. Workers, SepWorkers, ShardTimings, and Trace change only
 // scheduling and diagnostics, never values, and are deliberately excluded
 // so sessions with different concurrency settings share entries.
-// DisableWarmStart, DisableIncremental, SepExhaustive, and SepWaveWidth
-// are included conservatively: they are value-neutral on converging
-// instances, but they change the oracle schedule (or, for the incremental
-// knob, the solve trajectory), so a stalled piece can return a different
-// path-dependent relaxation bound, and they also change the work counters
-// stored with the cached evaluation.
+// SepWaveWidth is included conservatively: it is value-neutral on
+// converging instances, but it changes the oracle schedule, so a stalled
+// piece can return a different path-dependent relaxation bound, and it
+// also changes the work counters stored with the cached evaluation.
 func planOptionsDigest(o Options) string {
 	f := o.ForestLP.Normalize()
-	return fmt.Sprintf("dmax=%g tol=%g rounds=%d cuts=%d drop=%d stall=%d nofast=%t nopeel=%t nowarm=%t noincr=%t exh=%t wave=%d lp=%+v",
+	// Persisted snapshots key their entries by this string: keep its bytes.
+	return fmt.Sprintf("dmax=%g tol=%g rounds=%d cuts=%d drop=%d stall=%d nofast=%t nopeel=%t nowarm=false noincr=false exh=false wave=%d lp=%+v",
 		o.DeltaMax, f.Tol, f.MaxRounds, f.MaxCutsPerRound, f.DropSlackAfter, f.StallRounds,
-		f.DisableFastPath, f.DisablePeel, f.DisableWarmStart, f.DisableIncremental, f.SepExhaustive, f.SepWaveWidth, f.LP)
+		f.DisableFastPath, f.DisablePeel, f.SepWaveWidth, f.LP)
 }
 
 type cacheEntry struct {

@@ -115,6 +115,17 @@ func TestPlanCacheOptionsChangeMisses(t *testing.T) {
 	}
 }
 
+// TestPlanOptionsDigestPinned pins the default plan-option digest byte for
+// byte: persisted snapshots key their entries by it, so an edit that moved
+// a single byte would silently turn every saved plan into a miss.
+func TestPlanOptionsDigestPinned(t *testing.T) {
+	const want = "dmax=16 tol=1e-07 rounds=1000 cuts=48 drop=3 stall=80 nofast=false nopeel=false " +
+		"nowarm=false noincr=false exh=false wave=16 lp={Tol:0 MaxPivots:0 BlandAfter:0 Basis:[]}"
+	if got := planOptionsDigest(Options{DeltaMax: 16}); got != want {
+		t.Fatalf("planOptionsDigest changed:\n got %s\nwant %s", got, want)
+	}
+}
+
 func TestPlanCacheLRUEvicts(t *testing.T) {
 	cache := NewPlanCache(2)
 	ctx := context.Background()

@@ -62,10 +62,10 @@ func TestWorkerCountDeterminism(t *testing.T) {
 }
 
 // TestSepWorkersWarmStartReleaseDeterminism extends the end-to-end
-// determinism contract to the intra-component knobs: with a seeded PRNG,
-// the release, the GEM selection, and every grid diagnostic must be
-// bit-identical across SepWorkers settings and with warm starts disabled —
-// both knobs move work counters, never the random trajectory.
+// determinism contract to the intra-component knob: with a seeded PRNG,
+// the warm-started grid sweep's release, GEM selection, every grid
+// diagnostic, and every work counter must be bit-identical across
+// SepWorkers settings.
 func TestSepWorkersWarmStartReleaseDeterminism(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		rng := generate.NewRand(seed * 389)
@@ -74,44 +74,38 @@ func TestSepWorkersWarmStartReleaseDeterminism(t *testing.T) {
 			generate.WithHubs(generate.PlantedComponents([]int{25, 25}, 3.5/25, rng), 2, 0.3, rng),
 		}
 		for gi, g := range graphs {
-			run := func(sepWorkers int, noWarm bool) Result {
+			run := func(sepWorkers int) Result {
 				opts := Options{Epsilon: 1, Rand: generate.NewRand(seed)}
 				opts.ForestLP.SepWorkers = sepWorkers
-				opts.ForestLP.DisableWarmStart = noWarm
 				res, err := EstimateComponentCount(g, opts)
 				if err != nil {
-					t.Fatalf("seed %d graph %d sepWorkers %d noWarm %v: %v", seed, gi, sepWorkers, noWarm, err)
+					t.Fatalf("seed %d graph %d sepWorkers %d: %v", seed, gi, sepWorkers, err)
 				}
 				return res
 			}
-			base := run(1, false)
+			base := run(1)
 			if base.Stats.StalledPieces > 0 {
 				t.Fatalf("seed %d graph %d stalled; the bit-identity contract needs a converging instance", seed, gi)
 			}
-			for _, cfg := range []struct {
-				sepWorkers int
-				noWarm     bool
-			}{{4, false}, {8, false}, {1, true}, {8, true}} {
-				got := run(cfg.sepWorkers, cfg.noWarm)
+			for _, sepWorkers := range []int{4, 8} {
+				got := run(sepWorkers)
 				if math.Float64bits(got.Value) != math.Float64bits(base.Value) {
-					t.Errorf("seed %d graph %d: release %v (SepWorkers=%d noWarm=%v) != %v (baseline)",
-						seed, gi, got.Value, cfg.sepWorkers, cfg.noWarm, base.Value)
+					t.Errorf("seed %d graph %d: release %v (SepWorkers=%d) != %v (baseline)",
+						seed, gi, got.Value, sepWorkers, base.Value)
 				}
 				if got.Delta != base.Delta {
-					t.Errorf("seed %d graph %d: GEM Δ̂=%v (SepWorkers=%d noWarm=%v) != Δ̂=%v",
-						seed, gi, got.Delta, cfg.sepWorkers, cfg.noWarm, base.Delta)
+					t.Errorf("seed %d graph %d: GEM Δ̂=%v (SepWorkers=%d) != Δ̂=%v",
+						seed, gi, got.Delta, sepWorkers, base.Delta)
 				}
 				for i := range base.Evaluations {
 					b, o := base.Evaluations[i], got.Evaluations[i]
 					if math.Float64bits(b.FDelta) != math.Float64bits(o.FDelta) ||
 						math.Float64bits(b.Q) != math.Float64bits(o.Q) {
-						t.Errorf("seed %d graph %d: grid point Δ=%v diverges (SepWorkers=%d noWarm=%v)",
-							seed, gi, b.Delta, cfg.sepWorkers, cfg.noWarm)
+						t.Errorf("seed %d graph %d: grid point Δ=%v diverges (SepWorkers=%d)",
+							seed, gi, b.Delta, sepWorkers)
 					}
 				}
-				if !cfg.noWarm && !reflect.DeepEqual(got.Stats, base.Stats) {
-					// Same warm configuration must also reproduce the exact
-					// work counters regardless of SepWorkers.
+				if !reflect.DeepEqual(got.Stats, base.Stats) {
 					t.Errorf("seed %d graph %d: stats diverge across SepWorkers: %+v != %+v",
 						seed, gi, got.Stats, base.Stats)
 				}

@@ -40,10 +40,8 @@ func Registry() []struct {
 		{"E15", EpsilonSweep},
 		{"E16", E16ParallelEngine},
 		{"E17", E17SessionServing},
-		{"E18", E18SeparationWarmStarts},
 		{"E19", E19DaemonServing},
 		{"E20", E20WarmRestart},
-		{"E21", E21ParametricSweep},
 		{"E22", E22LiveGraphDeltas},
 		{"F1", F1RepairTrace},
 		{"F2", F2Lemma52},

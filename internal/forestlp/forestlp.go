@@ -76,41 +76,9 @@ type Options struct {
 	// still bit-identical for every SepWorkers setting, which is why the
 	// plan cache digests the width. Raise it on many-core machines where
 	// more than 16 concurrent oracle flows pay off; the useful SepWorkers
-	// is capped at this width.
+	// is capped at this width. A width above a piece's vertex count acts
+	// as that count: one wave then gathers every remaining vertex.
 	SepWaveWidth int
-	// DisableWarmStart turns off every warm-start layer: the cross-Δ cut
-	// pool and piece-basis memos of grid sweeps, the round-to-round
-	// simplex basis carrying inside each cutting-plane solve, and the
-	// parked-cut pool that revives known violated cuts without an oracle
-	// flow. Every LP then re-pivots from the all-slack basis and every cut
-	// is re-discovered by max-flow, as the original engine did. On pieces
-	// whose cutting planes converge, warm starts change only the work
-	// counters (max-flow calls, pivots, LP rounds), never the values; a
-	// piece that hits the stall bailout returns its path-dependent
-	// relaxation bound (within Stats.StallGap of the optimum), which can
-	// differ across this knob — the plan cache digests it for exactly
-	// that reason. The knob exists for benchmarks and bisection.
-	DisableWarmStart bool
-	// DisableIncremental turns off the parametric/incremental LP engine:
-	// pieces above the size gate then re-solve every cutting-plane round
-	// and grid point through the rebuild+restore warm-start path (append
-	// cuts by rebuilding the row set, restore the previous basis by
-	// elimination) instead of mutating one standing tableau per piece with
-	// rhs slides and row appends. On pieces whose cutting planes converge
-	// the values are identical either way — the parametric path is guarded
-	// by a residual certificate and falls back to the rebuild path on any
-	// numerical distress — but stall-bailout pieces return path-dependent
-	// bounds, so the plan cache digests this knob like the others. Implied
-	// by DisableWarmStart (the standing solver IS a warm-start structure).
-	// The knob exists for benchmarks, bisection, and belt-and-suspenders
-	// operation.
-	DisableIncremental bool
-	// SepExhaustive disables the separation oracle's eligible-vertex
-	// screening and its wave dispatch (reverting to the original
-	// one-forced-vertex-at-a-time sweep over every uncovered vertex).
-	// Results are identical, strictly more max-flow calls are made; the
-	// benchmark suite uses it to quantify the screening.
-	SepExhaustive bool
 	// ShardTimings enables per-shard wall-clock diagnostics in
 	// Stats.Shards. Off by default: every evaluation retains one record
 	// per non-trivial component, so a Δ-grid sweep over a graph with many
@@ -195,7 +163,7 @@ type Stats struct {
 	CutsRevived int
 	// WarmCutsReused counts subtour constraints seeded from the cross-Δ
 	// cut pool instead of being re-discovered by the oracle (grid sweeps
-	// with warm starts enabled only).
+	// only).
 	WarmCutsReused int
 	// WarmBasisHits counts LP solves that successfully resumed from a
 	// previous basis — the preceding cutting-plane round's, or a matching
@@ -204,7 +172,7 @@ type Stats struct {
 	WarmBasisHits int
 	// Refactorizations counts standing-tableau rebuilds performed by the
 	// incremental solver to shed accumulated floating-point damage (see
-	// internal/lp.Incremental; 0 when the parametric engine is off).
+	// internal/lp.Incremental; 0 when no piece ran on a standing solver).
 	Refactorizations int
 	// ParametricSlides counts piece solves that reached a new Δ grid point
 	// by sliding a standing solver — a rhs update plus dual repair on the
@@ -416,8 +384,7 @@ func lpValue(ctx context.Context, sub *graph.Graph, caps []float64, opts Options
 	// rebuilding. Any trouble — numerical distress, row-cap overflow —
 	// falls through to the rebuild loop below, which re-solves the piece
 	// from the (deterministically grown) cut pool.
-	if sw != nil && !opts.DisableWarmStart && !opts.DisableIncremental &&
-		len(baseRows) >= incrMinRows {
+	if sw != nil && len(baseRows) >= incrMinRows {
 		v, ok, err := lpValueIncr(ctx, sub, edges, c, baseRows, baseRHS, primalLB, opts, stats, sw, orig)
 		if err != nil {
 			return 0, err
@@ -434,8 +401,6 @@ func lpValue(ctx context.Context, sub *graph.Graph, caps []float64, opts Options
 		return 0, err
 	}
 	sep := newSeparator(sub, edges, opts.Tol, resolveSepWorkers(opts), resolveSepWave(opts))
-	sep.exhaustive = opts.SepExhaustive
-	sep.noRevive = opts.DisableWarmStart
 	cutRow := func(ct *cut) []float64 {
 		row := make([]float64, m)
 		for _, i := range ct.edgeIdx {
@@ -501,12 +466,8 @@ func lpValue(ctx context.Context, sub *graph.Graph, caps []float64, opts Options
 			}
 			return primalLB, nil
 		}
-		var prevBasis []int
-		var prevActive []*cut
-		if !opts.DisableWarmStart {
-			prevBasis = sol.Basis
-			prevActive = append([]*cut(nil), active...)
-		}
+		prevBasis := sol.Basis
+		prevActive := append([]*cut(nil), active...)
 
 		cuts, flows := sep.findViolated(sol.X, opts.MaxCutsPerRound)
 		stats.MaxFlowCalls += flows
@@ -527,20 +488,13 @@ func lpValue(ctx context.Context, sub *graph.Graph, caps []float64, opts Options
 		// Stall detection: a frozen objective across many rounds while new
 		// cuts keep appearing means Kelley is walking a degenerate optimal
 		// face (e.g. hub graphs, whose optima are symmetric in which
-		// spokes carry weight). With the parked pool enabled, "frozen"
-		// uses a coarser threshold than the feasibility tolerance: cheap
-		// revivals let degenerate instances creep by O(Tol·10³) per round
-		// forever, which is the same pathology at a glacial pace. With
-		// warm starts disabled the original engine's exact threshold is
-		// kept, so the legacy baseline stalls (and converges) exactly as
-		// before. Try to certify the frozen value with a primal
-		// capped-forest bound; otherwise return the relaxation bound and
-		// record the residual gap.
-		stallTol := opts.Tol
-		if !opts.DisableWarmStart {
-			stallTol = 1000 * opts.Tol
-		}
-		if sol.Value >= prevValue-stallTol {
+		// spokes carry weight). "Frozen" uses a coarser threshold than the
+		// feasibility tolerance: cheap parked-cut revivals let degenerate
+		// instances creep by O(Tol·10³) per round forever, which is the
+		// same pathology at a glacial pace. Try to certify the frozen value
+		// with a primal capped-forest bound; otherwise return the
+		// relaxation bound and record the residual gap.
+		if sol.Value >= prevValue-1000*opts.Tol {
 			stall++
 		} else {
 			stall = 0
@@ -600,11 +554,10 @@ func lpValue(ctx context.Context, sub *graph.Graph, caps []float64, opts Options
 		// their basic variables, the new cut rows start slack-basic
 		// (primal-infeasible exactly there), and lp.Maximize repairs that
 		// with a few dual pivots instead of a cold re-solve. Skip the
-		// translation whenever the basis could never be offered: warm
-		// starts off, next round's LP below the size gate, or this
-		// piece's warm-fail strikes exhausted.
-		if opts.DisableWarmStart || warmFails >= maxWarmFails ||
-			baseRowCount+len(active) < warmBasisMinRows {
+		// translation whenever the basis could never be offered: next
+		// round's LP below the size gate, or this piece's warm-fail strikes
+		// exhausted.
+		if warmFails >= maxWarmFails || baseRowCount+len(active) < warmBasisMinRows {
 			curBasis = nil
 		} else {
 			curBasis = mapBasis(prevBasis, prevActive, active, m, baseRowCount)

@@ -78,9 +78,6 @@ func lpValueIncr(ctx context.Context, sub *graph.Graph, edges []graph.Edge, c []
 		return 0, false, err
 	}
 	sep := newSeparator(sub, edges, opts.Tol, resolveSepWorkers(opts), resolveSepWave(opts))
-	sep.exhaustive = opts.SepExhaustive
-	// The parametric path only runs with warm starts on, so the parked-cut
-	// revive machinery stays enabled.
 	defer func() { stats.CutsRevived += sep.revived }()
 
 	cutRow := func(ct *cut) []float64 {
@@ -199,8 +196,8 @@ func lpValueIncr(ctx context.Context, sub *graph.Graph, edges []graph.Edge, c []
 		}
 
 		// Stall handling: identical thresholds and bailout semantics to the
-		// rebuild path's warm mode, so a piece that stalls returns the same
-		// kind of bound whichever engine ran it.
+		// rebuild path, so a piece that stalls returns the same kind of
+		// bound whichever engine ran it.
 		if sol.Value >= prevValue-1000*opts.Tol {
 			stall++
 		} else {

@@ -22,6 +22,25 @@ func lowerIncrGate(t *testing.T) {
 	t.Cleanup(func() { incrMinRows = old })
 }
 
+// rebuildGridValues sweeps p with the parametric engine's size gate
+// raised above every piece, so each piece runs the rebuild loop alone —
+// the reference the parametric tests compare the standing solvers with.
+// The gate in force before the call is restored when it returns.
+func rebuildGridValues(t *testing.T, p *Plan, grid []float64, opts Options) []float64 {
+	t.Helper()
+	old := incrMinRows
+	incrMinRows = math.MaxInt
+	defer func() { incrMinRows = old }()
+	vals, st, err := p.GridValues(context.Background(), grid, opts)
+	if err != nil {
+		t.Fatalf("rebuild sweep: %v", err)
+	}
+	if st.ParametricSlides != 0 {
+		t.Fatalf("rebuild sweep slid %d standing solvers", st.ParametricSlides)
+	}
+	return vals
+}
+
 // TestParametricGridEquivalence is the exact-oracle certification test of
 // the parametric engine: on small random graphs, every grid value produced
 // by the basis-sliding sweep must match the exact big.Rat simplex on the
@@ -45,12 +64,7 @@ func TestParametricGridEquivalence(t *testing.T) {
 		if incrStats.ParametricSlides == 0 {
 			t.Fatalf("seed %d: parametric engine never slid — the gate did not engage", seed)
 		}
-		rebuildOpts := opts
-		rebuildOpts.DisableIncremental = true
-		rebuildVals, _, err := p.GridValues(context.Background(), grid, rebuildOpts)
-		if err != nil {
-			t.Fatalf("seed %d: rebuild sweep: %v", seed, err)
-		}
+		rebuildVals := rebuildGridValues(t, p, grid, opts)
 		for i, d := range grid {
 			exact, err := ValueBruteForceRat(g, new(big.Rat).SetFloat64(d))
 			if err != nil {
@@ -69,9 +83,9 @@ func TestParametricGridEquivalence(t *testing.T) {
 }
 
 // TestParametricValueIdentity checks the release contract on LP-heavy
-// converging families: incremental on/off and SepWorkers {1, 8} all
-// produce bit-identical grid values — the parametric engine moves pivots,
-// never answers.
+// converging families: the parametric and rebuild engines at SepWorkers
+// {1, 8} all produce bit-identical grid values — the parametric engine
+// moves pivots, never answers.
 func TestParametricValueIdentity(t *testing.T) {
 	lowerIncrGate(t)
 	rng := generate.NewRand(77)
@@ -90,20 +104,22 @@ func TestParametricValueIdentity(t *testing.T) {
 		if baseStats.StalledPieces > 0 {
 			t.Fatalf("graph %d stalled; pick a converging instance for this test", gi)
 		}
-		variants := []Options{
-			{Workers: 1, DisableIncremental: true},
-			{Workers: 1, SepWorkers: 8},
-			{Workers: 1, SepWorkers: 8, DisableIncremental: true},
+		sep8, _, err := p.GridValues(context.Background(), grid, Options{Workers: 1, SepWorkers: 8})
+		if err != nil {
+			t.Fatalf("graph %d: %v", gi, err)
 		}
-		for vi, vOpts := range variants {
-			vals, _, err := p.GridValues(context.Background(), grid, vOpts)
-			if err != nil {
-				t.Fatalf("graph %d variant %d: %v", gi, vi, err)
-			}
+		variants := []struct {
+			name string
+			vals []float64
+		}{
+			{"rebuild", rebuildGridValues(t, p, grid, Options{Workers: 1})},
+			{"parametric SepWorkers=8", sep8},
+			{"rebuild SepWorkers=8", rebuildGridValues(t, p, grid, Options{Workers: 1, SepWorkers: 8})},
+		}
+		for _, v := range variants {
 			for i := range grid {
-				if math.Float64bits(vals[i]) != math.Float64bits(base[i]) {
-					t.Errorf("graph %d variant %+v grid[%d]: %v != base %v",
-						gi, vOpts, i, vals[i], base[i])
+				if math.Float64bits(v.vals[i]) != math.Float64bits(base[i]) {
+					t.Errorf("graph %d %s grid[%d]: %v != base %v", gi, v.name, i, v.vals[i], base[i])
 				}
 			}
 		}

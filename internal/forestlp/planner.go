@@ -124,16 +124,20 @@ type GridSweep struct {
 // holding other components' values (see NewPlanShards) merges them in
 // shard order; GridValues is that merge for a fully planned graph.
 //
-// Unless opts.DisableWarmStart, the sweep threads a per-shard warm-start
-// state between grid points: subtour cuts generated at one Δ are valid at
-// every other (only the degree rows depend on Δ), so they are injected
-// into the neighboring evaluations instead of being re-separated, and a
-// piece whose structure recurs resumes from its previous simplex basis.
-// On converging pieces warm starts change the work counters
+// The sweep threads a per-shard warm-start state between grid points:
+// subtour cuts generated at one Δ are valid at every other (only the
+// degree rows depend on Δ), so they are injected into the neighboring
+// evaluations instead of being re-separated, and a piece whose structure
+// recurs resumes from its previous simplex basis — or, above the
+// parametric size gate, slides its standing solver to the new Δ. On
+// converging pieces this state changes the work counters
 // (Stats.MaxFlowCalls, Stats.SimplexPivots, Stats.WarmCutsReused,
-// Stats.WarmBasisHits), never the returned values; see
-// Options.DisableWarmStart for the stall-bailout caveat. The state is
-// owned by this call, so concurrent sweeps on one Plan stay independent.
+// Stats.WarmBasisHits), not the optimum the values report — the
+// conformance tests pin them to per-point Plan.Value, which carries no
+// cross-Δ state. A piece that hits the stall bailout returns its
+// path-dependent relaxation bound instead (see Stats.StalledPieces). The
+// state is owned by this call, so concurrent sweeps on one Plan stay
+// independent.
 func (p *Plan) Sweep(ctx context.Context, grid []float64, opts Options) (GridSweep, error) {
 	// Tracing (internal/obs): one "forestlp.grid" span for the sweep with
 	// the aggregated Stats counters as attributes, plus one
@@ -152,10 +156,7 @@ func (p *Plan) Sweep(ctx context.Context, grid []float64, opts Options) (GridSwe
 		out.Values[ps.comp] = make([]float64, len(grid))
 		out.Work[ps.comp].Components = 1
 	}
-	var warm *gridWarm
-	if !opts.DisableWarmStart {
-		warm = newGridWarm(p)
-	}
+	warm := newGridWarm(p)
 	for j, d := range grid {
 		point, pctx := obs.StartSpan(ctx, "forestlp.point")
 		total, results, st, err := p.point(pctx, d, opts, warm)

@@ -131,13 +131,8 @@ type separator struct {
 	incident [][]int32 // incident[v] = indices into edges touching v
 	tol      float64
 	workers  int
-	wave     int // maximum wave width (Options.SepWaveWidth, ≥ 1)
-	// exhaustive reverts to the original oracle sweep: every uncovered
-	// vertex is forced (no eligibility screening), one at a time (wave
-	// width 1). Identical results, strictly more flows; benchmarks use it
-	// as the pre-screening baseline.
-	exhaustive bool
-	seen       map[cutKey]bool // canonical keys of every known cut (active or parked)
+	wave     int             // maximum wave width (Options.SepWaveWidth clamped to [1, n])
+	seen     map[cutKey]bool // canonical keys of every known cut (active or parked)
 
 	// parked holds known-but-inactive cuts: aged-out actives, truncation
 	// overflow, and cross-Δ pool seeds. findViolated re-checks them against
@@ -147,9 +142,8 @@ type separator struct {
 	parked []*cut
 	// revived counts cuts returned by the zero-flow revive pass.
 	revived int
-	// noRevive disables the parked pool (Options.DisableWarmStart): parked
-	// cuts are forgotten instead, so the oracle re-derives them with flows
-	// as the original engine did.
+	// noRevive disables the parked pool once flushParked has run: parked
+	// cuts are forgotten instead, so the oracle re-derives them with flows.
 	noRevive bool
 
 	// Per-round flow template and its per-vertex sink arcs.
@@ -170,16 +164,22 @@ type separator struct {
 }
 
 func newSeparator(g *graph.Graph, edges []graph.Edge, tol float64, workers, wave int) *separator {
+	n := g.N()
 	if wave < 1 {
 		wave = sepWaveDefault
 	}
+	// A wave never holds more than the piece's n forced vertices, and a
+	// width of at least the remaining vertex count gathers all of them, so
+	// wider waves change neither the schedule nor the counters — they would
+	// only allocate result slots (each with an n-long membership slice)
+	// that no wave fills.
+	wave = min(wave, n)
 	if workers < 1 {
 		workers = 1
 	}
 	if workers > wave {
 		workers = wave
 	}
-	n := g.N()
 	incident := make([][]int32, n)
 	deg := make([]int32, n)
 	for _, e := range edges {
@@ -366,8 +366,7 @@ func (sp *separator) findViolated(x []float64, maxCuts int) ([]*cut, int) {
 	// merge would discard — while certification rounds (nothing to find,
 	// nothing covered) ramp to full width and parallelize across
 	// SepWorkers. The schedule depends only on (x, coverage), never on the
-	// worker count. Exhaustive mode pins the width to 1, reproducing the
-	// original one-at-a-time sweep.
+	// worker count.
 	flows := 0
 	width := 1
 	next := 0
@@ -379,11 +378,9 @@ func (sp *separator) findViolated(x []float64, maxCuts int) ([]*cut, int) {
 				wave = append(wave, next)
 			}
 		}
-		if !sp.exhaustive {
-			width *= 2
-			if width > sp.wave {
-				width = sp.wave
-			}
+		width *= 2
+		if width > sp.wave {
+			width = sp.wave
 		}
 		if len(wave) == 0 {
 			break
@@ -426,12 +423,6 @@ func (sp *separator) findViolated(x []float64, maxCuts int) ([]*cut, int) {
 // into zero flows.
 func (sp *separator) screenEligible(x []float64) {
 	eligible := sp.eligible
-	if sp.exhaustive {
-		for v := range eligible {
-			eligible[v] = true
-		}
-		return
-	}
 	n := sp.g.N()
 	deg := sp.supDeg
 	for v := range deg {

@@ -22,6 +22,22 @@ func warmTestGrid(t *testing.T, g *graph.Graph) []float64 {
 	return grid
 }
 
+// pointValues evaluates every grid point with its own Plan.Value call,
+// which carries no cross-Δ state: no cut pool, no piece memos, no standing
+// solvers. It is the reference the warm-start tests compare sweeps with.
+func pointValues(t *testing.T, p *Plan, grid []float64, opts Options) []float64 {
+	t.Helper()
+	vals := make([]float64, len(grid))
+	for i, d := range grid {
+		v, _, err := p.Value(context.Background(), d, opts)
+		if err != nil {
+			t.Fatalf("Value(Δ=%v): %v", d, err)
+		}
+		vals[i] = v
+	}
+	return vals
+}
+
 // TestSepWorkersDeterminism is the parallel-separation property test: on
 // random graphs, every SepWorkers setting must produce bit-identical grid
 // values, identical counting statistics (including max-flow calls — the
@@ -87,10 +103,10 @@ func TestSepWorkersDeterminism(t *testing.T) {
 
 // TestWarmStartGridEquivalence certifies the cross-Δ warm start against
 // ground truth: on small random graphs, the warm-started grid sweep and
-// the cold sweep must both match the exact big.Rat simplex on the fully
-// enumerated LP at every grid point. The fast path and peeling are
-// disabled so the cutting-plane machinery (and its warm starts) actually
-// runs at every Δ.
+// per-point evaluation (no cross-Δ state) must both match the exact
+// big.Rat simplex on the fully enumerated LP at every grid point. The fast
+// path and peeling are disabled so the cutting-plane machinery (and its
+// warm starts) actually runs at every Δ.
 func TestWarmStartGridEquivalence(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		rng := generate.NewRand(seed * 977)
@@ -104,12 +120,7 @@ func TestWarmStartGridEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: warm sweep: %v", seed, err)
 		}
-		coldOpts := opts
-		coldOpts.DisableWarmStart = true
-		coldVals, _, err := p.GridValues(context.Background(), grid, coldOpts)
-		if err != nil {
-			t.Fatalf("seed %d: cold sweep: %v", seed, err)
-		}
+		pointVals := pointValues(t, p, grid, opts)
 		for i, d := range grid {
 			exact, err := ValueBruteForceRat(g, new(big.Rat).SetFloat64(d))
 			if err != nil {
@@ -119,8 +130,8 @@ func TestWarmStartGridEquivalence(t *testing.T) {
 			if math.Abs(warmVals[i]-want) > tol {
 				t.Errorf("seed %d delta %v: warm %v != exact %v", seed, d, warmVals[i], want)
 			}
-			if math.Abs(coldVals[i]-want) > tol {
-				t.Errorf("seed %d delta %v: cold %v != exact %v", seed, d, coldVals[i], want)
+			if math.Abs(pointVals[i]-want) > tol {
+				t.Errorf("seed %d delta %v: per-point %v != exact %v", seed, d, pointVals[i], want)
 			}
 		}
 	}
@@ -128,8 +139,9 @@ func TestWarmStartGridEquivalence(t *testing.T) {
 
 // TestWarmStartValueIdentity checks the stronger empirical contract the
 // benchmark suite relies on: on LP-heavy families that converge (no
-// stalls), warm and cold sweeps release bit-identical grid values — the
-// warm machinery changes only the work counters.
+// stalls), the warm-started sweep and per-point evaluation (no cross-Δ
+// state) release bit-identical grid values — the warm machinery changes
+// only the work counters.
 func TestWarmStartValueIdentity(t *testing.T) {
 	rng := generate.NewRand(77)
 	graphs := []*graph.Graph{
@@ -144,16 +156,13 @@ func TestWarmStartValueIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("graph %d: %v", gi, err)
 		}
-		coldVals, _, err := p.GridValues(context.Background(), grid, Options{Workers: 1, DisableWarmStart: true})
-		if err != nil {
-			t.Fatalf("graph %d: %v", gi, err)
-		}
+		pointVals := pointValues(t, p, grid, Options{Workers: 1})
 		if warmStats.StalledPieces > 0 {
 			t.Fatalf("graph %d stalled; pick a converging instance for this test", gi)
 		}
 		for i := range grid {
-			if math.Float64bits(warmVals[i]) != math.Float64bits(coldVals[i]) {
-				t.Errorf("graph %d grid[%d]: warm %v != cold %v", gi, i, warmVals[i], coldVals[i])
+			if math.Float64bits(warmVals[i]) != math.Float64bits(pointVals[i]) {
+				t.Errorf("graph %d grid[%d]: warm %v != per-point %v", gi, i, warmVals[i], pointVals[i])
 			}
 		}
 	}
@@ -316,5 +325,42 @@ func TestSepWaveWidthValidation(t *testing.T) {
 	}
 	if _, _, err := Value(g, 1, Options{SepWaveWidth: 1}); err != nil {
 		t.Fatalf("SepWaveWidth=1: %v", err)
+	}
+}
+
+// TestSepWaveWidthClampedToPiece: a wave never holds more than a piece's
+// vertices, so the separator clamps a wider configured width to the vertex
+// count instead of allocating result slots that no wave fills. The clamp
+// must not move the schedule: a sweep at a huge width matches a sweep at a
+// width already above every piece, in values and in work counters.
+func TestSepWaveWidthClampedToPiece(t *testing.T) {
+	k := generate.Complete(7)
+	if sp := newSeparator(k, k.Edges(), 1e-7, 1<<20, 1<<20); sp.wave != k.N() || sp.workers != k.N() {
+		t.Fatalf("wave %d, workers %d on a %d-vertex piece, want both clamped to %d",
+			sp.wave, sp.workers, k.N(), k.N())
+	}
+
+	g := generate.PlantedComponents([]int{60}, 4.5/60, generate.NewRand(77))
+	p := NewPlan(g)
+	grid := warmTestGrid(t, g)
+	sweep := func(width int) ([]float64, Stats) {
+		vals, st, err := p.GridValues(context.Background(), grid, Options{Workers: 1, SepWaveWidth: width})
+		if err != nil {
+			t.Fatalf("wave %d: %v", width, err)
+		}
+		return vals, st
+	}
+	wantVals, wantStats := sweep(1 << 12)
+	if wantStats.MaxFlowCalls == 0 {
+		t.Fatal("the sweep made no oracle calls; pick an LP-heavy instance")
+	}
+	gotVals, gotStats := sweep(1 << 20)
+	for i := range grid {
+		if math.Float64bits(gotVals[i]) != math.Float64bits(wantVals[i]) {
+			t.Errorf("grid[%d]: wave 1<<20 gives %v, wave 1<<12 %v", i, gotVals[i], wantVals[i])
+		}
+	}
+	if !reflect.DeepEqual(gotStats, wantStats) {
+		t.Errorf("stats differ: wave 1<<20 %+v, wave 1<<12 %+v", gotStats, wantStats)
 	}
 }

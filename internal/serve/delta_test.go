@@ -133,8 +133,10 @@ func assertMatchesColdOpen(t *testing.T, live *Session, want *graph.Graph, fl fo
 }
 
 // TestDeltaOpenBitIdenticalToColdOpen drives one merge delta and one split
-// delta through every (Workers, SepWorkers, warm-start, incremental)
-// combination; Workers > 1 spreads a sweep's components across the pool.
+// delta through every (Workers, SepWorkers) combination; Workers > 1
+// spreads a sweep's components across the pool. The subtest names keep
+// their nowarm=false,noincr=false suffix so results stay comparable with
+// earlier runs of the same matrix.
 // The planted blocks 0-7, 8-15, 16-23 are edge-disjoint, so edge {0, 8}
 // is a guaranteed bridge: adding it merges two components, removing it
 // again splits them.
@@ -145,57 +147,53 @@ func TestDeltaOpenBitIdenticalToColdOpen(t *testing.T) {
 	dropped := g.Edges()[0] // an intra-block edge to remove alongside the merge
 
 	for _, sep := range []int{1, 8} {
-		for _, noWarm := range []bool{false, true} {
-			for _, noIncr := range []bool{false, true} {
-				t.Run(fmt.Sprintf("sep=%d,nowarm=%v,noincr=%v", sep, noWarm, noIncr), func(t *testing.T) {
-					for _, workers := range []int{1, 4} {
-						fl := forestlp.Options{Workers: workers, SepWorkers: sep, DisableWarmStart: noWarm, DisableIncremental: noIncr}
-						t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-							cache := core.NewPlanCache(8)
-							live := mustOpen(t, g, SessionOptions{TotalBudget: 1000, Cache: cache, ForestLP: fl})
+		t.Run(fmt.Sprintf("sep=%d,nowarm=false,noincr=false", sep), func(t *testing.T) {
+			for _, workers := range []int{1, 4} {
+				fl := forestlp.Options{Workers: workers, SepWorkers: sep}
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					cache := core.NewPlanCache(8)
+					live := mustOpen(t, g, SessionOptions{TotalBudget: 1000, Cache: cache, ForestLP: fl})
 
-							// Delta 1: merge blocks 0 and 1 via the bridge, and
-							// drop one intra-block edge in the same mutation.
-							res, err := live.ApplyDelta(ctx, []graph.Edge{bridge}, []graph.Edge{dropped})
-							if err != nil {
-								t.Fatal(err)
-							}
-							if res.Added != 1 || res.Removed != 1 || res.NoOp {
-								t.Fatalf("merge delta result %+v", res)
-							}
-							if res.MergedGroups != 1 {
-								t.Errorf("MergedGroups = %d, want 1 (bridge joins two components)", res.MergedGroups)
-							}
-							g1 := mutate(t, g, []graph.Edge{bridge}, []graph.Edge{dropped})
-							assertMatchesColdOpen(t, live, g1, fl)
+					// Delta 1: merge blocks 0 and 1 via the bridge, and
+					// drop one intra-block edge in the same mutation.
+					res, err := live.ApplyDelta(ctx, []graph.Edge{bridge}, []graph.Edge{dropped})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Added != 1 || res.Removed != 1 || res.NoOp {
+						t.Fatalf("merge delta result %+v", res)
+					}
+					if res.MergedGroups != 1 {
+						t.Errorf("MergedGroups = %d, want 1 (bridge joins two components)", res.MergedGroups)
+					}
+					g1 := mutate(t, g, []graph.Edge{bridge}, []graph.Edge{dropped})
+					assertMatchesColdOpen(t, live, g1, fl)
 
-							// Delta 2: remove the bridge — the only edge between
-							// the two block vertex sets — forcing a split.
-							res, err = live.ApplyDelta(ctx, nil, []graph.Edge{bridge})
-							if err != nil {
-								t.Fatal(err)
-							}
-							if res.Removed != 1 {
-								t.Fatalf("split delta result %+v", res)
-							}
-							if res.Components != res.PreComponents+1 {
-								t.Errorf("split: components %d → %d, want an increase of exactly 1",
-									res.PreComponents, res.Components)
-							}
-							g2 := mutate(t, g1, nil, []graph.Edge{bridge})
-							assertMatchesColdOpen(t, live, g2, fl)
+					// Delta 2: remove the bridge — the only edge between
+					// the two block vertex sets — forcing a split.
+					res, err = live.ApplyDelta(ctx, nil, []graph.Edge{bridge})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Removed != 1 {
+						t.Fatalf("split delta result %+v", res)
+					}
+					if res.Components != res.PreComponents+1 {
+						t.Errorf("split: components %d → %d, want an increase of exactly 1",
+							res.PreComponents, res.Components)
+					}
+					g2 := mutate(t, g1, nil, []graph.Edge{bridge})
+					assertMatchesColdOpen(t, live, g2, fl)
 
-							// Sanity on the keystone's mechanism: the second delta
-							// returned to components the sub-plan layer has already
-							// planned, so at least one component must have been a
-							// sub-plan hit.
-							if st := cache.Stats(); st.SubPlanHits == 0 {
-								t.Errorf("no sub-plan reuse across two deltas: %+v", st)
-							}
-						})
+					// Sanity on the keystone's mechanism: the second delta
+					// returned to components the sub-plan layer has already
+					// planned, so at least one component must have been a
+					// sub-plan hit.
+					if st := cache.Stats(); st.SubPlanHits == 0 {
+						t.Errorf("no sub-plan reuse across two deltas: %+v", st)
 					}
 				})
 			}
-		}
+		})
 	}
 }

@@ -106,8 +106,9 @@ type Entry struct {
 	// half of the plan-cache key.
 	Fingerprint graph.Fingerprint
 	// OptsDigest is the plan-option digest — the other half of the key —
-	// recording every value-affecting evaluator option, including the
-	// warm-start and exhaustive-separation flags.
+	// recording every value-affecting evaluator option, the oracle's wave
+	// width included. It is an opaque string whose bytes a saved entry must
+	// match to hit.
 	OptsDigest string
 	// N, M are the evaluated graph's vertex and edge counts.
 	N, M int

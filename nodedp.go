@@ -119,8 +119,9 @@ func WriteGraph(w io.Writer, g *Graph) error { return graph.WriteEdgeList(w, g) 
 // is identical for every setting of either. Useful SepWorkers is capped
 // at the oracle's maximum wave width, Options.ForestLP.SepWaveWidth
 // (default 16; raise it on many-core machines). Grid sweeps warm-start
-// adjacent Δ evaluations (cut pool + simplex bases) by default;
-// Options.ForestLP.DisableWarmStart turns that off for perf bisection.
+// adjacent Δ evaluations (cut pool, simplex bases, and standing solvers
+// slid across the grid); where the cutting planes converge, that state
+// moves only work counters, never values.
 type Options = core.Options
 
 // Result is the outcome of a private estimation, including the selected
@@ -347,8 +348,9 @@ type LipschitzOptions = forestlp.Options
 
 // LipschitzStats reports the work done by one extension evaluation,
 // including the parametric-engine depth counters (Refactorizations,
-// ParametricSlides, ParametricCheapSolves, IncrementalFallbacks; see
-// LipschitzOptions.DisableIncremental for the switch that zeroes them).
+// ParametricSlides, ParametricCheapSolves, IncrementalFallbacks). Those
+// count standing solvers, which only Δ-grid sweeps keep, so they are zero
+// for a single-Δ evaluation such as LipschitzExtensionValue.
 type LipschitzStats = forestlp.Stats
 
 // IncrementalCheapPivots is the pivot budget under which a parametric

@@ -1,8 +1,9 @@
 package nodedp
 
-// Ablation benchmarks for the design choices documented in DESIGN.md: what
-// each exact reduction in the f_Δ evaluator buys on a workload where the
-// LP would otherwise run. Compare:
+// Ablation benchmarks for the f_Δ evaluator's exact reductions (the
+// spanning-forest fast path and leaf peeling; README, "The evaluation
+// engine"): what each buys on a workload where the LP would otherwise run.
+// Compare:
 //
 //	go test -bench=BenchmarkAblation -benchmem
 //

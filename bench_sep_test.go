@@ -18,8 +18,8 @@ package nodedp
 //
 // The JSON records max-flow calls and simplex pivots per Δ-grid evaluation
 // (both deterministic, so they compare with the frozen rows on any
-// machine), ns/op, and the flow and pivot reductions against the frozen
-// legacy and warm rows. It also certifies the determinism contract:
+// machine), ns/op, bytes allocated per op, and the flow and pivot
+// reductions against the frozen legacy and warm rows. It also certifies the determinism contract:
 // seeded releases bit-identical across SepWorkers ∈ {1,4,8}.
 
 import (
@@ -161,6 +161,9 @@ type sepBenchRecord struct {
 	PivotReduction       float64 `json:"pivot_reduction_vs_legacy,omitempty"`
 	PivotReductionVsWarm float64 `json:"pivot_reduction_vs_warm,omitempty"`
 	NsPerOp              int64   `json:"ns_per_op"`
+	// BytesPerOp is the heap allocated per Δ-grid evaluation (absent from
+	// the frozen rows).
+	BytesPerOp int64 `json:"bytes_per_op,omitempty"`
 	// ReleasesBitIdentical certifies that a seeded release is bit-for-bit
 	// equal across SepWorkers ∈ {1,4,8}.
 	ReleasesBitIdentical bool `json:"releases_bit_identical"`
@@ -245,6 +248,7 @@ func TestEmitSepBenchJSON(t *testing.T) {
 			ParametricCheapSolves: stats.ParametricCheapSolves,
 			IncrementalFallbacks:  stats.IncrementalFallbacks,
 			NsPerOp:               r.NsPerOp(),
+			BytesPerOp:            r.AllocedBytesPerOp(),
 			ReleasesBitIdentical:  sepReleaseBitIdentical(t, f.Graph),
 			MaxProcs:              runtime.GOMAXPROCS(0),
 		}

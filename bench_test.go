@@ -1,10 +1,11 @@
 package nodedp
 
-// This file wires every experiment of the reproduction suite (DESIGN.md
-// section 4) to a `go test -bench` target, plus micro-benchmarks for the
-// individual substrates. The experiment benches run the same drivers as
-// cmd/experiments in quick mode; their value is (a) regenerating each table
-// and (b) tracking the wall-clock cost of the whole pipeline over time.
+// This file wires every experiment of the reproduction suite
+// (internal/experiments, ids in its Registry) to a `go test -bench`
+// target, plus micro-benchmarks for the individual substrates. The
+// experiment benches run the same drivers as cmd/experiments in quick
+// mode; their value is (a) regenerating each table and (b) tracking the
+// wall-clock cost of the whole pipeline over time.
 //
 // Run everything:
 //

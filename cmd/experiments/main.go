@@ -1,6 +1,7 @@
-// Command experiments regenerates the reproduction tables described in
-// DESIGN.md and recorded in EXPERIMENTS.md. The underlying paper has no
-// empirical section, so each table validates one of its analytical claims.
+// Command experiments regenerates the reproduction tables of
+// internal/experiments. The underlying paper has no empirical section, so
+// each table validates one of its analytical claims, which the table
+// states in its header.
 //
 // Usage:
 //

@@ -252,7 +252,7 @@ func E13GenericExtension(cfg Config) (*Table, error) {
 	}
 	t.AddRow(trials, anchorChecks, anchorViol, propViol)
 	t.Notes = append(t.Notes,
-		"uses the unconstrained inf-convolution; the paper's literal DS-restricted variant can overestimate (see DESIGN.md)")
+		"uses the unconstrained inf-convolution; the paper's literal DS-restricted variant can overestimate F(G) when DS_F(G) > Δ (a 7-vertex graph with f_sf = 6 and DS = 3 has a restricted f̂_2 of 7; see lipschitz.DownSensitivity)")
 	return t, nil
 }
 

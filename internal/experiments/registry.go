@@ -12,8 +12,8 @@ import (
 // Runner is one experiment driver.
 type Runner func(Config) (*Table, error)
 
-// Registry maps experiment ids to drivers, in the order DESIGN.md lists
-// them.
+// Registry maps experiment ids to drivers, in suite order: the E-series by
+// number, then the F-series figures.
 func Registry() []struct {
 	ID  string
 	Run Runner

@@ -15,7 +15,8 @@ import (
 // E14LPScaling profiles the cutting-plane evaluator: LP solves, cuts,
 // max-flow calls, simplex pivots and wall time as the input grows. It
 // substantiates the "polynomial time" claim of Theorem 1.3 for the
-// simplex-based substitute (DESIGN.md).
+// simplex-based substitute for the ellipsoid method (see the forestlp
+// package doc).
 func E14LPScaling(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "E14",

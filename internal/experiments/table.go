@@ -1,10 +1,10 @@
-// Package experiments implements the reproduction suite described in
-// DESIGN.md. The underlying paper (PODS 2023) is theory-only — it has no
-// empirical tables — so each experiment here validates one of its
-// quantitative claims (theorems, lemmas, and the Section 1.1.4 graph-family
-// analyses) and emits a table. cmd/experiments regenerates every table;
-// bench_test.go wires each experiment to a benchmark; EXPERIMENTS.md
-// records representative output with commentary.
+// Package experiments implements the reproduction suite. The underlying
+// paper (PODS 2023) is theory-only — it has no empirical tables — so each
+// experiment here validates one of its quantitative claims (theorems,
+// lemmas, and the Section 1.1.4 graph-family analyses) and emits a table
+// that names the claim it checks and carries its own notes.
+// cmd/experiments regenerates every table; bench_test.go wires each
+// experiment to a benchmark.
 package experiments
 
 import (

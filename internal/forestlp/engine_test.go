@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,18 @@ import (
 	"nodedp/internal/generate"
 	"nodedp/internal/graph"
 )
+
+// point evaluates one Δ through the sweep scheduler, threading warm (nil
+// for none) between calls: the point-by-point reference of the warm-start
+// and determinism tests. It returns f_Δ of the planned shards, the
+// per-shard results in shard order and their merged Stats.
+func (p *Plan) point(ctx context.Context, delta float64, opts Options, warm *gridWarm) (float64, []shardResult, Stats, error) {
+	points, err := p.evaluate(ctx, []float64{delta}, opts, warm, false)
+	if err != nil {
+		return 0, nil, Stats{}, err
+	}
+	return points[0].total, points[0].shards, points[0].stats, nil
+}
 
 // TestWorkerCountDeterminism is the determinism property test: on random
 // graphs from internal/generate, every worker count must produce the same
@@ -54,6 +67,89 @@ func TestWorkerCountDeterminism(t *testing.T) {
 			}
 		}
 	}
+
+	// Sweep: one job per shard across the whole grid. A spider — one hub
+	// tied to many small clusters, which keeps its LP live across the grid
+	// on standing solvers — beside planted blocks, so the giant job runs
+	// while the small ones fill the other workers.
+	lowerIncrGate(t)
+	for seed := uint64(1); seed <= 2; seed++ {
+		g := spiderWithBlocks(seed)
+		p := NewPlan(g)
+		grid := warmTestGrid(t, g)
+		sweep := func(workers int) GridSweep {
+			sw, err := p.Sweep(context.Background(), grid, Options{Workers: workers, ShardTimings: true})
+			if err != nil {
+				t.Fatalf("seed %d: sweep at workers %d: %v", seed, workers, err)
+			}
+			return sw
+		}
+		base := sweep(1)
+		if base.Stats.ParametricSlides == 0 {
+			t.Fatalf("seed %d: no standing solver slid — the spider tested nothing", seed)
+		}
+		for _, workers := range []int{2, 3, 8} {
+			got := sweep(workers)
+			if !bitsEqual(got.totals, base.totals) {
+				t.Errorf("seed %d workers %d: totals %v != serial %v", seed, workers, got.totals, base.totals)
+			}
+			for c := range base.Values {
+				if !bitsEqual(got.Values[c], base.Values[c]) || !reflect.DeepEqual(got.Work[c], base.Work[c]) {
+					t.Errorf("seed %d workers %d component %d: values %v work %+v != serial %v %+v",
+						seed, workers, c, got.Values[c], got.Work[c], base.Values[c], base.Work[c])
+				}
+			}
+			if g, b := sweepStatsSansTiming(got.Stats), sweepStatsSansTiming(base.Stats); !reflect.DeepEqual(g, b) {
+				t.Errorf("seed %d workers %d: stats %+v != serial %+v", seed, workers, g, b)
+			}
+		}
+	}
+}
+
+// sweepStatsSansTiming is s without what may follow the worker setting:
+// the resolved pool size and the shard records' wall-clock durations.
+func sweepStatsSansTiming(s Stats) Stats {
+	s.Workers = 0
+	s.Shards = append([]ShardTiming(nil), s.Shards...)
+	for k := range s.Shards {
+		s.Shards[k].Duration = 0
+	}
+	return s
+}
+
+// spiderWithBlocks is a hub-articulated spider — 24 small dense ER
+// clusters, each tied to one hub by a single bridge, so the hub's degree
+// is forced and f_Δ < f_sf until Δ reaches 24 — beside five planted ER
+// blocks.
+func spiderWithBlocks(seed uint64) *graph.Graph {
+	rng := generate.NewRand(seed)
+	clusters := make([]*graph.Graph, 24)
+	for i := range clusters {
+		clusters[i] = generate.ErdosRenyi(4+rng.IntN(5), 0.65, rng)
+	}
+	spider := generate.DisjointUnion(clusters...)
+	hub := spider.AddVertex()
+	off := 0
+	for _, c := range clusters {
+		if err := spider.AddEdge(hub, off+rng.IntN(c.N())); err != nil {
+			panic(err)
+		}
+		off += c.N()
+	}
+	return generate.DisjointUnion(spider, generate.PlantedComponents([]int{30, 30, 24, 20, 12}, 3.2/30, rng))
+}
+
+// bitsEqual reports whether a and b hold the same float64 bits.
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestPlanMatchesValue checks that the plan-reuse path is the one-shot path.

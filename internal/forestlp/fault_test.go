@@ -8,6 +8,7 @@ package forestlp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -69,6 +70,45 @@ func TestInjectedArenaFailurePropagates(t *testing.T) {
 	fault.Reset()
 	if _, _, err := p.GridValues(context.Background(), grid, Options{Workers: 1}); err != nil {
 		t.Fatalf("sweep after disarm: %v", err)
+	}
+
+	// Several shards, each with LP work at more than one Δ. A failure
+	// after the first Δ cancels the other jobs wherever they are, possibly
+	// at an earlier Δ; the sweep must still report the injected failure,
+	// not a cancelation it caused.
+	g = generate.PlantedComponents([]int{30, 30, 30, 30}, 4.0/30, generate.NewRand(5))
+	p = NewPlan(g)
+	grid = warmTestGrid(t, g)
+	hits := func(grid []float64) int {
+		t.Helper()
+		defer fault.Reset()
+		if err := fault.Arm("maxflow.arena=nth:1000000"); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := p.GridValues(context.Background(), grid, Options{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		return int(fault.Hits("maxflow.arena"))
+	}
+	first, total := hits(grid[:1]), hits(grid)
+	if total <= first {
+		t.Fatalf("arena hits: %d at the first Δ of %d in all — no LP work after the first Δ", first, total)
+	}
+	// Where the other jobs are when the failure fires depends on the
+	// scheduler, so the parallel runs repeat.
+	for _, workers := range []int{1, 4} {
+		for k := first + 1; k <= total; k++ {
+			for rep := 0; rep < workers*2; rep++ {
+				if err := fault.Arm(fmt.Sprintf("maxflow.arena=nth:%d", k)); err != nil {
+					t.Fatal(err)
+				}
+				_, _, err := p.GridValues(context.Background(), grid, Options{Workers: workers})
+				fault.Reset()
+				if !errors.Is(err, fault.ErrInjected) || errors.Is(err, context.Canceled) {
+					t.Fatalf("workers %d, nth:%d: sweep err = %v, want the injected arena failure", workers, k, err)
+				}
+			}
+		}
 	}
 }
 

@@ -28,12 +28,15 @@
 // snapshots the graph into an immutable CSR, decomposes it into
 // per-component shards, and caches the delta-independent triage data; the
 // engine (engine.go) then solves the independent shard LPs concurrently on
-// a worker pool with a deterministic merge, so results are bit-for-bit
-// identical for every Workers setting. Value and ValueCtx are one-shot
-// wrappers. Algorithm 1 sweeps one Plan across its whole Δ-grid
-// (Plan.Sweep), which returns every component's value vector and work
-// counters; internal/core sums them with the components its sub-plan store
-// already holds, which the plan leaves unplanned (NewPlanShards).
+// a worker pool — one job per shard, covering the shard's whole Δ-grid in
+// order on one worker, largest shards first — and merges per Δ in shard
+// order, so results are bit-for-bit identical for every Workers setting.
+// Value and ValueCtx are one-shot wrappers. Algorithm 1 sweeps one Plan
+// across its whole Δ-grid (Plan.Sweep), which returns every component's
+// value vector and work counters; internal/core sums them with the
+// components its sub-plan store already holds, which the plan leaves
+// unplanned (NewPlanShards). A traced sweep opens one forestlp.point span
+// per Δ before the first job starts and closes them all at the merge.
 package forestlp
 
 import (
@@ -321,7 +324,10 @@ func lpValue(ctx context.Context, sub *graph.Graph, caps []float64, opts Options
 	// of the budgets achieves the whole-set upper bound |piece|−1, which
 	// settles the LP without cutting planes. This is what terminates the
 	// massively degenerate instances where Kelley cuts churn across an
-	// optimal face (see DESIGN.md).
+	// optimal face: on hub graphs the optimum is symmetric in which spokes
+	// carry weight, so new cuts keep moving the LP point along that face
+	// without lowering the objective (the stall detection below handles
+	// the pieces this certificate misses).
 	if !opts.DisableFastPath {
 		intCaps := make([]int, n)
 		feasible := true

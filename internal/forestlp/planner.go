@@ -1,10 +1,10 @@
 package forestlp
 
 import (
+	"cmp"
 	"context"
-	"fmt"
 	"math"
-	"strconv"
+	"slices"
 	"sync"
 
 	"nodedp/internal/graph"
@@ -35,6 +35,9 @@ type Plan struct {
 	supplied   int // non-trivial components left unplanned (see NewPlanShards)
 	fsf        int // f_sf = Σ over non-trivial components (|C| − 1), supplied ones included
 	shards     []*planShard
+	// order lists the shard indices largest first — by edge count, ties to
+	// the lower index — the order the engine dispatches their jobs in.
+	order []int
 }
 
 // planShard is one connected component with ≥ 2 vertices, together with
@@ -90,6 +93,16 @@ func NewPlanShards(shards []*graph.Shard, supplied func(c int) bool) *Plan {
 			bfsDeg: graph.MaxDegreeOfEdgeSet(sub.N(), sub.SpanningForest()),
 		})
 	}
+	p.order = make([]int, len(p.shards))
+	for i := range p.order {
+		p.order[i] = i
+	}
+	slices.SortFunc(p.order, func(a, b int) int {
+		if c := cmp.Compare(p.shards[b].m, p.shards[a].m); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 	return p
 }
 
@@ -118,11 +131,13 @@ type GridSweep struct {
 	totals []float64
 }
 
-// Sweep evaluates f_Δ for every Δ in grid on every planned component: one
-// grid point after another, each point's shards on the Workers pool. It
-// returns each component's value vector and work natively, so a caller
-// holding other components' values (see NewPlanShards) merges them in
-// shard order; GridValues is that merge for a fully planned graph.
+// Sweep evaluates f_Δ for every Δ in grid on every planned component. Each
+// shard's whole grid runs as one job on the Workers pool — its grid points
+// in order, on one worker — largest shards first, and the results merge
+// per Δ in shard order. It returns each component's value vector and work
+// natively, so a caller holding other components' values (see
+// NewPlanShards) merges them in shard order; GridValues is that merge for
+// a fully planned graph.
 //
 // The sweep threads a per-shard warm-start state between grid points:
 // subtour cuts generated at one Δ are valid at every other (only the
@@ -137,16 +152,19 @@ type GridSweep struct {
 // cross-Δ state. A piece that hits the stall bailout returns its
 // path-dependent relaxation bound instead (see Stats.StalledPieces). The
 // state is owned by this call, so concurrent sweeps on one Plan stay
-// independent.
+// independent. A failed sweep returns no values.
 func (p *Plan) Sweep(ctx context.Context, grid []float64, opts Options) (GridSweep, error) {
 	// Tracing (internal/obs): one "forestlp.grid" span for the sweep with
 	// the aggregated Stats counters as attributes, plus one
-	// "forestlp.point" child per Δ carrying that point's deltas. Grid
-	// points run sequentially, so span creation order — and therefore the
-	// span tree — is deterministic; the per-point child context also
-	// collects the lp pivot-loop counters its shard workers accumulate.
+	// "forestlp.point" child per Δ carrying that point's counters (see
+	// evaluate). Spans are created in grid order before any job starts, so
+	// the span tree is deterministic; each point span runs until the merge.
 	span, ctx := obs.StartSpan(ctx, "forestlp.grid")
 	defer span.End()
+	points, err := p.evaluate(ctx, grid, opts, newGridWarm(p), true)
+	if err != nil {
+		return GridSweep{}, err
+	}
 	out := GridSweep{
 		Values: make([][]float64, p.components),
 		Work:   make([]Stats, p.components),
@@ -156,22 +174,12 @@ func (p *Plan) Sweep(ctx context.Context, grid []float64, opts Options) (GridSwe
 		out.Values[ps.comp] = make([]float64, len(grid))
 		out.Work[ps.comp].Components = 1
 	}
-	warm := newGridWarm(p)
-	for j, d := range grid {
-		point, pctx := obs.StartSpan(ctx, "forestlp.point")
-		total, results, st, err := p.point(pctx, d, opts, warm)
-		setStatAttrs(point, st)
-		point.SetLabel("delta", strconv.FormatFloat(d, 'g', -1, 64))
-		point.End()
-		if err != nil {
-			setStatAttrs(span, out.Stats)
-			return out, fmt.Errorf("evaluating f_%v: %w", d, err)
-		}
-		out.Stats.MergeGridRound(st)
-		out.totals[j] = total
+	for j, pt := range points {
+		out.Stats.MergeGridRound(pt.stats)
+		out.totals[j] = pt.total
 		for i, ps := range p.shards {
-			out.Values[ps.comp][j] = results[i].value
-			out.Work[ps.comp].MergeComponent(results[i].stats)
+			out.Values[ps.comp][j] = pt.shards[i].value
+			out.Work[ps.comp].MergeComponent(pt.shards[i].stats)
 		}
 	}
 	span.SetCounter("grid_points", int64(len(grid)))
@@ -226,8 +234,8 @@ func (ps *planShard) lowDegree() int {
 // pipeline: fast-path triage (three certificates of increasing cost), then
 // exact leaf peeling, then one cutting-plane LP per remaining 2-core piece.
 // sw, when non-nil, is this shard's cross-Δ warm-start state (cut pool and
-// piece basis memos); it is touched by exactly one goroutine at a time —
-// the worker evaluating this shard — because grid points run sequentially.
+// piece basis memos); it is touched by one goroutine only — the worker
+// running this shard's job, which evaluates the grid points in order.
 func (ps *planShard) eval(ctx context.Context, delta float64, opts Options, sw *shardWarm) (float64, Stats, error) {
 	var stats Stats
 	fsf := float64(ps.n - 1)

@@ -1,7 +1,7 @@
 package forestlp
 
 // This file implements the cross-Δ warm-start state threaded through
-// Plan.GridValues. Subtour constraints x(E[S]) ≤ |S|−1 are valid for every
+// Plan.Sweep. Subtour constraints x(E[S]) ≤ |S|−1 are valid for every
 // Δ — the degree budgets are the only Δ-dependent rows — so a cut
 // discovered while evaluating f_Δ is a legitimate (and usually binding)
 // constraint at the neighboring grid points too. The grid sweep therefore
@@ -18,10 +18,10 @@ package forestlp
 //     edges die with them, so equal vertex sets imply equal edge sets and
 //     an identical LP column layout.)
 //
-// Determinism: the warm state is owned by one GridValues call and accessed
-// per shard — a shard is evaluated by exactly one worker per grid point,
-// and grid points run sequentially — so no locking is needed and the pool
-// contents are bit-for-bit independent of Workers and SepWorkers.
+// Determinism: the warm state is owned by one Sweep call and accessed per
+// shard — a shard's whole grid is one job, which one worker runs grid
+// point after grid point — so no locking is needed and the pool contents
+// are bit-for-bit independent of Workers and SepWorkers.
 
 import "nodedp/internal/lp"
 
@@ -47,6 +47,14 @@ func newGridWarm(p *Plan) *gridWarm {
 		gw.shards[i] = newShardWarm(ps.n)
 	}
 	return gw
+}
+
+// shard returns shard i's state; nil on a nil gridWarm (no cross-Δ state).
+func (gw *gridWarm) shard(i int) *shardWarm {
+	if gw == nil {
+		return nil
+	}
+	return gw.shards[i]
 }
 
 // warmCut is one pooled subtour constraint in shard-local vertex ids

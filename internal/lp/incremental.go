@@ -224,6 +224,12 @@ func (inc *Incremental) SetRHS(b []float64) error {
 // unit vectors — which may leave their reduced rhs negative when the
 // current optimum violates the cut; that is the dual repair's job at the
 // next Solve. The objective row needs no update (slacks cost zero).
+//
+// The tableau grows in place: every row, new ones included, is widened by
+// appending its zero slack cells before the rhs cell, so a long
+// cutting-plane run reallocates each row O(log rows) times (append's
+// geometric capacity growth) instead of once per call. The arithmetic is
+// the same either way.
 func (inc *Incremental) AppendRows(a [][]float64, b []float64) error {
 	k := len(a)
 	if len(b) != k {
@@ -254,15 +260,14 @@ func (inc *Incremental) AppendRows(a [][]float64, b []float64) error {
 	// Widen every existing row: k fresh (zero) slack columns slide in
 	// before the rhs cell.
 	for i := 0; i <= oldM; i++ {
-		row := inc.tab[i]
-		wide := make([]float64, newW)
-		copy(wide, row[:oldW-1])
-		wide[newW-1] = row[oldW-1]
-		inc.tab[i] = wide
+		row := append(inc.tab[i], make([]float64, k)...)
+		row[newW-1], row[oldW-1] = row[oldW-1], 0
+		inc.tab[i] = row
 	}
 	obj := inc.tab[oldM]
 
-	newRows := make([][]float64, k)
+	// The new rows take the objective row's slot onward; it moves last.
+	inc.tab = inc.tab[:oldM]
 	for t := 0; t < k; t++ {
 		row := make([]float64, newW)
 		copy(row, a[t])
@@ -281,12 +286,12 @@ func (inc *Incremental) AppendRows(a [][]float64, b []float64) error {
 			}
 			row[inc.basis[i]] = 0 // avoid drift
 		}
-		newRows[t] = row
+		inc.tab = append(inc.tab, row)
 		inc.rows = append(inc.rows, append([]float64(nil), a[t]...))
 		inc.rhs = append(inc.rhs, b[t])
 		inc.basis = append(inc.basis, n+oldM+t)
 	}
-	inc.tab = append(inc.tab[:oldM], append(newRows, obj)...)
+	inc.tab = append(inc.tab, obj)
 	inc.m = newM
 	return nil
 }

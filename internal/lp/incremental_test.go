@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -112,6 +113,38 @@ func TestIncrementalAppendRowsAgainstRebuild(t *testing.T) {
 				t.Fatalf("trial %d m=%d: incremental %v vs exact %v", trial, m, got.Value, exact)
 			}
 		}
+	}
+}
+
+// TestIncrementalAppendRowsAmortized pins the in-place tableau growth: a
+// long cutting-plane run (80 appends of 4 rows onto a 200-column,
+// 100-row program) must allocate a small multiple of the final tableau,
+// not a fresh copy of the whole tableau per append.
+func TestIncrementalAppendRowsAmortized(t *testing.T) {
+	const n, m0, rounds, k = 200, 100, 80, 4
+	c, a, b := randomForestish(rand.New(rand.NewSource(64)), n, m0+rounds*k)
+	inc, err := NewIncremental(c, a[:m0], b[:m0], Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 0; r < rounds; r++ {
+		lo := m0 + r*k
+		if err := inc.AppendRows(a[lo:lo+k], b[lo:lo+k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+
+	m := m0 + rounds*k
+	tableau := uint64((m + 1) * (n + m + 1) * 8)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8*tableau {
+		t.Fatalf("appends allocated %d bytes, %.1f× the final %d-byte tableau (limit 8×)",
+			got, float64(got)/float64(tableau), tableau)
+	}
+	if inc.Rows() != m {
+		t.Fatalf("%d rows after the appends, want %d", inc.Rows(), m)
 	}
 }
 

@@ -15,6 +15,13 @@ import (
 // Fürer–Raghavachari cascade, which certifies Δ*+1, is not implemented);
 // tests compare it against exact brute force on small graphs, and the
 // certified route Δ* ≤ s(G)+1 via Repair is available through downsens.
+//
+// A swap pass reads the tree path of every non-tree edge. The forest does
+// not change within a pass (a pass ends at its first swap), so each pass
+// roots the forest once, with parent and depth arrays, and reads a u–w
+// path by climbing both ends to their meeting vertex. A path in a forest
+// is unique, so this finds the same paths, in the same orientation, as a
+// search from u would.
 
 // ImproveDegree returns a spanning forest of g obtained from the given one
 // by degree-reducing swaps, together with its maximum degree. The input
@@ -25,6 +32,8 @@ func ImproveDegree(g *graph.Graph, forestEdges []graph.Edge) ([]graph.Edge, int)
 	for _, e := range forestEdges {
 		f.add(e.U, e.V)
 	}
+	edges := g.Edges()
+	rf := newRootedForest(n)
 	for {
 		k := 0
 		for v := 0; v < n; v++ {
@@ -35,18 +44,20 @@ func ImproveDegree(g *graph.Graph, forestEdges []graph.Edge) ([]graph.Edge, int)
 		if k <= 1 {
 			break
 		}
-		if !trySwap(g, f, k) {
+		if !trySwap(edges, f, rf, k) {
 			break
 		}
 	}
-	edges := f.edges()
-	return edges, graph.MaxDegreeOfEdgeSet(n, edges)
+	out := f.edges()
+	return out, graph.MaxDegreeOfEdgeSet(n, out)
 }
 
-// trySwap looks for one improving swap against current max degree k and
-// applies it. Returns false if no swap applies.
-func trySwap(g *graph.Graph, f *forest, k int) bool {
-	for _, e := range g.Edges() {
+// trySwap looks for one improving swap against current max degree k among
+// the graph's edges and applies it. Returns false if no swap applies. rf
+// is scratch space, rooted here.
+func trySwap(edges []graph.Edge, f *forest, rf *rootedForest, k int) bool {
+	rf.root(f)
+	for _, e := range edges {
 		u, w := e.U, e.V
 		if _, in := f.adj[u][w]; in {
 			continue
@@ -54,7 +65,7 @@ func trySwap(g *graph.Graph, f *forest, k int) bool {
 		if f.degree(u) > k-2 || f.degree(w) > k-2 {
 			continue
 		}
-		path := forestPath(f, u, w)
+		path := rf.path(u, w)
 		if path == nil {
 			continue // different trees cannot happen for spanning forests, but be safe
 		}
@@ -72,46 +83,71 @@ func trySwap(g *graph.Graph, f *forest, k int) bool {
 	return false
 }
 
-// forestPath returns the unique path from u to w in the forest f, or nil if
-// they are in different trees.
-func forestPath(f *forest, u, w int) []int {
-	if u == w {
-		return []int{u}
+// rootedForest is a forest rooted at the smallest vertex of each tree:
+// parent[r] = r at a root, depth counts edges to the root. It is rebuilt
+// by root whenever the forest changes, and its scratch slices are reused.
+type rootedForest struct {
+	parent, depth   []int
+	queue, up, down []int
+}
+
+func newRootedForest(n int) *rootedForest {
+	return &rootedForest{parent: make([]int, n), depth: make([]int, n)}
+}
+
+// root roots every tree of f by breadth-first search. Parents and depths
+// depend only on the forest, not on the order the adjacency maps yield
+// neighbors in.
+func (rf *rootedForest) root(f *forest) {
+	for i := range rf.parent {
+		rf.parent[i] = -1
 	}
-	n := len(f.adj)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	parent[u] = u
-	queue := []int{u}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		if x == w {
-			break
+	for r := range rf.parent {
+		if rf.parent[r] != -1 {
+			continue
 		}
-		for y := range f.adj[x] {
-			if parent[y] == -1 {
-				parent[y] = x
-				queue = append(queue, y)
+		rf.parent[r], rf.depth[r] = r, 0
+		queue := append(rf.queue[:0], r)
+		for h := 0; h < len(queue); h++ {
+			x := queue[h]
+			for y := range f.adj[x] {
+				if rf.parent[y] == -1 {
+					rf.parent[y], rf.depth[y] = x, rf.depth[x]+1
+					queue = append(queue, y)
+				}
 			}
 		}
+		rf.queue = queue
 	}
-	if parent[w] == -1 {
-		return nil
+}
+
+// path returns the unique path from u to w in the rooted forest, u first,
+// or nil if they are in different trees. The slice is valid until the
+// next call.
+func (rf *rootedForest) path(u, w int) []int {
+	up, down := rf.up[:0], rf.down[:0]
+	a, b := u, w
+	for rf.depth[a] > rf.depth[b] {
+		up = append(up, a)
+		a = rf.parent[a]
 	}
-	var rev []int
-	for x := w; ; x = parent[x] {
-		rev = append(rev, x)
-		if x == u {
-			break
+	for rf.depth[b] > rf.depth[a] {
+		down = append(down, b)
+		b = rf.parent[b]
+	}
+	for a != b {
+		if rf.depth[a] == 0 {
+			return nil // two distinct roots
 		}
+		up, down = append(up, a), append(down, b)
+		a, b = rf.parent[a], rf.parent[b]
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	up = append(up, a)
+	for i := len(down) - 1; i >= 0; i-- {
+		up = append(up, down[i])
 	}
-	return rev
+	rf.up, rf.down = up, down
+	return up
 }
 
 // CappedSpanningForest searches for a spanning forest of g respecting
@@ -206,18 +242,23 @@ func improveDegreeCapped(g *graph.Graph, forestEdges []graph.Edge, caps []int) [
 	for _, e := range forestEdges {
 		f.add(e.U, e.V)
 	}
-	for tryCappedSwap(g, f, caps) {
+	edges := g.Edges()
+	rf := newRootedForest(n)
+	for tryCappedSwap(edges, f, rf, caps) {
 	}
 	return f.edges()
 }
 
-func tryCappedSwap(g *graph.Graph, f *forest, caps []int) bool {
-	for _, e := range g.Edges() {
+// tryCappedSwap applies one excess-reducing swap among the graph's edges,
+// reporting whether it found one. rf is scratch space, rooted here.
+func tryCappedSwap(edges []graph.Edge, f *forest, rf *rootedForest, caps []int) bool {
+	rf.root(f)
+	for _, e := range edges {
 		u, w := e.U, e.V
 		if _, in := f.adj[u][w]; in {
 			continue
 		}
-		path := forestPath(f, u, w)
+		path := rf.path(u, w)
 		if path == nil {
 			continue
 		}

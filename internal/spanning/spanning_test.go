@@ -1,6 +1,7 @@
 package spanning
 
 import (
+	"reflect"
 	"testing"
 
 	"nodedp/internal/generate"
@@ -294,5 +295,205 @@ func TestSortedEdges(t *testing.T) {
 	}
 	if in[0] != graph.NewEdge(2, 3) {
 		t.Fatal("input mutated")
+	}
+}
+
+// forestPath is the reference path finder: a breadth-first search from u
+// that returns the unique u–w path in f, or nil if they are in different
+// trees.
+func forestPath(f *forest, u, w int) []int {
+	if u == w {
+		return []int{u}
+	}
+	n := len(f.adj)
+	parent := make([]int, n)
+	for i := range parent {
+		parent[i] = -1
+	}
+	parent[u] = u
+	queue := []int{u}
+	for len(queue) > 0 {
+		x := queue[0]
+		queue = queue[1:]
+		if x == w {
+			break
+		}
+		for y := range f.adj[x] {
+			if parent[y] == -1 {
+				parent[y] = x
+				queue = append(queue, y)
+			}
+		}
+	}
+	if parent[w] == -1 {
+		return nil
+	}
+	var rev []int
+	for x := w; ; x = parent[x] {
+		rev = append(rev, x)
+		if x == u {
+			break
+		}
+	}
+	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+		rev[i], rev[j] = rev[j], rev[i]
+	}
+	return rev
+}
+
+// refImproveDegree and refCappedSpanningForest are the local searches
+// written directly on forestPath: one search per non-tree edge, the edge
+// list re-read every pass.
+func refImproveDegree(g *graph.Graph, forestEdges []graph.Edge) ([]graph.Edge, int) {
+	f := newForest(g.N())
+	for _, e := range forestEdges {
+		f.add(e.U, e.V)
+	}
+	for swapped := true; swapped; {
+		k := 0
+		for v := 0; v < g.N(); v++ {
+			k = max(k, f.degree(v))
+		}
+		if k <= 1 {
+			break
+		}
+		swapped = false
+	pass:
+		for _, e := range g.Edges() {
+			u, w := e.U, e.V
+			if _, in := f.adj[u][w]; in || f.degree(u) > k-2 || f.degree(w) > k-2 {
+				continue
+			}
+			path := forestPath(f, u, w)
+			for i := 1; i+1 < len(path); i++ {
+				if f.degree(path[i]) == k {
+					f.remove(path[i], path[i-1])
+					f.add(u, w)
+					swapped = true
+					break pass
+				}
+			}
+		}
+	}
+	edges := f.edges()
+	return edges, graph.MaxDegreeOfEdgeSet(g.N(), edges)
+}
+
+func refCappedSpanningForest(g *graph.Graph, caps []int) ([]graph.Edge, bool) {
+	f := newForest(g.N())
+	for _, e := range greedyCappedForest(g, caps) {
+		f.add(e.U, e.V)
+	}
+	for swapped := true; swapped; {
+		swapped = false
+	pass:
+		for _, e := range g.Edges() {
+			u, w := e.U, e.V
+			if _, in := f.adj[u][w]; in {
+				continue
+			}
+			path := forestPath(f, u, w)
+			for i := 1; i+1 < len(path); i++ {
+				z := path[i]
+				if f.degree(z) <= caps[z] {
+					continue
+				}
+				for _, other := range []int{path[i-1], path[i+1]} {
+					du, dw := 1, 1
+					if other == u {
+						du = 0
+					}
+					if other == w {
+						dw = 0
+					}
+					if f.degree(u)+du > caps[u] || f.degree(w)+dw > caps[w] {
+						continue
+					}
+					f.remove(z, other)
+					f.add(u, w)
+					swapped = true
+					break pass
+				}
+			}
+		}
+	}
+	edges := f.edges()
+	for v := range caps {
+		if f.degree(v) > caps[v] {
+			return edges, false
+		}
+	}
+	return edges, true
+}
+
+// randomSearchGraph draws a small ER graph, with hubs on odd seeds, sparse
+// enough to have several components at times.
+func randomSearchGraph(seed uint64) *graph.Graph {
+	rng := generate.NewRand(seed)
+	n := 5 + rng.IntN(30)
+	g := generate.ErdosRenyi(n, (1+3*rng.Float64())/float64(n), rng)
+	if seed%2 == 1 {
+		g = generate.WithHubs(g, 1+rng.IntN(2), 0.3, rng)
+	}
+	return g
+}
+
+// TestRootedPathMatchesSearch checks the rooted forest's paths against the
+// breadth-first reference on random forests: orientation u→w, the u = w
+// path, and nil across trees.
+func TestRootedPathMatchesSearch(t *testing.T) {
+	crossTree := 0
+	for seed := uint64(1); seed <= 80; seed++ {
+		g := randomSearchGraph(seed)
+		n := g.N()
+		f := newForest(n)
+		for _, e := range g.SpanningForest() {
+			f.add(e.U, e.V)
+		}
+		rf := newRootedForest(n)
+		rf.root(f)
+		for u := 0; u < n; u++ {
+			for w := 0; w < n; w++ {
+				want := forestPath(f, u, w)
+				if got := rf.path(u, w); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d: path(%d,%d) = %v, reference %v", seed, u, w, got, want)
+				}
+				if want == nil {
+					crossTree++
+				}
+			}
+		}
+	}
+	if crossTree == 0 {
+		t.Fatal("no pair in different trees — the nil case went untested")
+	}
+}
+
+// TestLocalSearchMatchesReference checks that the rooted-path local
+// searches return exactly the forests of the reference loops on random ER
+// and hub graphs, with random per-vertex caps.
+func TestLocalSearchMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 250; seed++ {
+		g := randomSearchGraph(seed)
+		for _, start := range [][]graph.Edge{g.SpanningForest(), GreedyLowDegreeForest(g)} {
+			got, gotDeg := ImproveDegree(g, start)
+			want, wantDeg := refImproveDegree(g, start)
+			if gotDeg != wantDeg || !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: ImproveDegree = %v (Δ %d), reference %v (Δ %d)", seed, got, gotDeg, want, wantDeg)
+			}
+		}
+		rng := generate.NewRand(seed ^ 0x5eed)
+		for trial := 0; trial < 3; trial++ {
+			caps := make([]int, g.N())
+			for v := range caps {
+				caps[v] = 1 + rng.IntN(4)
+			}
+			got, gotOK := CappedSpanningForest(g, caps)
+			want, wantOK := refCappedSpanningForest(g, caps)
+			if gotOK != wantOK || !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d caps %v: CappedSpanningForest = %v (%v), reference %v (%v)",
+					seed, caps, got, gotOK, want, wantOK)
+			}
+		}
 	}
 }

@@ -338,8 +338,11 @@ func TestEmitParallelBenchJSON(t *testing.T) {
 
 // sessionBenchGraph is the serving workload: many components with real LP
 // work at small Δ, so the one-time plan is expensive relative to a query.
-func sessionBenchGraph() *graph.Graph {
-	sizes := make([]int, 12)
+func sessionBenchGraph() *graph.Graph { return sessionBenchBlocks(12) }
+
+// sessionBenchBlocks plants the given number of 30-vertex blocks.
+func sessionBenchBlocks(blocks int) *graph.Graph {
+	sizes := make([]int, blocks)
 	for i := range sizes {
 		sizes[i] = 30
 	}
@@ -408,8 +411,17 @@ func sessionDeltaEdge(i int) graph.Edge {
 // two touched components through the sub-plan cache, and atomically swap
 // the serving snapshot. The ten untouched components are reused verbatim —
 // compare BenchmarkSessionDeltaColdReopen for what the delta replaces.
-func BenchmarkSessionDelta(b *testing.B) {
-	g := sessionBenchGraph()
+func BenchmarkSessionDelta(b *testing.B) { benchmarkSessionDelta(b, sessionBenchGraph()) }
+
+// BenchmarkSessionDeltaLarge is BenchmarkSessionDelta on 700 planted
+// 30-vertex blocks (n = 21,000): the same bridge stream touches the same
+// two blocks, so a delta whose graph work is O(touched + #components)
+// costs about what it costs on twelve blocks.
+func BenchmarkSessionDeltaLarge(b *testing.B) { benchmarkSessionDelta(b, sessionBenchBlocks(700)) }
+
+// benchmarkSessionDelta opens a cached session on g and applies the
+// sessionDeltaEdge stream to it, one delta per iteration.
+func benchmarkSessionDelta(b *testing.B, g *graph.Graph) {
 	ctx := context.Background()
 	sess, err := serve.Open(ctx, g, serve.SessionOptions{TotalBudget: 1, Cache: core.NewPlanCache(4)})
 	if err != nil {
@@ -478,16 +490,20 @@ func TestEmitSessionBenchJSON(t *testing.T) {
 		t.Skip("set NODEDP_BENCH_JSON=1 to emit BENCH_session.json")
 	}
 	g := sessionBenchGraph()
+	large := sessionBenchBlocks(700)
 	scenarios := []struct {
 		name string
 		run  func(b *testing.B)
+		// n and m size the benchmark's graph, when not sessionBenchGraph.
+		n, m int
 	}{
-		{"open-cold", BenchmarkSessionOpenCold},
-		{"open-cached", BenchmarkSessionOpenCached},
-		{"session-query", BenchmarkSessionQuery},
-		{"delta-apply", BenchmarkSessionDelta},
-		{"delta-cold-reopen", BenchmarkSessionDeltaColdReopen},
-		{"one-shot", func(b *testing.B) {
+		{name: "open-cold", run: BenchmarkSessionOpenCold},
+		{name: "open-cached", run: BenchmarkSessionOpenCached},
+		{name: "session-query", run: BenchmarkSessionQuery},
+		{name: "delta-apply", run: BenchmarkSessionDelta},
+		{name: "delta-apply-large", run: BenchmarkSessionDeltaLarge, n: large.N(), m: large.M()},
+		{name: "delta-cold-reopen", run: BenchmarkSessionDeltaColdReopen},
+		{name: "one-shot", run: func(b *testing.B) {
 			ctx := context.Background()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -509,6 +525,9 @@ func TestEmitSessionBenchJSON(t *testing.T) {
 			M:        g.M(),
 			NsPerOp:  r.NsPerOp(),
 			MaxProcs: runtime.GOMAXPROCS(0),
+		}
+		if sc.n > 0 {
+			rec.N, rec.M = sc.n, sc.m
 		}
 		if sc.name == "session-query" && r.NsPerOp() > 0 {
 			rec.QueriesPerSec = 1e9 / float64(r.NsPerOp())

@@ -45,8 +45,9 @@ var NthSites = []string{
 }
 
 // DeltaSites fire at live-graph mutation boundaries: the fingerprint-update
-// failpoint inside Session.ApplyDelta (whose contract is full rollback —
-// the session keeps serving the pre-delta snapshot), and the sub-plan
+// failpoint inside Session.ApplyDelta (whose contract is that a failed
+// delta commits nothing — the session keeps serving the pre-delta graph
+// and snapshot), and the sub-plan
 // admission and merge failpoints in the component-assembly planner (whose
 // contract is that a fault-tainted component evaluation never enters the
 // sub-plan cache and a failed merge never forms a whole-graph plan).
@@ -61,7 +62,7 @@ var DeltaSites = []string{
 // after the base spec, so the base schedule of every seed — including the
 // load-bearing 412 — stays byte-identical to RandomSchedule's output.
 // serve.delta.fp is always armed: every delta schedule exercises the
-// rollback path at least probabilistically.
+// failed-delta path at least probabilistically.
 func RandomDeltaSchedule(seed uint64) string {
 	rng := rand.New(rand.NewPCG(seed, seed^0x64656c7461)) // "delta" lane
 	probs := []float64{0.2, 0.3}

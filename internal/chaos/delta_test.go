@@ -8,7 +8,7 @@ package chaos
 //
 //  1. Every delta eventually commits through the retrying client, and each
 //     committed fingerprint equals the fault-free run's at that boundary —
-//     a rolled-back delta never leaves a half-applied graph behind.
+//     a failed delta never leaves a half-applied graph behind.
 //  2. Exact ledger balance: deltas spend nothing; each boundary query is
 //     charged exactly once however many times the storm made it retry.
 //  3. Bit-identical survivors: every query that succeeds under faults

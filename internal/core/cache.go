@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"nodedp/internal/fault"
@@ -51,9 +52,9 @@ type CacheStats struct {
 	// rename — was skipped.
 	SnapshotSavesSkipped int64
 	// SubPlanHits and SubPlanMisses count per-component lookups in the
-	// sub-plan layer (see subplan.go): every whole-graph miss resolves each
-	// non-trivial component against it, so after a graph mutation the hit
-	// count shows exactly how much planning the delta reused.
+	// sub-plan layer (see subplan.go), summed over every lookup: each
+	// whole-graph miss resolves each non-trivial component against it. One
+	// lookup's own counts are in its Lookup (GridEvalDecomposition).
 	// SubPlanEvictions counts sub-plans dropped by the sub-plan LRU bound.
 	SubPlanHits, SubPlanMisses, SubPlanEvictions int64
 	// SubPlanEntries is the current number of cached component sub-plans.
@@ -94,11 +95,55 @@ type cacheKey struct {
 // piece can return a different path-dependent relaxation bound, and it
 // also changes the work counters stored with the cached evaluation.
 func planOptionsDigest(o Options) string {
+	var buf [digestBufLen]byte
+	return string(appendPlanOptionsDigest(buf[:0], o))
+}
+
+// digestBufLen fits the digest of common option sets (the default one is
+// 168 bytes), so checkGrid builds its digest on the stack; a longer one
+// spills to the heap.
+const digestBufLen = 256
+
+// appendPlanOptionsDigest appends planOptionsDigest(o) to b. Persisted
+// snapshots key their entries by these bytes, which are those of
+//
+//	fmt.Sprintf("dmax=%g tol=%g rounds=%d cuts=%d drop=%d stall=%d nofast=%t nopeel=%t nowarm=false noincr=false exh=false wave=%d lp=%+v", …)
+//
+// over DeltaMax and the normalized ForestLP fields: keep them.
+func appendPlanOptionsDigest(b []byte, o Options) []byte {
 	f := o.ForestLP.Normalize()
-	// Persisted snapshots key their entries by this string: keep its bytes.
-	return fmt.Sprintf("dmax=%g tol=%g rounds=%d cuts=%d drop=%d stall=%d nofast=%t nopeel=%t nowarm=false noincr=false exh=false wave=%d lp=%+v",
-		o.DeltaMax, f.Tol, f.MaxRounds, f.MaxCutsPerRound, f.DropSlackAfter, f.StallRounds,
-		f.DisableFastPath, f.DisablePeel, f.SepWaveWidth, f.LP)
+	b = append(b, "dmax="...)
+	b = strconv.AppendFloat(b, o.DeltaMax, 'g', -1, 64)
+	b = append(b, " tol="...)
+	b = strconv.AppendFloat(b, f.Tol, 'g', -1, 64)
+	b = append(b, " rounds="...)
+	b = strconv.AppendInt(b, int64(f.MaxRounds), 10)
+	b = append(b, " cuts="...)
+	b = strconv.AppendInt(b, int64(f.MaxCutsPerRound), 10)
+	b = append(b, " drop="...)
+	b = strconv.AppendInt(b, int64(f.DropSlackAfter), 10)
+	b = append(b, " stall="...)
+	b = strconv.AppendInt(b, int64(f.StallRounds), 10)
+	b = append(b, " nofast="...)
+	b = strconv.AppendBool(b, f.DisableFastPath)
+	b = append(b, " nopeel="...)
+	b = strconv.AppendBool(b, f.DisablePeel)
+	b = append(b, " nowarm=false noincr=false exh=false wave="...)
+	b = strconv.AppendInt(b, int64(f.SepWaveWidth), 10)
+	b = append(b, " lp={Tol:"...)
+	b = strconv.AppendFloat(b, f.LP.Tol, 'g', -1, 64)
+	b = append(b, " MaxPivots:"...)
+	b = strconv.AppendInt(b, int64(f.LP.MaxPivots), 10)
+	b = append(b, " BlandAfter:"...)
+	b = strconv.AppendInt(b, int64(f.LP.BlandAfter), 10)
+	b = append(b, " Basis:["...)
+	for i, v := range f.LP.Basis {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return append(b, "]}"...)
 }
 
 type cacheEntry struct {
@@ -197,7 +242,9 @@ func NewPlanCacheWeighted(maxWeight int64) *PlanCache {
 // GridEval returns the grid evaluation for g under opts, computing and
 // caching it on a miss. hit reports whether planning was skipped. Options
 // handling matches EvaluateGrid: Epsilon is irrelevant to the result and
-// may be zero.
+// may be zero. The whole-graph key is g.Fingerprint(), O(1); only a miss
+// builds a CSR, whose one labelling pass yields the shards and whose shards
+// are hashed once for the sub-plan lookup.
 //
 // Concurrent misses on the same key are single-flighted: the first caller
 // evaluates, the rest wait on its result and report a cache hit (they did
@@ -205,13 +252,57 @@ func NewPlanCacheWeighted(maxWeight int64) *PlanCache {
 // the evaluating caller is canceled, a surviving waiter takes over the
 // evaluation rather than inheriting the cancelation.
 func (c *PlanCache) GridEval(ctx context.Context, g *graph.Graph, opts Options) (ge *GridEval, hit bool, err error) {
+	fp := g.Fingerprint()
+	ge, lk, err := c.plan(ctx, g.N(), fp, opts, func(ctx context.Context, opts Options) (*GridEval, Lookup, error) {
+		return evaluateGrid(ctx, graph.NewCSR(g).ComponentShards(), nil, fp, opts, c)
+	})
+	return ge, lk.Hit, err
+}
+
+// Lookup reports what one grid-evaluation lookup did.
+type Lookup struct {
+	// Hit reports that planning was skipped: the whole evaluation was
+	// cached, or a concurrent lookup of the same key computed it.
+	Hit bool
+	// SubPlanHits and SubPlanMisses count this lookup's own component
+	// lookups in the sub-plan layer (subplan.go): components reused
+	// verbatim and components evaluated. A Hit did none and reports 0/0.
+	// Unlike the differences of two CacheStats snapshots, they never
+	// include a concurrent lookup's counts.
+	SubPlanHits, SubPlanMisses int64
+}
+
+// GridEvalDecomposition is GridEval for a graph held as a decomposition —
+// a live session's graph after a delta (graph.Decomposition.Apply). The key
+// is d.Fingerprint(), O(1), and a miss reads d's shards and component
+// fingerprints: it builds no CSR and hashes no edge. A nil cache evaluates
+// every component and caches nothing.
+func (c *PlanCache) GridEvalDecomposition(ctx context.Context, d *graph.Decomposition, opts Options) (*GridEval, Lookup, error) {
+	if c == nil {
+		opts, err := gridOptions(opts, d.N())
+		if err != nil {
+			return nil, Lookup{}, err
+		}
+		return evaluateGrid(ctx, d.Shards(), nil, d.Fingerprint(), opts, nil)
+	}
+	fp := d.Fingerprint()
+	return c.plan(ctx, d.N(), fp, opts, func(ctx context.Context, opts Options) (*GridEval, Lookup, error) {
+		return evaluateGrid(ctx, d.Shards(), d.ComponentFingerprints(), fp, opts, c)
+	})
+}
+
+// plan is the lookup both entry points share: it keys the graph on n
+// vertices with fingerprint fp by the defaulted options and runs evaluate —
+// with this cache as the sub-plan store, so after a graph mutation only the
+// touched components re-plan — on a single-flighted miss.
+func (c *PlanCache) plan(ctx context.Context, n int, fp graph.Fingerprint, opts Options, evaluate func(context.Context, Options) (*GridEval, Lookup, error)) (ge *GridEval, lk Lookup, err error) {
 	// Tracing (internal/obs): a "core.plan" span brackets the lookup; on a
 	// miss the forestlp sweep span nests under it. cache_hit mirrors the
 	// returned hit flag so a trace alone answers "did this query plan?".
 	sp, ctx := obs.StartSpan(ctx, "core.plan")
 	defer func() {
 		if sp != nil {
-			if hit {
+			if lk.Hit {
 				sp.SetCounter("cache_hit", 1)
 			} else {
 				sp.SetCounter("cache_hit", 0)
@@ -219,15 +310,11 @@ func (c *PlanCache) GridEval(ctx context.Context, g *graph.Graph, opts Options) 
 			sp.End()
 		}
 	}()
-	if opts.Epsilon == 0 {
-		opts.Epsilon = 1 // as in EvaluateGrid: ε does not enter grid values
-	}
-	opts, err = opts.withDefaults(g.N())
+	opts, err = gridOptions(opts, n)
 	if err != nil {
-		return nil, false, err
+		return nil, Lookup{}, err
 	}
-	csr := graph.NewCSR(g)
-	key := cacheKey{fp: csr.Fingerprint(), opts: planOptionsDigest(opts)}
+	key := cacheKey{fp: fp, opts: planOptionsDigest(opts)}
 
 	// Each logical lookup counts exactly once — Hits, Misses, or Coalesced
 	// — even when a canceled leader makes a waiter loop and take over.
@@ -247,7 +334,7 @@ func (c *PlanCache) GridEval(ctx context.Context, g *graph.Graph, opts Options) 
 			c.gen++ // recency and credit are persisted state
 			count(&c.stats.Hits)
 			c.mu.Unlock()
-			return entry.ge, true, nil
+			return entry.ge, Lookup{Hit: true}, nil
 		}
 		if f, ok := c.inflight[key]; ok {
 			count(&c.stats.Coalesced)
@@ -255,25 +342,22 @@ func (c *PlanCache) GridEval(ctx context.Context, g *graph.Graph, opts Options) 
 			select {
 			case <-f.done:
 			case <-ctx.Done():
-				return nil, false, ctx.Err()
+				return nil, Lookup{}, ctx.Err()
 			}
 			if f.err == nil {
-				return f.ge, true, nil
+				return f.ge, Lookup{Hit: true}, nil
 			}
 			if errIsCancel(f.err) {
 				continue // the evaluator bailed, not us: take over
 			}
-			return nil, false, f.err
+			return nil, Lookup{}, f.err
 		}
 		count(&c.stats.Misses)
 		f := &flight{done: make(chan struct{})}
 		c.inflight[key] = f
 		c.mu.Unlock()
 
-		// The miss path evaluates with this cache as the sub-plan store
-		// (subplan.go): after a graph mutation only the touched components
-		// re-plan.
-		f.ge, f.err = evaluateGrid(ctx, csr, key.fp, opts, c)
+		f.ge, lk, f.err = evaluate(ctx, opts)
 		// Failpoint between evaluation and admission: a firing site turns a
 		// finished evaluation into an error *before* the insert gate below,
 		// proving no partial or fault-tainted plan can enter the cache (the
@@ -302,9 +386,9 @@ func (c *PlanCache) GridEval(ctx context.Context, g *graph.Graph, opts Options) 
 		}
 		close(f.done)
 		if evalErr != nil {
-			return nil, false, evalErr
+			return nil, Lookup{}, evalErr
 		}
-		return ge, false, nil
+		return ge, lk, nil
 	}
 }
 

@@ -2,10 +2,14 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"testing"
 
+	"nodedp/internal/forestlp"
 	"nodedp/internal/graph"
+	"nodedp/internal/lp"
 )
 
 // cacheTestGraph builds a fixed multi-component graph from the given edge
@@ -123,6 +127,58 @@ func TestPlanOptionsDigestPinned(t *testing.T) {
 		"nowarm=false noincr=false exh=false wave=16 lp={Tol:0 MaxPivots:0 BlandAfter:0 Basis:[]}"
 	if got := planOptionsDigest(Options{DeltaMax: 16}); got != want {
 		t.Fatalf("planOptionsDigest changed:\n got %s\nwant %s", got, want)
+	}
+}
+
+// sprintfDigest is the fmt form planOptionsDigest's bytes were first
+// defined by; appendPlanOptionsDigest must reproduce it exactly.
+func sprintfDigest(o Options) string {
+	f := o.ForestLP.Normalize()
+	return fmt.Sprintf("dmax=%g tol=%g rounds=%d cuts=%d drop=%d stall=%d nofast=%t nopeel=%t nowarm=false noincr=false exh=false wave=%d lp=%+v",
+		o.DeltaMax, f.Tol, f.MaxRounds, f.MaxCutsPerRound, f.DropSlackAfter, f.StallRounds,
+		f.DisableFastPath, f.DisablePeel, f.SepWaveWidth, f.LP)
+}
+
+// TestPlanOptionsDigestMatchesSprintf perturbs every digest field, a
+// non-nil LP basis included, and checks appendPlanOptionsDigest against the
+// fmt reference byte for byte; checkGrid must accept and reject exactly
+// the pairs whose reference digests agree.
+func TestPlanOptionsDigestMatchesSprintf(t *testing.T) {
+	var variants []Options
+	for _, d := range []float64{16, 1, 0.5, 1e-5, 3.14159, 1e6, 123456789, 1e21, math.Inf(1), math.NaN()} {
+		variants = append(variants, Options{DeltaMax: d})
+	}
+	for _, fl := range []forestlp.Options{
+		{Tol: 1e-9}, {Tol: 0.25}, {Tol: math.NaN()}, {Tol: -1},
+		{MaxRounds: 7}, {MaxRounds: -3},
+		{MaxCutsPerRound: 1}, {MaxCutsPerRound: 1 << 40},
+		{DropSlackAfter: 9},
+		{StallRounds: 5},
+		{DisableFastPath: true},
+		{DisablePeel: true},
+		{SepWaveWidth: 3}, {SepWaveWidth: -2},
+		{LP: lp.Options{Tol: 1e-12}}, {LP: lp.Options{Tol: math.Inf(-1)}},
+		{LP: lp.Options{MaxPivots: 50}}, {LP: lp.Options{MaxPivots: -1}},
+		{LP: lp.Options{BlandAfter: 4}},
+		{LP: lp.Options{Basis: []int{}}}, {LP: lp.Options{Basis: []int{0}}},
+		{LP: lp.Options{Basis: []int{3, -1, 70000, 2}}},
+		{Workers: 3, SepWorkers: 5, ShardTimings: true},
+	} {
+		variants = append(variants, Options{DeltaMax: 16, ForestLP: fl})
+	}
+	for i, a := range variants {
+		want := sprintfDigest(a)
+		if got := planOptionsDigest(a); got != want {
+			t.Fatalf("variant %d: digest\n got %s\nwant %s", i, got, want)
+		}
+		ge := &GridEval{deltaMax: a.DeltaMax, optsDigest: want}
+		for j, b := range variants {
+			//detlint:allow floatorder — reference for checkGrid's exact config-identity check
+			accept := a.DeltaMax == b.DeltaMax && want == sprintfDigest(b)
+			if err := checkGrid(ge, b); (err == nil) != accept {
+				t.Errorf("checkGrid(variant %d, variant %d) = %v, want accept=%v", i, j, err, accept)
+			}
+		}
 	}
 }
 

@@ -181,7 +181,7 @@ func oneShotGrid(ctx context.Context, g *graph.Graph, opts Options) (*GridEval, 
 	if err != nil {
 		return nil, opts, err
 	}
-	ge, err := evaluateGrid(ctx, graph.NewCSR(g), graph.Fingerprint{}, opts, nil)
+	ge, _, err := evaluateGrid(ctx, graph.NewCSR(g).ComponentShards(), nil, graph.Fingerprint{}, opts, nil)
 	return ge, opts, err
 }
 
@@ -236,15 +236,21 @@ func (ge *GridEval) Stats() forestlp.Stats { return ge.stats }
 // here); every other plan-relevant option — DeltaMax and the ForestLP
 // configuration — is baked into the returned evaluation.
 func EvaluateGrid(ctx context.Context, g *graph.Graph, opts Options) (*GridEval, error) {
-	if opts.Epsilon == 0 {
-		opts.Epsilon = 1 // ε does not enter the grid values; see doc comment
-	}
-	opts, err := opts.withDefaults(g.N())
+	opts, err := gridOptions(opts, g.N())
 	if err != nil {
 		return nil, err
 	}
-	csr := graph.NewCSR(g)
-	return evaluateGrid(ctx, csr, csr.Fingerprint(), opts, nil)
+	ge, _, err := evaluateGrid(ctx, graph.NewCSR(g).ComponentShards(), nil, g.Fingerprint(), opts, nil)
+	return ge, err
+}
+
+// gridOptions defaults opts for a grid evaluation on n vertices. ε does not
+// enter the grid values, so a zero Epsilon is accepted.
+func gridOptions(opts Options, n int) (Options, error) {
+	if opts.Epsilon == 0 {
+		opts.Epsilon = 1
+	}
+	return opts.withDefaults(n)
 }
 
 // Prepared caches the deterministic, expensive part of Algorithm 1 — the
@@ -389,7 +395,8 @@ func checkGrid(ge *GridEval, opts Options) error {
 	if ge.deltaMax != opts.DeltaMax {
 		return fmt.Errorf("core: grid evaluation has DeltaMax %v, options ask for %v", ge.deltaMax, opts.DeltaMax)
 	}
-	if ge.optsDigest != planOptionsDigest(opts) {
+	var buf [digestBufLen]byte
+	if string(appendPlanOptionsDigest(buf[:0], opts)) != ge.optsDigest {
 		return fmt.Errorf("core: grid evaluation was computed under different evaluator options (%s) than requested (%s)",
 			ge.optsDigest, planOptionsDigest(opts))
 	}

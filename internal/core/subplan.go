@@ -12,7 +12,13 @@ package core
 // merges all components in shard order. After a graph mutation
 // (Session.ApplyDelta) only the touched components have new fingerprints;
 // every untouched component hits, so a delta-open re-plans O(touched)
-// instead of O(graph).
+// instead of O(graph). The graph work is O(touched) too: a live session
+// holds its graph as a graph.Decomposition, whose Apply rebuilds and
+// re-hashes only the touched components, and the delta entry point
+// (PlanCache.GridEvalDecomposition) reads the shards and their
+// fingerprints from it — no CSR, no labelling pass, no edge hashing. What
+// stays O(#components) is the lookup and merge below, which visit every
+// shard.
 //
 // Merging per component is exact, which is what makes a delta-open equal a
 // cold open of the same graph bit for bit, in values and counters:
@@ -81,19 +87,22 @@ type subPlanEntry struct {
 	sub *subPlan
 }
 
-// evaluateGrid runs the deterministic half of Algorithm 1 on a snapshot
-// and is the only producer of a GridEval: EvaluateGrid and the one-shot
-// estimators pass a nil store, the PlanCache's miss path passes itself
-// (see the file comment). opts must already carry defaults; fp may be zero
-// (the one-shot estimators never consult a cache and skip hashing).
-func evaluateGrid(ctx context.Context, csr *graph.CSR, fp graph.Fingerprint, opts Options, store *PlanCache) (*GridEval, error) {
+// evaluateGrid runs the deterministic half of Algorithm 1 on a component
+// decomposition — shards in graph.CSR.ComponentShards order — and is the
+// only producer of a GridEval: EvaluateGrid and the one-shot estimators
+// pass a nil store, the PlanCache's miss paths pass itself (see the file
+// comment). fps, when non-nil, holds the shards' fingerprints (a
+// graph.Decomposition carries them); with nil fps a store hashes each
+// non-trivial shard itself. opts must already carry defaults; fp is the
+// whole graph's fingerprint, O(1) from its lane sums. The returned Lookup
+// counts this evaluation's own sub-plan hits and misses.
+func evaluateGrid(ctx context.Context, shards []*graph.Shard, fps []graph.Fingerprint, fp graph.Fingerprint, opts Options, store *PlanCache) (*GridEval, Lookup, error) {
 	grid, err := mechanism.PowerOfTwoGrid(opts.DeltaMax)
 	if err != nil {
-		return nil, err
+		return nil, Lookup{}, err
 	}
 	digest := planOptionsDigest(opts)
-	shards := csr.ComponentShards()
-	keys, subs := store.subLookup(csr, shards, digest)
+	keys, subs, lk := store.subLookup(shards, fps, digest)
 
 	// One sweep plans and evaluates every component the store lacks, on
 	// the Workers pool; the supplied components are never materialized.
@@ -106,7 +115,7 @@ func evaluateGrid(ctx context.Context, csr *graph.CSR, fp graph.Fingerprint, opt
 	plan := forestlp.NewPlanShards(shards, func(c int) bool { return subs[c] != nil })
 	sweep, err := plan.Sweep(ctx, grid, opts.ForestLP)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, Lookup{}, fmt.Errorf("core: %w", err)
 	}
 	stats.MergeComponent(sweep.Stats)
 	for c, v := range sweep.Values {
@@ -115,14 +124,14 @@ func evaluateGrid(ctx context.Context, csr *graph.CSR, fp graph.Fingerprint, opt
 		}
 	}
 	if err := store.subAdmit(keys, subs, sweep.Values); err != nil {
-		return nil, err
+		return nil, Lookup{}, err
 	}
 
 	// Failpoint before the merge: every sub-plan is admitted, but the
 	// whole-graph evaluation must still fail atomically — no partial
 	// GridEval, no whole-graph cache entry.
 	if err := fault.Hit("core.subplan.merge"); err != nil {
-		return nil, err
+		return nil, Lookup{}, err
 	}
 
 	// Deterministic merge: per grid point, sum the component contributions
@@ -144,9 +153,14 @@ func evaluateGrid(ctx context.Context, csr *graph.CSR, fp graph.Fingerprint, opt
 		}
 		values[j] = total
 	}
+	n, m := 0, 0
+	for _, sh := range shards {
+		n += sh.N()
+		m += sh.M()
+	}
 	return &GridEval{
-		n:           csr.N(),
-		m:           csr.M(),
+		n:           n,
+		m:           m,
 		deltaMax:    opts.DeltaMax,
 		optsDigest:  digest,
 		fingerprint: fp,
@@ -154,35 +168,48 @@ func evaluateGrid(ctx context.Context, csr *graph.CSR, fp graph.Fingerprint, opt
 		fdeltas:     values,
 		fsf:         fsf,
 		stats:       stats,
-	}, nil
+	}, lk, nil
 }
 
 // subLookup resolves every non-trivial component of shards against the
-// sub-plan layer, counting hits and misses, and returns keys[c] and
-// subs[c] (nil on a miss) for component c. The nil cache is the uncached
-// store: it computes no fingerprints and supplies nothing.
-func (c *PlanCache) subLookup(csr *graph.CSR, shards []*graph.Shard, digest string) ([]subPlanKey, []*subPlan) {
+// sub-plan layer, counting hits and misses both in the cache's stats and in
+// the returned Lookup, and returns keys[c] and subs[c] (nil on a miss) for
+// component c. fps[c] is component c's fingerprint, or fps is nil and each
+// non-trivial shard is hashed here. The nil cache is the uncached store: it
+// computes no fingerprints and supplies nothing.
+func (c *PlanCache) subLookup(shards []*graph.Shard, fps []graph.Fingerprint, digest string) ([]subPlanKey, []*subPlan, Lookup) {
 	subs := make([]*subPlan, len(shards))
 	if c == nil {
-		return nil, subs
+		return nil, subs, Lookup{}
 	}
-	fps := csr.ComponentFingerprints()
 	keys := make([]subPlanKey, len(shards))
+	for i, sh := range shards {
+		if sh.N() < 2 {
+			continue
+		}
+		if fps != nil {
+			keys[i] = subPlanKey{fp: fps[i], opts: digest}
+		} else {
+			keys[i] = subPlanKey{fp: sh.Fingerprint(), opts: digest}
+		}
+	}
+	var lk Lookup
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, sh := range shards {
 		if sh.N() < 2 {
 			continue
 		}
-		keys[i] = subPlanKey{fp: fps[i], opts: digest}
 		if el, ok := c.subEntries[keys[i]]; ok {
 			subs[i] = el.Value.(*subPlanEntry).sub
-			c.stats.SubPlanHits++
+			lk.SubPlanHits++
 		} else {
-			c.stats.SubPlanMisses++
+			lk.SubPlanMisses++
 		}
 	}
-	return keys, subs
+	c.stats.SubPlanHits += lk.SubPlanHits
+	c.stats.SubPlanMisses += lk.SubPlanMisses
+	return keys, subs, lk
 }
 
 // subAdmit admits one evaluation's sub-plans after its sweep succeeded:

@@ -108,19 +108,6 @@ func composeFingerprint(n, m int, hi, lo uint64) Fingerprint {
 	return h.sum()
 }
 
-// fingerprintEdges hashes the canonical content: n, m, and each edge (u,v)
-// emitted by visit, in any order (the per-edge hashes combine by wrapping
-// addition).
-func fingerprintEdges(n, m int, visit func(emit func(u, v int))) Fingerprint {
-	var sumHi, sumLo uint64
-	visit(func(u, v int) {
-		hi, lo := edgeHash(u, v)
-		sumHi += hi
-		sumLo += lo
-	})
-	return composeFingerprint(n, m, sumHi, sumLo)
-}
-
 // Fingerprint returns the canonical 128-bit digest of g's vertex count and
 // edge set. It is independent of insertion order and of whether the graph
 // was built directly or round-tripped through removals, CSR snapshots, or
@@ -135,24 +122,31 @@ func (g *Graph) Fingerprint() Fingerprint {
 // and edge set. It equals Graph.Fingerprint of the graph the snapshot was
 // taken from. Cost: O(n + m).
 func (c *CSR) Fingerprint() Fingerprint {
-	return fingerprintEdges(c.N(), c.M(), func(emit func(u, v int)) {
-		for u, n := 0, c.N(); u < n; u++ {
-			for _, v := range c.Neighbors(u) {
-				if u < v {
-					emit(u, v)
-				}
+	hi, lo := c.laneSums()
+	return composeFingerprint(c.N(), c.M(), hi, lo)
+}
+
+// laneSums returns the wrapping per-lane sums of the snapshot's edge
+// hashes. Cost: O(n + m).
+func (c *CSR) laneSums() (hi, lo uint64) {
+	for u, n := 0, c.N(); u < n; u++ {
+		for _, v := range c.Neighbors(u) {
+			if u < v {
+				eh, el := edgeHash(u, v)
+				hi += eh
+				lo += el
 			}
 		}
-	})
+	}
+	return hi, lo
 }
 
 // ComponentFingerprints returns the canonical fingerprint of every
 // component shard, aligned with ComponentShards: entry i equals
 // shards[i].CSR.Fingerprint() — the digest of the component renumbered to
-// local rank ids — without materializing any shard. One O(n + m) pass
-// computes all of them, which is what makes component-local plan reuse
-// cheap: after a mutation, untouched components keep their fingerprints
-// and their cached sub-plans, and only the touched components re-plan.
+// local rank ids — without materializing any shard, in one O(n + m) pass.
+// A Decomposition carries the same fingerprints and, across a delta,
+// recomputes only the touched components'.
 func (c *CSR) ComponentFingerprints() []Fingerprint {
 	labels, count := c.Components()
 	n := c.N()

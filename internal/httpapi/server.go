@@ -685,7 +685,7 @@ func (s *Server) handlePatchGraph(w http.ResponseWriter, r *http.Request) {
 	entry.endMutation(s.now())
 	if err != nil {
 		// The taxonomy mirrors queries: injected faults are retryable 500s,
-		// cancelations 504 (the delta rolled back fully — retry-safe),
+		// cancelations 504 (the delta committed nothing — retry-safe),
 		// validation 400. Deltas never spend ε on any path.
 		writeQueryError(w, err)
 		return

@@ -161,8 +161,10 @@ type PatchResponse struct {
 	// Tenant-scoped, like CreateSessionResponse.CacheHit.
 	PlanCacheHit bool `json:"plan_cache_hit"`
 	// SubPlanHits and SubPlanMisses count component sub-plans reused
-	// verbatim vs re-evaluated by this delta's re-planning — the
-	// observable half of component-local plan reuse.
+	// verbatim vs re-evaluated by this delta's own re-planning — the
+	// observable half of component-local plan reuse. They are exact even
+	// while other sessions of the tenant plan through the same cache; a
+	// whole-plan cache hit reports 0/0.
 	SubPlanHits   int64 `json:"subplan_hits"`
 	SubPlanMisses int64 `json:"subplan_misses"`
 }

@@ -1,21 +1,29 @@
 package serve
 
 // This file implements live-graph mutation: Session.ApplyDelta edits the
-// served graph in place — edge additions and removals — and re-plans it
-// through the component-keyed sub-plan layer of the plan cache, so a delta
-// touching one component re-evaluates one component while every untouched
-// component's grid values are reused verbatim. The keystone contract is
-// bit-identity: the post-delta session releases exactly what a session
-// cold-opened on the mutated graph would release — same grid values, same
-// work counters, same fingerprint — because both evaluations are the same
-// per-component merge in internal/core.
+// served graph — edge additions and removals — and re-plans it through the
+// component-keyed sub-plan layer of the plan cache, so a delta touching one
+// component re-evaluates one component while every untouched component's
+// grid values are reused verbatim. The keystone contract is bit-identity:
+// the post-delta session releases exactly what a session cold-opened on the
+// mutated graph would release — same grid values, same work counters, same
+// fingerprint — because both evaluations are the same per-component merge
+// in internal/core.
+//
+// The served graph is a graph.Decomposition, and a delta is a pure
+// pipeline over it: canonicalize, classify the edges against the current
+// decomposition, Apply (which rebuilds only the touched components and
+// shares the rest), hit the serve.delta.fp failpoint, evaluate, commit. No
+// step before the commit changes session state, so a failed delta —
+// validation error, injected fault, cancelation, evaluation error — leaves
+// the old state the state, with nothing to undo. The session's first delta
+// decomposes the Open-time CSR once; every later delta costs
+// O(touched + #components) on the graph side.
 //
 // Concurrency: deltas are serialized by a mutation mutex, and the served
-// state (grid evaluation + CSR) is swapped as one atomic snapshot only
-// after the new evaluation fully succeeds. A query racing a delta
-// therefore sees the pre-delta or the post-delta graph, never a torn
-// mixture, and a failed delta — validation error, injected fault,
-// cancelation, evaluation error — leaves the session exactly as it was.
+// grid evaluation is swapped as one atomic snapshot only after the new
+// evaluation fully succeeds. A query racing a delta therefore sees the
+// pre-delta or the post-delta graph, never a torn mixture.
 //
 // Accounting: a delta spends no privacy budget (it changes the database,
 // not the released information), but it is a ledger-relevant event: the
@@ -28,6 +36,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"nodedp/internal/core"
 	"nodedp/internal/fault"
@@ -63,10 +72,11 @@ type DeltaResult struct {
 	// PlanCacheHit reports the whole post-delta evaluation was already
 	// cached (e.g. a delta returning to a previously served graph).
 	PlanCacheHit bool
-	// SubPlanHits and SubPlanMisses are the component-level cache counters
-	// observed across this delta's re-planning: hits are components reused
-	// verbatim, misses are components re-evaluated. Best-effort under a
-	// plan cache shared with concurrently planning sessions.
+	// SubPlanHits and SubPlanMisses count this delta's own component
+	// lookups in the plan cache's sub-plan layer: hits are components
+	// reused verbatim, misses are components re-evaluated. They are exact
+	// even when other sessions plan through the same cache concurrently;
+	// a whole-plan hit reports 0/0, and so does a session without a cache.
 	SubPlanHits, SubPlanMisses int64
 }
 
@@ -110,28 +120,30 @@ func (s *Session) ApplyDelta(ctx context.Context, adds, removes []graph.Edge) (r
 	s.mutMu.Lock()
 	defer s.mutMu.Unlock()
 
-	cur := s.snap.Load()
-	n := cur.csr.N()
+	// fail records a delta that changed nothing: the session state is
+	// untouched until the commit below.
+	fail := func(outcome string, err error) (DeltaResult, error) {
+		s.deltasRejected.Add(1)
+		s.auditDelta(info, outcome)
+		return DeltaResult{}, err
+	}
+
+	// 1. Canonicalize.
+	n := s.snap.Load().ge.N()
 	cadds, err := graph.Canonicalize(n, adds)
 	if err != nil {
-		s.deltasRejected.Add(1)
-		s.auditDelta(info, obs.AuditRejected)
-		return DeltaResult{}, fmt.Errorf("serve: delta adds: %w", err)
+		return fail(obs.AuditRejected, fmt.Errorf("serve: delta adds: %w", err))
 	}
 	cremoves, err := graph.Canonicalize(n, removes)
 	if err != nil {
-		s.deltasRejected.Add(1)
-		s.auditDelta(info, obs.AuditRejected)
-		return DeltaResult{}, fmt.Errorf("serve: delta removes: %w", err)
+		return fail(obs.AuditRejected, fmt.Errorf("serve: delta removes: %w", err))
 	}
 	// Both lists are sorted and deduplicated: a two-pointer scan finds any
 	// edge requested both ways, which has no coherent set semantics.
 	for i, j := 0, 0; i < len(cadds) && j < len(cremoves); {
 		switch {
 		case cadds[i] == cremoves[j]:
-			s.deltasRejected.Add(1)
-			s.auditDelta(info, obs.AuditRejected)
-			return DeltaResult{}, fmt.Errorf("serve: edge %v in both adds and removes", cadds[i])
+			return fail(obs.AuditRejected, fmt.Errorf("serve: edge %v in both adds and removes", cadds[i]))
 		case cadds[i].U < cremoves[j].U || (cadds[i].U == cremoves[j].U && cadds[i].V < cremoves[j].V):
 			i++
 		default:
@@ -139,53 +151,23 @@ func (s *Session) ApplyDelta(ctx context.Context, adds, removes []graph.Edge) (r
 		}
 	}
 
-	// Materialize the mutable twin lazily: sessions that never mutate pay
-	// nothing beyond the CSR snapshot they already hold.
-	if s.live == nil {
-		s.live = cur.csr.Graph()
+	// 2. Classify against the current decomposition: only additions of
+	// absent edges and removals of present ones change the graph.
+	if s.decomp == nil {
+		s.decomp, s.csr = s.csr.Decompose(), nil
 	}
-
+	cur := s.decomp
 	var appliedAdds, appliedRemoves []graph.Edge
 	for _, e := range cadds {
-		inserted, aerr := s.live.EnsureEdge(e.U, e.V)
-		if aerr != nil { // unreachable after Canonicalize; belt and braces
-			err = aerr
-			break
-		}
-		if inserted {
+		if !cur.HasEdge(e.U, e.V) {
 			appliedAdds = append(appliedAdds, e)
 		}
 	}
-	if err == nil {
-		for _, e := range cremoves {
-			if s.live.RemoveEdge(e.U, e.V) {
-				appliedRemoves = append(appliedRemoves, e)
-			}
+	for _, e := range cremoves {
+		if cur.HasEdge(e.U, e.V) {
+			appliedRemoves = append(appliedRemoves, e)
 		}
 	}
-	// rollback undoes the applied mutations exactly: the fingerprint lane
-	// sums are wrapping additions, so re-adding and re-removing restores
-	// them bit-for-bit.
-	rollback := func() {
-		for _, e := range appliedRemoves {
-			if aerr := s.live.AddEdge(e.U, e.V); aerr != nil {
-				panic(fmt.Sprintf("serve: delta rollback: %v", aerr))
-			}
-		}
-		for _, e := range appliedAdds {
-			if !s.live.RemoveEdge(e.U, e.V) {
-				panic(fmt.Sprintf("serve: delta rollback: edge %v vanished", e))
-			}
-		}
-	}
-	if err != nil {
-		rollback()
-		s.deltasRejected.Add(1)
-		s.auditDelta(info, obs.AuditError)
-		return DeltaResult{}, fmt.Errorf("serve: delta: %w", err)
-	}
-
-	preCount := cur.ge.Stats().Components
 	if len(appliedAdds) == 0 && len(appliedRemoves) == 0 {
 		// Idempotent no-op: the graph — and so the fingerprint, the plan,
 		// and every future release — is unchanged. Still a committed,
@@ -194,29 +176,30 @@ func (s *Session) ApplyDelta(ctx context.Context, adds, removes []graph.Edge) (r
 		s.auditDelta(info, obs.AuditOK)
 		return DeltaResult{
 			NoOp:          true,
-			Fingerprint:   cur.ge.Fingerprint(),
-			PreComponents: preCount,
-			Components:    preCount,
+			Fingerprint:   cur.Fingerprint(),
+			PreComponents: len(cur.Shards()),
+			Components:    len(cur.Shards()),
 		}, nil
 	}
 
-	// Failpoint at the fingerprint-update boundary: the live graph has new
-	// lane sums but nothing is swapped yet. A firing site must leave the
-	// session serving the pre-delta snapshot with the mutation fully
-	// rolled back.
-	if err = fault.Hit("serve.delta.fp"); err != nil {
-		rollback()
-		s.deltasRejected.Add(1)
-		s.auditDelta(info, obs.AuditError)
-		return DeltaResult{}, err
-	}
-	if err = ctx.Err(); err != nil {
-		rollback()
-		s.deltasRejected.Add(1)
-		s.auditDelta(info, obs.AuditError)
-		return DeltaResult{}, err
+	// 3. Apply: the post-delta decomposition, sharing every untouched
+	// component with cur, which stays the served graph until the commit.
+	next, err := cur.Apply(appliedAdds, appliedRemoves)
+	if err != nil { // unreachable after the classification; belt and braces
+		return fail(obs.AuditError, fmt.Errorf("serve: delta: %w", err))
 	}
 
+	// 4. Failpoint at the fingerprint-update boundary: the post-delta
+	// fingerprint exists but nothing is committed. A firing site must
+	// leave the session serving the pre-delta snapshot.
+	if err = fault.Hit("serve.delta.fp"); err != nil {
+		return fail(obs.AuditError, err)
+	}
+	if err = ctx.Err(); err != nil {
+		return fail(obs.AuditError, err)
+	}
+
+	// 5. Evaluate, through the plan cache when the session has one.
 	probe := core.Options{
 		Beta:                s.beta,
 		DeltaMax:            s.deltaMax,
@@ -224,69 +207,67 @@ func (s *Session) ApplyDelta(ctx context.Context, adds, removes []graph.Edge) (r
 		DiscreteRelease:     s.discrete,
 		ForestLP:            s.forestLP,
 	}
-	var (
-		ge  *core.GridEval
-		hit bool
-	)
-	if s.cache != nil {
-		before := s.cache.Stats()
-		ge, hit, err = s.cache.GridEval(ctx, s.live, probe)
-		if err == nil {
-			after := s.cache.Stats()
-			res.SubPlanHits = after.SubPlanHits - before.SubPlanHits
-			res.SubPlanMisses = after.SubPlanMisses - before.SubPlanMisses
-		}
-	} else {
-		ge, err = core.EvaluateGrid(ctx, s.live, probe)
-	}
+	ge, lk, err := s.cache.GridEvalDecomposition(ctx, next, probe)
 	if err != nil {
-		rollback()
-		s.deltasRejected.Add(1)
-		s.auditDelta(info, obs.AuditError)
-		return DeltaResult{}, err
+		return fail(obs.AuditError, err)
 	}
 
-	// Component bookkeeping: union-find over pre-delta component labels
-	// counts the merges the additions performed; post-delta labels locate
-	// the touched components. Both passes run on immutable CSR snapshots.
-	preLabels, preLabelCount := cur.csr.Components()
-	dsu := unionfind.New(preLabelCount)
-	merged := 0
-	for _, e := range appliedAdds {
-		if dsu.Union(preLabels[e.U], preLabels[e.V]) {
-			merged++
-		}
-	}
-	newCSR := graph.NewCSR(s.live)
-	postLabels, postCount := newCSR.Components()
-	touched := make(map[int]struct{}, 2*(len(appliedAdds)+len(appliedRemoves)))
-	for _, e := range appliedAdds {
-		touched[postLabels[e.U]] = struct{}{}
-		touched[postLabels[e.V]] = struct{}{}
-	}
-	for _, e := range appliedRemoves {
-		touched[postLabels[e.U]] = struct{}{}
-		touched[postLabels[e.V]] = struct{}{}
-	}
-
-	// Commit: one atomic swap. In-flight queries holding the old snapshot
-	// finish against it; new queries see the post-delta state.
-	s.snap.Store(&snapshot{ge: ge, csr: newCSR, built: !hit})
-	if !hit {
+	// 6. Commit: one atomic swap. In-flight queries holding the old
+	// snapshot finish against it; new queries see the post-delta state.
+	s.decomp = next
+	s.snap.Store(&snapshot{ge: ge, built: !lk.Hit})
+	if !lk.Hit {
 		s.plansBuilt.Add(1)
 	}
 	s.deltas.Add(1)
 	s.auditDelta(info, obs.AuditOK)
+	return DeltaResult{
+		Added:             len(appliedAdds),
+		Removed:           len(appliedRemoves),
+		Fingerprint:       ge.Fingerprint(),
+		PreComponents:     len(cur.Shards()),
+		Components:        len(next.Shards()),
+		MergedGroups:      mergedGroups(cur, appliedAdds),
+		TouchedComponents: touchedComponents(next, appliedAdds, appliedRemoves),
+		PlanCacheHit:      lk.Hit,
+		SubPlanHits:       lk.SubPlanHits,
+		SubPlanMisses:     lk.SubPlanMisses,
+	}, nil
+}
 
-	res.Added = len(appliedAdds)
-	res.Removed = len(appliedRemoves)
-	res.Fingerprint = ge.Fingerprint()
-	res.PreComponents = preCount
-	res.Components = postCount
-	res.MergedGroups = merged
-	res.TouchedComponents = len(touched)
-	res.PlanCacheHit = hit
-	return res, nil
+// mergedGroups counts the union-find merges adds perform over the
+// components of d, the pre-delta graph.
+func mergedGroups(d *graph.Decomposition, adds []graph.Edge) int {
+	comps := make([]int, 0, 2*len(adds))
+	for _, e := range adds {
+		comps = append(comps, d.Component(e.U), d.Component(e.V))
+	}
+	ids := slices.Clone(comps)
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	dsu := unionfind.New(len(ids))
+	merged := 0
+	for i := 0; i < len(comps); i += 2 {
+		a, _ := slices.BinarySearch(ids, comps[i])
+		b, _ := slices.BinarySearch(ids, comps[i+1])
+		if dsu.Union(a, b) {
+			merged++
+		}
+	}
+	return merged
+}
+
+// touchedComponents counts the components of d, the post-delta graph,
+// that hold an endpoint of an applied edge.
+func touchedComponents(d *graph.Decomposition, adds, removes []graph.Edge) int {
+	var comps []int
+	for _, list := range [][]graph.Edge{adds, removes} {
+		for _, e := range list {
+			comps = append(comps, d.Component(e.U), d.Component(e.V))
+		}
+	}
+	slices.Sort(comps)
+	return len(slices.Compact(comps))
 }
 
 // auditDelta records one graph-mutation event with the unchanged ledger

@@ -12,12 +12,17 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"nodedp/internal/core"
 	"nodedp/internal/forestlp"
+	"nodedp/internal/generate"
 	"nodedp/internal/graph"
+	"nodedp/internal/unionfind"
 )
 
 // mutate returns a fresh graph: base minus removes plus adds.
@@ -195,5 +200,187 @@ func TestDeltaOpenBitIdenticalToColdOpen(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// referenceComponentFields is the whole-graph labelling ApplyDelta used
+// before it kept a decomposition: component labels of the pre- and
+// post-delta graphs, union-find over the pre-delta labels for the merges
+// the applied additions performed, and post-delta labels for the touched
+// components.
+func referenceComponentFields(pre, post *graph.Graph, appliedAdds, appliedRemoves []graph.Edge) (preCount, postCount, merged, touched int) {
+	preLabels, preCount := graph.NewCSR(pre).Components()
+	dsu := unionfind.New(preCount)
+	for _, e := range appliedAdds {
+		if dsu.Union(preLabels[e.U], preLabels[e.V]) {
+			merged++
+		}
+	}
+	postLabels, postCount := graph.NewCSR(post).Components()
+	set := make(map[int]struct{}, 2*(len(appliedAdds)+len(appliedRemoves)))
+	for _, list := range [][]graph.Edge{appliedAdds, appliedRemoves} {
+		for _, e := range list {
+			set[postLabels[e.U]] = struct{}{}
+			set[postLabels[e.V]] = struct{}{}
+		}
+	}
+	return preCount, postCount, merged, len(set)
+}
+
+// TestDeltaResultComponentFieldsMatchReference drives random multi-edge
+// deltas — merges of up to four components, splits, isolating removes,
+// redundant adds and removes, no-ops — and checks every DeltaResult's
+// component fields against the whole-graph reference.
+func TestDeltaResultComponentFieldsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(16, 2))
+	ctx := context.Background()
+	var noops, multiMerges, splits int
+	for trial := 0; trial < 6; trial++ {
+		g := generate.PlantedComponents([]int{5, 4, 6, 3, 1, 5}, 0.5, generate.NewRand(uint64(trial)+1))
+		n := g.N()
+		sess := mustOpen(t, g, SessionOptions{TotalBudget: 1, Cache: core.NewPlanCache(4)})
+		for step := 0; step < 15; step++ {
+			var adds, removes []graph.Edge
+			for k := rng.IntN(5); k > 0; k-- {
+				if u, v := rng.IntN(n), rng.IntN(n); u != v {
+					adds = append(adds, graph.NewEdge(u, v))
+				}
+			}
+			if edges := g.Edges(); len(edges) > 0 {
+				for k := rng.IntN(4); k > 0; k-- {
+					removes = append(removes, edges[rng.IntN(len(edges))])
+				}
+			}
+			if rng.IntN(4) == 0 { // isolate a vertex
+				u := rng.IntN(n)
+				for _, w := range g.Neighbors(u) {
+					removes = append(removes, graph.NewEdge(u, w))
+				}
+			}
+			removes = append(removes, graph.NewEdge(0, n-1)) // often absent
+			adds = slices.DeleteFunc(adds, func(e graph.Edge) bool { return slices.Contains(removes, e) })
+
+			var appliedAdds, appliedRemoves []graph.Edge
+			post := g.Clone()
+			for _, e := range removes {
+				if post.RemoveEdge(e.U, e.V) {
+					appliedRemoves = append(appliedRemoves, e)
+				}
+			}
+			for _, e := range adds {
+				if ok, err := post.EnsureEdge(e.U, e.V); err != nil {
+					t.Fatal(err)
+				} else if ok && !g.HasEdge(e.U, e.V) {
+					appliedAdds = append(appliedAdds, e)
+				}
+			}
+			res, err := sess.ApplyDelta(ctx, adds, removes)
+			if err != nil {
+				t.Fatalf("trial %d step %d: %v", trial, step, err)
+			}
+			preCount, postCount, merged, touched := referenceComponentFields(g, post, appliedAdds, appliedRemoves)
+			noop := len(appliedAdds) == 0 && len(appliedRemoves) == 0
+			if res.Added != len(appliedAdds) || res.Removed != len(appliedRemoves) || res.NoOp != noop || res.Fingerprint != post.Fingerprint() ||
+				res.PreComponents != preCount || res.Components != postCount || res.MergedGroups != merged || res.TouchedComponents != touched {
+				t.Fatalf("trial %d step %d: result %+v, want added %d removed %d pre %d post %d merged %d touched %d",
+					trial, step, res, len(appliedAdds), len(appliedRemoves), preCount, postCount, merged, touched)
+			}
+			switch {
+			case noop:
+				noops++
+			case merged >= 2:
+				multiMerges++
+			case postCount > preCount:
+				splits++
+			}
+			g = post
+		}
+	}
+	if noops == 0 || multiMerges == 0 || splits == 0 {
+		t.Fatalf("stream missed a delta shape: %d no-ops, %d merges of three or more, %d splits", noops, multiMerges, splits)
+	}
+}
+
+// TestDeltaSubPlanCountersExactUnderConcurrency runs two sessions' delta
+// streams on one plan cache concurrently, beside a cold open of a third
+// graph; the three graphs share no component. Each DeltaResult must equal
+// what the same delta reports when its stream runs alone.
+func TestDeltaSubPlanCountersExactUnderConcurrency(t *testing.T) {
+	ctx := context.Background()
+	// Distinct block sizes: no component of one graph is a component of
+	// another.
+	graphs := []*graph.Graph{
+		generate.PlantedComponents([]int{6, 6, 6, 6}, 0.6, generate.NewRand(5)),
+		generate.PlantedComponents([]int{7, 7, 7}, 0.6, generate.NewRand(6)),
+	}
+	third := generate.PlantedComponents([]int{9, 9, 9, 9, 9}, 0.5, generate.NewRand(7))
+	// Each stream bridges blocks 0 and 1 with a new edge per step, dropping
+	// the previous bridge, and finally drops the last bridge: that graph is
+	// the Open-time one, a whole-plan hit.
+	sizes := []int{6, 7}
+	stream := func(size int) (deltas [][2][]graph.Edge) {
+		var prev []graph.Edge
+		for i := 0; i < 6; i++ {
+			bridge := []graph.Edge{graph.NewEdge(i%size, size+(i+1)%size)}
+			deltas = append(deltas, [2][]graph.Edge{bridge, prev})
+			prev = bridge
+		}
+		return append(deltas, [2][]graph.Edge{nil, prev})
+	}
+	run := func(sess *Session, deltas [][2][]graph.Edge) ([]DeltaResult, error) {
+		var out []DeltaResult
+		for _, d := range deltas {
+			res, err := sess.ApplyDelta(ctx, d[0], d[1])
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, res)
+		}
+		return out, nil
+	}
+
+	alone := make([][]DeltaResult, len(graphs))
+	for i, g := range graphs {
+		sess := mustOpen(t, g, SessionOptions{TotalBudget: 1, Cache: core.NewPlanCache(64)})
+		res, err := run(sess, stream(sizes[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last := res[len(res)-1]; !last.PlanCacheHit || last.SubPlanHits != 0 || last.SubPlanMisses != 0 {
+			t.Fatalf("graph %d: return to the Open-time graph reported %+v, want a whole-plan hit with 0/0", i, last)
+		}
+		alone[i] = res
+	}
+
+	cache := core.NewPlanCache(64)
+	sessions := make([]*Session, len(graphs))
+	for i, g := range graphs {
+		sessions[i] = mustOpen(t, g, SessionOptions{TotalBudget: 1, Cache: cache})
+	}
+	var wg sync.WaitGroup
+	together := make([][]DeltaResult, len(graphs))
+	errs := make([]error, len(graphs)+1)
+	for i := range graphs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			together[i], errs[i] = run(sessions[i], stream(sizes[i]))
+		}(i)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, errs[len(graphs)] = Open(ctx, third, SessionOptions{TotalBudget: 1, Cache: cache})
+	}()
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", i, err)
+		}
+	}
+	for i := range graphs {
+		if !reflect.DeepEqual(together[i], alone[i]) {
+			t.Errorf("graph %d: concurrent deltas reported\n%+v\nalone they report\n%+v", i, together[i], alone[i])
+		}
 	}
 }

@@ -187,12 +187,10 @@ type Stats struct {
 }
 
 // snapshot is one immutable serving state: the grid evaluation queries
-// release from and the CSR it was computed on. ApplyDelta swaps the whole
-// pair atomically, so a racing query sees the pre-delta or post-delta
-// state, never a torn mixture.
+// release from. ApplyDelta swaps it atomically, so a racing query sees the
+// pre-delta or post-delta state, never a torn mixture.
 type snapshot struct {
-	ge  *core.GridEval
-	csr *graph.CSR
+	ge *core.GridEval
 	// built reports this session computed the evaluation itself (a cache
 	// miss); it feeds the PlansBuilt and Engine stats.
 	built bool
@@ -210,11 +208,12 @@ type Session struct {
 	// it so untouched components reuse their sub-plans.
 	cache *core.PlanCache
 
-	// mutMu serializes graph mutations (ApplyDelta); live is the mutable
-	// twin of the served snapshot, materialized lazily on the first delta
-	// and only ever touched under mutMu.
-	mutMu sync.Mutex
-	live  *graph.Graph
+	// mutMu serializes graph mutations (ApplyDelta) and guards the served
+	// graph: csr, the Open-time snapshot, until the first delta decomposes
+	// it once; decomp from then on, replaced by every committed delta.
+	mutMu  sync.Mutex
+	csr    *graph.CSR
+	decomp *graph.Decomposition
 
 	// Per-session option template; zero fields default per query inside
 	// core, which is what keeps seeded queries identical to one-shot calls.
@@ -300,8 +299,9 @@ func Open(ctx context.Context, g *graph.Graph, opts SessionOptions) (*Session, e
 		acct:      acct,
 		audit:     opts.Audit,
 		scope:     ge.Fingerprint().String(),
+		csr:       graph.NewCSR(g),
 	}
-	s.snap.Store(&snapshot{ge: ge, csr: graph.NewCSR(g), built: !hit})
+	s.snap.Store(&snapshot{ge: ge, built: !hit})
 	if !hit {
 		s.plansBuilt.Store(1)
 	}

@@ -1,70 +1,19 @@
 package nodedp
 
-// Ablation benchmarks for the f_Δ evaluator's exact reductions (the
-// spanning-forest fast path and leaf peeling; README, "The evaluation
-// engine"): what each buys on a workload where the LP would otherwise run.
-// Compare:
+// Ablation benchmarks for Algorithm 1's Δ-grid: what a truncated grid
+// saves against the paper's DeltaMax = n. Compare:
 //
-//	go test -bench=BenchmarkAblation -benchmem
+//	go test -run xxx -bench BenchmarkAblationGEMGrid -benchmem
 //
-// The "Full" variant is the production configuration; each other variant
-// disables one layer. All variants compute identical values (asserted by
-// TestQuickPeelInvariance and the brute-force cross-checks).
+// The engine's own ablations (fast path, leaf peeling) live in
+// internal/forestlp.
 
 import (
 	"math"
 	"testing"
 
-	"nodedp/internal/forestlp"
 	"nodedp/internal/generate"
-	"nodedp/internal/graph"
 )
-
-// ablationWorkload: sparse ER giant components (tree fringe + 2-core) at a
-// Δ just below the typical heuristic forest degree, so every layer is
-// exercised.
-func ablationWorkload() []*graph.Graph {
-	var gs []*graph.Graph
-	for seed := uint64(0); seed < 4; seed++ {
-		gs = append(gs, generate.ErdosRenyi(120, 2.0/120, generate.NewRand(900+seed)))
-	}
-	return gs
-}
-
-func runAblation(b *testing.B, opts forestlp.Options) {
-	b.Helper()
-	gs := ablationWorkload()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, g := range gs {
-			if _, _, err := forestlp.Value(g, 2, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkAblationFull is the production configuration.
-func BenchmarkAblationFull(b *testing.B) {
-	runAblation(b, forestlp.Options{})
-}
-
-// BenchmarkAblationNoFastPath disables the spanning-forest certificates
-// (BFS/greedy/repair forests and the capped-forest certificate).
-func BenchmarkAblationNoFastPath(b *testing.B) {
-	runAblation(b, forestlp.Options{DisableFastPath: true})
-}
-
-// BenchmarkAblationNoPeel disables the leaf-elimination preprocessing.
-func BenchmarkAblationNoPeel(b *testing.B) {
-	runAblation(b, forestlp.Options{DisablePeel: true})
-}
-
-// BenchmarkAblationBare disables both exact reductions: raw cutting planes
-// (with cut management) only.
-func BenchmarkAblationBare(b *testing.B) {
-	runAblation(b, forestlp.Options{DisableFastPath: true, DisablePeel: true})
-}
 
 // BenchmarkAblationGEMGridCoarse measures Algorithm 1 with a truncated Δ
 // grid (DeltaMax 4 instead of n): cheaper evaluation, weaker adaptivity.

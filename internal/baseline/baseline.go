@@ -49,11 +49,18 @@ func NaiveNodeDPComponentCount(rng *rand.Rand, g *graph.Graph, eps float64) (flo
 
 // FixedDeltaSF releases f_Δ(G) + Lap(Δ/ε) for a caller-chosen Δ: the
 // paper's mechanism without the GEM selection step (the whole ε goes to the
-// release). ε-node-private since f_Δ is Δ-Lipschitz (Lemma 3.3).
+// release). ε-node-private since f_Δ is Δ-Lipschitz (Lemma 3.3). When an LP
+// piece of the evaluation stalled (forestlp.Stats.StalledPieces), the value
+// is a relaxation bound that may exceed f_Δ and need not be Δ-Lipschitz, so
+// FixedDeltaSF returns an error and releases nothing.
 func FixedDeltaSF(rng *rand.Rand, g *graph.Graph, delta, eps float64, opts forestlp.Options) (float64, error) {
-	v, _, err := forestlp.Value(g, delta, opts)
+	v, st, err := forestlp.Value(g, delta, opts)
 	if err != nil {
 		return 0, err
+	}
+	if st.StalledPieces > 0 {
+		return 0, fmt.Errorf("baseline: f_%v stalled on %d LP piece(s) with a gap of up to %v; refusing to release a relaxation bound",
+			delta, st.StalledPieces, st.StallGap)
 	}
 	return mechanism.LaplaceRelease(rng, v, delta, eps)
 }

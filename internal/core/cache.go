@@ -1,17 +1,16 @@
 package core
 
 // This file implements PlanCache, a bounded LRU cache of grid evaluations
-// keyed by canonical graph fingerprint plus a digest of the plan-relevant
-// options. The Δ-grid of Lipschitz-extension LPs is the expensive half of
-// Algorithm 1 and is fully deterministic per (graph, grid, LP options), so
-// a serving deployment pays it once per distinct graph: opening a session
-// on an identical graph — same *Graph, a re-read copy, or one built in a
-// different edge order — reuses the cached evaluation and goes straight to
-// the cheap per-query noise. Any one-edge difference changes the
-// fingerprint and misses.
+// keyed by canonical graph fingerprint plus DeltaMax. The Δ-grid of
+// Lipschitz-extension LPs is the expensive half of Algorithm 1 and is
+// fully deterministic per (graph, grid), so a serving deployment pays it
+// once per distinct graph: opening a session on an identical graph — same
+// *Graph, a re-read copy, or one built in a different edge order — reuses
+// the cached evaluation and goes straight to the cheap per-query noise.
+// Any one-edge difference changes the fingerprint and misses.
 //
 // Cached GridEvals are immutable and shared by reference; the cache only
-// bounds how many distinct (graph, options) evaluations it retains, not
+// bounds how many distinct (graph, DeltaMax) evaluations it retains, not
 // their lifetime in sessions that already hold one.
 
 import (
@@ -66,6 +65,10 @@ type CacheStats struct {
 	// behavior visible in /metrics without reading per-plan stats.
 	EngineRefactorizations, EngineParametricSlides          int64
 	EngineParametricCheapSolves, EngineIncrementalFallbacks int64
+	// EngineStalledPieces sums forestlp.Stats.StalledPieces over the cached
+	// grid evaluations the same way: LP pieces whose value is a stalled
+	// relaxation bound, which may exceed f_Δ, not a converged optimum.
+	EngineStalledPieces int64
 	// Entries is the current number of cached evaluations.
 	Entries int
 	// Weight is the summed grid-evaluation cost of the cached entries (see
@@ -78,73 +81,30 @@ type CacheStats struct {
 }
 
 // cacheKey identifies one cached evaluation: the graph's canonical
-// fingerprint plus a digest of every option that changes the grid values.
+// fingerprint plus DeltaMax, which fixes the Δ-grid. Nothing else changes
+// the grid values — the forestlp options left to callers only schedule
+// work — so sessions with different Workers or SepWorkers share entries.
 type cacheKey struct {
-	fp   graph.Fingerprint
-	opts string
+	fp       graph.Fingerprint
+	deltaMax float64
 }
 
-// planOptionsDigest captures the options that alter a grid evaluation's
-// values: the grid itself (DeltaMax) and the evaluator's numeric knobs,
-// normalized so zero-valued and explicitly-default configurations digest
-// identically. Workers, SepWorkers, ShardTimings, and Trace change only
-// scheduling and diagnostics, never values, and are deliberately excluded
-// so sessions with different concurrency settings share entries.
-// SepWaveWidth is included conservatively: it is value-neutral on
-// converging instances, but it changes the oracle schedule, so a stalled
-// piece can return a different path-dependent relaxation bound, and it
-// also changes the work counters stored with the cached evaluation.
-func planOptionsDigest(o Options) string {
-	var buf [digestBufLen]byte
-	return string(appendPlanOptionsDigest(buf[:0], o))
-}
-
-// digestBufLen fits the digest of common option sets (the default one is
-// 168 bytes), so checkGrid builds its digest on the stack; a longer one
-// spills to the heap.
-const digestBufLen = 256
-
-// appendPlanOptionsDigest appends planOptionsDigest(o) to b. Persisted
-// snapshots key their entries by these bytes, which are those of
+// planOptionsDigest is the options digest a snapshot stores with each
+// entry. Its bytes are those of
 //
 //	fmt.Sprintf("dmax=%g tol=%g rounds=%d cuts=%d drop=%d stall=%d nofast=%t nopeel=%t nowarm=false noincr=false exh=false wave=%d lp=%+v", …)
 //
-// over DeltaMax and the normalized ForestLP fields: keep them.
-func appendPlanOptionsDigest(b []byte, o Options) []byte {
-	f := o.ForestLP.Normalize()
-	b = append(b, "dmax="...)
-	b = strconv.AppendFloat(b, o.DeltaMax, 'g', -1, 64)
-	b = append(b, " tol="...)
-	b = strconv.AppendFloat(b, f.Tol, 'g', -1, 64)
-	b = append(b, " rounds="...)
-	b = strconv.AppendInt(b, int64(f.MaxRounds), 10)
-	b = append(b, " cuts="...)
-	b = strconv.AppendInt(b, int64(f.MaxCutsPerRound), 10)
-	b = append(b, " drop="...)
-	b = strconv.AppendInt(b, int64(f.DropSlackAfter), 10)
-	b = append(b, " stall="...)
-	b = strconv.AppendInt(b, int64(f.StallRounds), 10)
-	b = append(b, " nofast="...)
-	b = strconv.AppendBool(b, f.DisableFastPath)
-	b = append(b, " nopeel="...)
-	b = strconv.AppendBool(b, f.DisablePeel)
-	b = append(b, " nowarm=false noincr=false exh=false wave="...)
-	b = strconv.AppendInt(b, int64(f.SepWaveWidth), 10)
-	b = append(b, " lp={Tol:"...)
-	b = strconv.AppendFloat(b, f.LP.Tol, 'g', -1, 64)
-	b = append(b, " MaxPivots:"...)
-	b = strconv.AppendInt(b, int64(f.LP.MaxPivots), 10)
-	b = append(b, " BlandAfter:"...)
-	b = strconv.AppendInt(b, int64(f.LP.BlandAfter), 10)
-	b = append(b, " Basis:["...)
-	for i, v := range f.LP.Basis {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = strconv.AppendInt(b, int64(v), 10)
-	}
-	return append(b, "]}"...)
+// over DeltaMax and the engine's settings, which are constants now, so
+// only dmax varies and snapshots written under default options still load
+// and hit: keep them. Load skips an entry whose digest is not the one for
+// its DeltaMax, since no lookup can ask for it.
+func planOptionsDigest(o Options) string {
+	return "dmax=" + strconv.FormatFloat(o.DeltaMax, 'g', -1, 64) + engineDigest
 }
+
+// engineDigest is planOptionsDigest's constant tail.
+const engineDigest = " tol=1e-07 rounds=1000 cuts=48 drop=3 stall=80 nofast=false nopeel=false " +
+	"nowarm=false noincr=false exh=false wave=16 lp={Tol:0 MaxPivots:0 BlandAfter:0 Basis:[]}"
 
 type cacheEntry struct {
 	key cacheKey
@@ -189,7 +149,7 @@ type PlanCache struct {
 	stats     CacheStats
 
 	// Sub-plan layer (see subplan.go): per-component grid evaluations
-	// keyed by component fingerprint + options digest, bounded by a
+	// keyed by component fingerprint + DeltaMax, bounded by a
 	// separate entry-count LRU. Not persisted in snapshots.
 	subLL      *list.List // front = most recently used
 	subEntries map[subPlanKey]*list.Element
@@ -292,7 +252,7 @@ func (c *PlanCache) GridEvalDecomposition(ctx context.Context, d *graph.Decompos
 }
 
 // plan is the lookup both entry points share: it keys the graph on n
-// vertices with fingerprint fp by the defaulted options and runs evaluate —
+// vertices with fingerprint fp by the defaulted DeltaMax and runs evaluate —
 // with this cache as the sub-plan store, so after a graph mutation only the
 // touched components re-plan — on a single-flighted miss.
 func (c *PlanCache) plan(ctx context.Context, n int, fp graph.Fingerprint, opts Options, evaluate func(context.Context, Options) (*GridEval, Lookup, error)) (ge *GridEval, lk Lookup, err error) {
@@ -314,7 +274,7 @@ func (c *PlanCache) plan(ctx context.Context, n int, fp graph.Fingerprint, opts 
 	if err != nil {
 		return nil, Lookup{}, err
 	}
-	key := cacheKey{fp: fp, opts: planOptionsDigest(opts)}
+	key := cacheKey{fp: fp, deltaMax: opts.DeltaMax}
 
 	// Each logical lookup counts exactly once — Hits, Misses, or Coalesced
 	// — even when a canceled leader makes a waiter loop and take over.
@@ -445,7 +405,7 @@ func errIsCancel(err error) bool {
 }
 
 // Invalidate removes every cached evaluation of the graph with the given
-// fingerprint (across all option digests) and returns how many entries were
+// fingerprint (across all DeltaMax values) and returns how many entries were
 // dropped. Mutating a graph already changes its fingerprint, so future
 // lookups would miss anyway; Invalidate exists to reclaim the memory of
 // evaluations that can no longer be hit and to give mutation sites an
@@ -503,6 +463,7 @@ func (c *PlanCache) Stats() CacheStats {
 		s.EngineParametricSlides += int64(es.ParametricSlides)
 		s.EngineParametricCheapSolves += int64(es.ParametricCheapSolves)
 		s.EngineIncrementalFallbacks += int64(es.IncrementalFallbacks)
+		s.EngineStalledPieces += int64(es.StalledPieces)
 	}
 	return s
 }

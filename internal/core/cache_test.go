@@ -103,19 +103,21 @@ func TestPlanCacheOptionsChangeMisses(t *testing.T) {
 	if _, hit, err := cache.GridEval(ctx, g, opts); err != nil || !hit {
 		t.Fatalf("Workers change: hit=%v err=%v, want hit", hit, err)
 	}
-	// Explicitly spelling out a documented default asks for the same
-	// evaluation as leaving it zero; the digest normalizes, so it must hit.
-	opts = Options{}
-	opts.ForestLP.Tol = 1e-7
-	opts.ForestLP.MaxRounds = 1000
-	if _, hit, err := cache.GridEval(ctx, g, opts); err != nil || !hit {
-		t.Fatalf("explicit-default options: hit=%v err=%v, want hit", hit, err)
+}
+
+// TestGridEvalRejectsNonFiniteDeltaMax: NaN and infinite DeltaMax fail
+// option validation before the lookup, so they never count a miss or
+// open a flight under a key that could never match again.
+func TestGridEvalRejectsNonFiniteDeltaMax(t *testing.T) {
+	g := cacheTestGraph(t, cacheTestEdges[:8])
+	cache := NewPlanCache(4)
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, _, err := cache.GridEval(context.Background(), g, Options{DeltaMax: d}); err == nil {
+			t.Errorf("DeltaMax %v accepted", d)
+		}
 	}
-	// A genuinely different solver tolerance is a different plan.
-	opts = Options{}
-	opts.ForestLP.Tol = 1e-3
-	if _, hit, err := cache.GridEval(ctx, g, opts); err != nil || hit {
-		t.Fatalf("Tol change: hit=%v err=%v, want miss", hit, err)
+	if s := cache.Stats(); s.Misses != 0 || s.Entries != 0 {
+		t.Fatalf("stats = %+v, want no miss and no entry", s)
 	}
 }
 
@@ -131,50 +133,30 @@ func TestPlanOptionsDigestPinned(t *testing.T) {
 }
 
 // sprintfDigest is the fmt form planOptionsDigest's bytes were first
-// defined by; appendPlanOptionsDigest must reproduce it exactly.
+// defined by, over the engine settings that are constants now.
 func sprintfDigest(o Options) string {
-	f := o.ForestLP.Normalize()
 	return fmt.Sprintf("dmax=%g tol=%g rounds=%d cuts=%d drop=%d stall=%d nofast=%t nopeel=%t nowarm=false noincr=false exh=false wave=%d lp=%+v",
-		o.DeltaMax, f.Tol, f.MaxRounds, f.MaxCutsPerRound, f.DropSlackAfter, f.StallRounds,
-		f.DisableFastPath, f.DisablePeel, f.SepWaveWidth, f.LP)
+		o.DeltaMax, 1e-7, 1000, 48, 3, 80, false, false, 16, lp.Options{})
 }
 
-// TestPlanOptionsDigestMatchesSprintf perturbs every digest field, a
-// non-nil LP basis included, and checks appendPlanOptionsDigest against the
-// fmt reference byte for byte; checkGrid must accept and reject exactly
-// the pairs whose reference digests agree.
+// TestPlanOptionsDigestMatchesSprintf perturbs DeltaMax and the scheduling
+// options and checks planOptionsDigest against the fmt reference byte for
+// byte; checkGrid must accept exactly the pairs with equal DeltaMax.
 func TestPlanOptionsDigestMatchesSprintf(t *testing.T) {
 	var variants []Options
 	for _, d := range []float64{16, 1, 0.5, 1e-5, 3.14159, 1e6, 123456789, 1e21, math.Inf(1), math.NaN()} {
 		variants = append(variants, Options{DeltaMax: d})
 	}
-	for _, fl := range []forestlp.Options{
-		{Tol: 1e-9}, {Tol: 0.25}, {Tol: math.NaN()}, {Tol: -1},
-		{MaxRounds: 7}, {MaxRounds: -3},
-		{MaxCutsPerRound: 1}, {MaxCutsPerRound: 1 << 40},
-		{DropSlackAfter: 9},
-		{StallRounds: 5},
-		{DisableFastPath: true},
-		{DisablePeel: true},
-		{SepWaveWidth: 3}, {SepWaveWidth: -2},
-		{LP: lp.Options{Tol: 1e-12}}, {LP: lp.Options{Tol: math.Inf(-1)}},
-		{LP: lp.Options{MaxPivots: 50}}, {LP: lp.Options{MaxPivots: -1}},
-		{LP: lp.Options{BlandAfter: 4}},
-		{LP: lp.Options{Basis: []int{}}}, {LP: lp.Options{Basis: []int{0}}},
-		{LP: lp.Options{Basis: []int{3, -1, 70000, 2}}},
-		{Workers: 3, SepWorkers: 5, ShardTimings: true},
-	} {
-		variants = append(variants, Options{DeltaMax: 16, ForestLP: fl})
-	}
+	variants = append(variants, Options{DeltaMax: 16, ForestLP: forestlp.Options{Workers: 3, SepWorkers: 5, ShardTimings: true}})
 	for i, a := range variants {
 		want := sprintfDigest(a)
 		if got := planOptionsDigest(a); got != want {
 			t.Fatalf("variant %d: digest\n got %s\nwant %s", i, got, want)
 		}
-		ge := &GridEval{deltaMax: a.DeltaMax, optsDigest: want}
+		ge := &GridEval{deltaMax: a.DeltaMax}
 		for j, b := range variants {
 			//detlint:allow floatorder — reference for checkGrid's exact config-identity check
-			accept := a.DeltaMax == b.DeltaMax && want == sprintfDigest(b)
+			accept := a.DeltaMax == b.DeltaMax
 			if err := checkGrid(ge, b); (err == nil) != accept {
 				t.Errorf("checkGrid(variant %d, variant %d) = %v, want accept=%v", i, j, err, accept)
 			}
@@ -313,17 +295,11 @@ func TestEstimateFromGridRejectsMismatchedGrid(t *testing.T) {
 	if err == nil {
 		t.Fatal("mismatched DeltaMax must be rejected")
 	}
-	// Value-affecting evaluator options are part of the grid identity too.
-	mismatched := Options{Epsilon: 1, DeltaMax: 4}
-	mismatched.ForestLP.Tol = 1e-3
-	if _, err = EstimateSpanningForestSizeFromGrid(context.Background(), ge, mismatched); err == nil {
-		t.Fatal("mismatched evaluator options must be rejected")
-	}
-	// Spelling out the defaults the evaluation was computed under is fine.
+	// Scheduling options are not part of the grid identity.
 	matching := Options{Epsilon: 1, DeltaMax: 4, Rand: rand.New(rand.NewPCG(1, 1))}
-	matching.ForestLP.Tol = 1e-7
+	matching.ForestLP.Workers = 3
 	if _, err = EstimateSpanningForestSizeFromGrid(context.Background(), ge, matching); err != nil {
-		t.Fatalf("explicit-default options rejected: %v", err)
+		t.Fatalf("matching DeltaMax rejected: %v", err)
 	}
 }
 

@@ -44,9 +44,11 @@ type Options struct {
 	// used; experiments pass a seeded PRNG for reproducibility.
 	Rand *rand.Rand
 	// DeltaMax overrides the top of the Δ grid (default: n, as in the
-	// paper; values below 1 are rejected).
+	// paper; values below 1, NaN and infinities are rejected).
 	DeltaMax float64
-	// ForestLP configures the extension evaluator.
+	// ForestLP schedules the extension evaluator's work. No field of it
+	// changes a grid value, so plans are keyed by the graph and DeltaMax
+	// alone, and sessions with different ForestLP settings share them.
 	ForestLP forestlp.Options
 	// CountBudgetFraction is the share of ε spent on releasing the vertex
 	// count when estimating f_cc (Equation (1) needs a private |V|).
@@ -92,8 +94,8 @@ func (o Options) withDefaults(n int) (Options, error) {
 			o.DeltaMax = 1
 		}
 	}
-	if o.DeltaMax < 1 {
-		return o, fmt.Errorf("core: deltaMax %v must be ≥ 1", o.DeltaMax)
+	if !(o.DeltaMax >= 1) || math.IsInf(o.DeltaMax, 0) {
+		return o, fmt.Errorf("core: deltaMax %v must be finite and ≥ 1", o.DeltaMax)
 	}
 	if o.CountBudgetFraction == 0 {
 		o.CountBudgetFraction = 0.2
@@ -198,7 +200,6 @@ type GridEval struct {
 	n           int
 	m           int
 	deltaMax    float64
-	optsDigest  string
 	fingerprint graph.Fingerprint
 	grid        []float64
 	fdeltas     []float64
@@ -233,8 +234,8 @@ func (ge *GridEval) Stats() forestlp.Stats { return ge.stats }
 // EvaluateGrid runs the deterministic half of Algorithm 1 for g: one CSR
 // snapshot, one shard plan, and one extension evaluation per grid point.
 // The result is independent of Options.Epsilon (which may be left zero
-// here); every other plan-relevant option — DeltaMax and the ForestLP
-// configuration — is baked into the returned evaluation.
+// here); the one plan-relevant option, DeltaMax, is baked into the
+// returned evaluation.
 func EvaluateGrid(ctx context.Context, g *graph.Graph, opts Options) (*GridEval, error) {
 	opts, err := gridOptions(opts, g.N())
 	if err != nil {
@@ -387,18 +388,13 @@ func estimateSFFromGrid(ctx context.Context, ge *GridEval, opts Options, eps flo
 }
 
 // checkGrid rejects a grid evaluation that was computed under a different
-// Δ-grid or different value-affecting evaluator options than the
-// (defaulted) options ask for — silently releasing from a mismatched
-// evaluation would be an accuracy bug, not a privacy bug, but still a bug.
+// Δ-grid than the (defaulted) options ask for — silently releasing from a
+// mismatched evaluation would be an accuracy bug, not a privacy bug, but
+// still a bug. DeltaMax is the only option that changes grid values.
 func checkGrid(ge *GridEval, opts Options) error {
 	//detlint:allow floatorder — exact config-identity check: DeltaMax is copied from Options, never computed, so bit equality is the correct test
 	if ge.deltaMax != opts.DeltaMax {
 		return fmt.Errorf("core: grid evaluation has DeltaMax %v, options ask for %v", ge.deltaMax, opts.DeltaMax)
-	}
-	var buf [digestBufLen]byte
-	if string(appendPlanOptionsDigest(buf[:0], opts)) != ge.optsDigest {
-		return fmt.Errorf("core: grid evaluation was computed under different evaluator options (%s) than requested (%s)",
-			ge.optsDigest, planOptionsDigest(opts))
 	}
 	return nil
 }

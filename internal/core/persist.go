@@ -14,9 +14,10 @@ package core
 // entries: corrupt or unknown-version entries are skipped with typed errors
 // (a daemon boot must never be held hostage by one damaged record), but an
 // entry that decodes is still re-validated against the format's invariants
-// — the grid must be exactly the power-of-two grid of its DeltaMax, values
-// must lie in [0, f_sf], the fingerprint must be set — before it can ever
-// serve a query, so a silently-wrong plan cannot enter the cache.
+// — the grid must be exactly the power-of-two grid of its DeltaMax, the
+// options digest the one for that DeltaMax, values must lie in [0, f_sf],
+// the fingerprint must be set — before it can ever serve a query, so a
+// silently-wrong plan cannot enter the cache.
 
 import (
 	"fmt"
@@ -148,7 +149,7 @@ func entryToSnapshot(entry *cacheEntry, clock float64) snapshot.Entry {
 	stats.Shards = nil
 	return snapshot.Entry{
 		Fingerprint: entry.key.fp,
-		OptsDigest:  entry.key.opts,
+		OptsDigest:  planOptionsDigest(Options{DeltaMax: ge.deltaMax}),
 		N:           ge.n,
 		M:           ge.m,
 		DeltaMax:    ge.deltaMax,
@@ -215,7 +216,7 @@ func (c *PlanCache) mergeEntries(snap *snapshot.Snapshot, rep *LoadReport) {
 			c.stats.SnapshotEntriesSkipped++
 			continue
 		}
-		key := cacheKey{fp: e.Fingerprint, opts: e.OptsDigest}
+		key := cacheKey{fp: e.Fingerprint, deltaMax: e.DeltaMax}
 		if _, ok := c.entries[key]; ok {
 			rep.Duplicates++
 			continue
@@ -243,14 +244,14 @@ func gridEvalFromSnapshot(e *snapshot.Entry) (*GridEval, error) {
 	if e.Fingerprint.IsZero() {
 		return nil, fmt.Errorf("zero fingerprint")
 	}
-	if e.OptsDigest == "" {
-		return nil, fmt.Errorf("empty options digest")
-	}
 	if e.N < 0 || e.M < 0 {
 		return nil, fmt.Errorf("negative dimensions n=%d m=%d", e.N, e.M)
 	}
 	if !(e.DeltaMax >= 1) || math.IsInf(e.DeltaMax, 0) {
 		return nil, fmt.Errorf("deltaMax %v out of range", e.DeltaMax)
+	}
+	if want := planOptionsDigest(Options{DeltaMax: e.DeltaMax}); e.OptsDigest != want {
+		return nil, fmt.Errorf("options digest %q is not %q, the only one a lookup asks for", e.OptsDigest, want)
 	}
 	wantGrid, err := mechanism.PowerOfTwoGrid(e.DeltaMax)
 	if err != nil {
@@ -283,7 +284,6 @@ func gridEvalFromSnapshot(e *snapshot.Entry) (*GridEval, error) {
 		n:           e.N,
 		m:           e.M,
 		deltaMax:    e.DeltaMax,
-		optsDigest:  e.OptsDigest,
 		fingerprint: e.Fingerprint,
 		grid:        e.Grid,
 		fdeltas:     e.FDeltas,

@@ -2,7 +2,7 @@ package core
 
 // Conformance tests for plan-cache persistence: a snapshot-reloaded plan
 // must be indistinguishable — bit for bit, including seeded private
-// releases, plan digests, and admission weights — from the live plan that
+// releases, plan keys, and admission weights — from the live plan that
 // was saved, across graph families and separation-worker configurations;
 // and damaged snapshots must degrade by skipping entries, never by loading
 // a wrong plan or panicking.
@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"nodedp/internal/generate"
@@ -59,7 +60,7 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // TestPlanCacheSaveLoadBitIdentity is the core of the conformance suite:
 // for every graph family and SepWorkers ∈ {1, 8}, a cache saved and
 // reloaded into a fresh cache serves the lookup as a hit, with the same
-// plan digest and admission weight, and seeded releases from the reloaded
+// plan key and admission weight, and seeded releases from the reloaded
 // plan are bit-identical to releases from the live plan.
 func TestPlanCacheSaveLoadBitIdentity(t *testing.T) {
 	ctx := context.Background()
@@ -98,10 +99,6 @@ func TestPlanCacheSaveLoadBitIdentity(t *testing.T) {
 			}
 
 			// The reloaded evaluation IS the saved one, field for field.
-			if geWarm.optsDigest != geLive.optsDigest {
-				t.Fatalf("%s/sep=%d: plan digest changed across reload:\nlive %s\nwarm %s",
-					name, sepWorkers, geLive.optsDigest, geWarm.optsDigest)
-			}
 			if geWarm.fingerprint != geLive.fingerprint || geWarm.n != geLive.n || geWarm.m != geLive.m {
 				t.Fatalf("%s/sep=%d: identity fields changed across reload", name, sepWorkers)
 			}
@@ -276,7 +273,7 @@ func TestLoadRejectsInvariantViolations(t *testing.T) {
 	mk := func(mutate func(*snapshot.Entry)) []byte {
 		e := snapshot.Entry{
 			Fingerprint: graph.Fingerprint{Hi: 3, Lo: 4},
-			OptsDigest:  "dmax=4 …",
+			OptsDigest:  planOptionsDigest(Options{DeltaMax: 4}),
 			N:           4, M: 3,
 			DeltaMax: 4,
 			FSF:      3,
@@ -298,6 +295,7 @@ func TestLoadRejectsInvariantViolations(t *testing.T) {
 		"fsf above n-1":       func(e *snapshot.Entry) { e.FSF = 9; e.FDeltas = []float64{2, 3, 3} },
 		"zero fingerprint":    func(e *snapshot.Entry) { e.Fingerprint = graph.Fingerprint{} },
 		"empty digest":        func(e *snapshot.Entry) { e.OptsDigest = "" },
+		"other dmax digest":   func(e *snapshot.Entry) { e.OptsDigest = planOptionsDigest(Options{DeltaMax: 8}) },
 		"NaN value":           func(e *snapshot.Entry) { e.FDeltas[0] = math.NaN() },
 	}
 	for name, mutate := range cases {
@@ -318,10 +316,80 @@ func TestLoadRejectsInvariantViolations(t *testing.T) {
 		}
 	}
 
-	// The control encodes cleanly.
+	// The control encodes cleanly, and its stalled pieces reach CacheStats.
 	c := NewPlanCache(4)
-	if rep, err := c.Load(bytes.NewReader(mk(func(*snapshot.Entry) {}))); err != nil || rep.Loaded != 1 {
+	control := mk(func(e *snapshot.Entry) { e.Stats.StalledPieces = 2 })
+	if rep, err := c.Load(bytes.NewReader(control)); err != nil || rep.Loaded != 1 {
 		t.Fatalf("control entry did not load: %+v, %v", rep, err)
+	}
+	if got := c.Stats().EngineStalledPieces; got != 2 {
+		t.Fatalf("EngineStalledPieces = %d, want 2", got)
+	}
+}
+
+// TestLoadKeysByDeltaMax: the plan key is (fingerprint, DeltaMax), so an
+// entry loads only under the digest a lookup of its DeltaMax implies. The
+// digest written under default options when the engine's settings were
+// still options loads and hits; one written under a wave width of 32 can
+// never be asked for and is skipped as invalid.
+func TestLoadKeysByDeltaMax(t *testing.T) {
+	ctx := context.Background()
+	g := generate.Grid(5, 5)
+	live := NewPlanCache(4)
+	geLive, _, err := live.GridEval(ctx, g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := live.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := snapshot.Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const defaultDigest = "dmax=25 tol=1e-07 rounds=1000 cuts=48 drop=3 stall=80 nofast=false nopeel=false " +
+		"nowarm=false noincr=false exh=false wave=16 lp={Tol:0 MaxPivots:0 BlandAfter:0 Basis:[]}"
+	if got := snap.Entries[0].OptsDigest; got != defaultDigest {
+		t.Fatalf("saved digest\n got %s\nwant %s", got, defaultDigest)
+	}
+	load := func(digest string) (*PlanCache, LoadReport) {
+		t.Helper()
+		e := snap.Entries[0]
+		e.OptsDigest = digest
+		var b bytes.Buffer
+		if err := snapshot.Encode(&b, &snapshot.Snapshot{Entries: []snapshot.Entry{e}}); err != nil {
+			t.Fatal(err)
+		}
+		c := NewPlanCache(4)
+		rep, err := c.Load(&b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, rep
+	}
+
+	c, rep := load(defaultDigest)
+	if rep.Loaded != 1 || rep.Skipped() != 0 {
+		t.Fatalf("default digest: report %+v, want 1 loaded", rep)
+	}
+	ge, hit, err := c.GridEval(ctx, g, Options{})
+	if err != nil || !hit {
+		t.Fatalf("default digest: hit=%v err=%v, want a hit", hit, err)
+	}
+	for i := range geLive.fdeltas {
+		if !sameBits(ge.fdeltas[i], geLive.fdeltas[i]) {
+			t.Fatalf("grid value %d changed across reload", i)
+		}
+	}
+
+	c, rep = load(strings.Replace(defaultDigest, "wave=16", "wave=32", 1))
+	var ierr *InvalidEntryError
+	if rep.Loaded != 0 || rep.SkippedInvalid != 1 || len(rep.Errs) != 1 || !errors.As(rep.Errs[0], &ierr) {
+		t.Fatalf("wave=32 digest: report %+v, want the entry skipped as invalid", rep)
+	}
+	if c.Len() != 0 {
+		t.Fatal("wave=32 entry entered the cache")
 	}
 }
 

@@ -24,7 +24,7 @@ package core
 // cold open of the same graph bit for bit, in values and counters:
 //
 //   - Values: a component's value vector depends only on its own edges and
-//     the options. Each shard is evaluated independently (per-shard clamp
+//     the grid. Each shard is evaluated independently (per-shard clamp
 //     to [0, n_i−1]) with strictly per-shard warm state over a sequential
 //     grid, so a cached vector equals a fresh one, and the merge sums every
 //     component in shard order and clamps the total to [0, f_sf] whichever
@@ -61,13 +61,12 @@ const DefaultSubPlanCapacity = 256
 
 // subPlanKey identifies one component's grid evaluation: the component's
 // canonical fingerprint (local-rank renumbering, see
-// graph.CSR.ComponentFingerprints) plus the same options digest that keys
-// whole-graph entries. The digest pins DeltaMax and therefore the grid, so
-// a stored value vector is always aligned with the grid of any lookup that
-// hits it.
+// graph.CSR.ComponentFingerprints) plus DeltaMax, as for whole-graph
+// entries. DeltaMax fixes the grid, so a stored value vector is always
+// aligned with the grid of any lookup that hits it.
 type subPlanKey struct {
-	fp   graph.Fingerprint
-	opts string
+	fp       graph.Fingerprint
+	deltaMax float64
 }
 
 // subPlan is one non-trivial component's cached share of a grid
@@ -101,8 +100,7 @@ func evaluateGrid(ctx context.Context, shards []*graph.Shard, fps []graph.Finger
 	if err != nil {
 		return nil, Lookup{}, err
 	}
-	digest := planOptionsDigest(opts)
-	keys, subs, lk := store.subLookup(shards, fps, digest)
+	keys, subs, lk := store.subLookup(shards, fps, opts.DeltaMax)
 
 	// One sweep plans and evaluates every component the store lacks, on
 	// the Workers pool; the supplied components are never materialized.
@@ -162,7 +160,6 @@ func evaluateGrid(ctx context.Context, shards []*graph.Shard, fps []graph.Finger
 		n:           n,
 		m:           m,
 		deltaMax:    opts.DeltaMax,
-		optsDigest:  digest,
 		fingerprint: fp,
 		grid:        grid,
 		fdeltas:     values,
@@ -177,7 +174,7 @@ func evaluateGrid(ctx context.Context, shards []*graph.Shard, fps []graph.Finger
 // component c. fps[c] is component c's fingerprint, or fps is nil and each
 // non-trivial shard is hashed here. The nil cache is the uncached store: it
 // computes no fingerprints and supplies nothing.
-func (c *PlanCache) subLookup(shards []*graph.Shard, fps []graph.Fingerprint, digest string) ([]subPlanKey, []*subPlan, Lookup) {
+func (c *PlanCache) subLookup(shards []*graph.Shard, fps []graph.Fingerprint, deltaMax float64) ([]subPlanKey, []*subPlan, Lookup) {
 	subs := make([]*subPlan, len(shards))
 	if c == nil {
 		return nil, subs, Lookup{}
@@ -188,9 +185,9 @@ func (c *PlanCache) subLookup(shards []*graph.Shard, fps []graph.Fingerprint, di
 			continue
 		}
 		if fps != nil {
-			keys[i] = subPlanKey{fp: fps[i], opts: digest}
+			keys[i] = subPlanKey{fp: fps[i], deltaMax: deltaMax}
 		} else {
-			keys[i] = subPlanKey{fp: sh.Fingerprint(), opts: digest}
+			keys[i] = subPlanKey{fp: sh.Fingerprint(), deltaMax: deltaMax}
 		}
 	}
 	var lk Lookup

@@ -122,10 +122,6 @@ func (p *Plan) evaluate(ctx context.Context, grid []float64, opts Options, warm 
 			return nil, err
 		}
 	}
-	if opts.SepWaveWidth < 0 {
-		return nil, fmt.Errorf("forestlp: SepWaveWidth must be ≥ 0 (0 = default %d), got %d",
-			sepWaveDefault, opts.SepWaveWidth)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

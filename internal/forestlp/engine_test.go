@@ -187,7 +187,7 @@ func TestValueCtxCanceled(t *testing.T) {
 }
 
 // TestValueCtxCancelMidSolve cancels from inside the cutting-plane loop via
-// the Trace hook and checks that the engine aborts with the context error
+// the onRound hook and checks that the engine aborts with the context error
 // for every worker count. The cancel fires on a round that found violated
 // cuts, so that shard is guaranteed to re-enter the loop and observe the
 // canceled context (a round with no new cuts would return its value before
@@ -199,7 +199,7 @@ func TestValueCtxCancelMidSolve(t *testing.T) {
 	// Force the LP on every shard (triangle-rich clusters at Δ=2 violate
 	// subtour constraints immediately). Precondition: the workload must
 	// genuinely generate cuts, otherwise the cancel hook below never fires.
-	base := Options{Workers: 1, DisableFastPath: true, DisablePeel: true}
+	base := Options{Workers: 1, noFastPath: true, noPeel: true}
 	if _, stats, err := Value(g, 2, base); err != nil || stats.CutsAdded == 0 {
 		t.Fatalf("workload not LP-heavy enough: cuts=%d err=%v", stats.CutsAdded, err)
 	}
@@ -209,7 +209,7 @@ func TestValueCtxCancelMidSolve(t *testing.T) {
 		var once sync.Once
 		opts := base
 		opts.Workers = workers
-		opts.Trace = func(round, activeCuts, newCuts int, value float64) {
+		opts.onRound = func(round, activeCuts, newCuts int, value float64) {
 			if newCuts > 0 {
 				once.Do(cancel)
 			}

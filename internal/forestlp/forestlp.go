@@ -51,7 +51,9 @@ import (
 	"nodedp/internal/spanning"
 )
 
-// Options tunes the evaluator. The zero value is ready to use.
+// Options schedules the evaluator's work. The zero value is ready to use.
+// No exported field changes a value: f_Δ depends only on the graph and Δ,
+// and the engine's tuning is fixed (see the constants below).
 type Options struct {
 	// Workers is the number of component LPs solved concurrently. 0 (the
 	// default) means runtime.GOMAXPROCS; 1 forces serial evaluation. The
@@ -66,81 +68,51 @@ type Options struct {
 	// schedule never depends on the worker count, and results merge in
 	// vertex order, so the returned value and all counting statistics
 	// (including max-flow calls) are identical for every setting; useful
-	// parallelism is capped at the maximum wave width (SepWaveWidth,
-	// default 16).
+	// parallelism is capped at the oracle's wave width of 16.
 	SepWorkers int
-	// SepWaveWidth is the maximum wave width of the parallel separation
-	// oracle: how many forced vertices are dispatched at most before the
-	// covered screening is re-applied. 0 (the default) means 16; negative
-	// values are rejected. The wave schedule — which oracle calls run —
-	// depends on the width, so changing it moves the work counters
-	// (max-flow calls) and, on pieces that hit the stall bailout, can move
-	// the path-dependent relaxation bound; for a FIXED width the result is
-	// still bit-identical for every SepWorkers setting, which is why the
-	// plan cache digests the width. Raise it on many-core machines where
-	// more than 16 concurrent oracle flows pay off; the useful SepWorkers
-	// is capped at this width. A width above a piece's vertex count acts
-	// as that count: one wave then gathers every remaining vertex.
-	SepWaveWidth int
 	// ShardTimings enables per-shard wall-clock diagnostics in
 	// Stats.Shards. Off by default: every evaluation retains one record
 	// per non-trivial component, so a Δ-grid sweep over a graph with many
 	// components would otherwise accumulate shards × grid-points records.
 	ShardTimings bool
-	// Tol is the violation/feasibility tolerance. Default 1e-7.
-	Tol float64
-	// MaxRounds caps cutting-plane rounds per component. Default 1000.
-	MaxRounds int
-	// MaxCutsPerRound admits only the most violated cuts each round,
-	// keeping the working LP small. Default 48.
-	MaxCutsPerRound int
-	// DropSlackAfter ages out a cut after this many consecutive slack
-	// rounds. Default 3.
-	DropSlackAfter int
-	// StallRounds abandons a piece after this many consecutive rounds
-	// without objective improvement, returning the relaxation bound and
-	// recording the residual gap in Stats (see Stats.StalledPieces).
-	// Default 80.
-	StallRounds int
-	// DisableFastPath forces the LP even when a spanning Δ-forest is found
-	// (used by tests to exercise the LP on easy instances).
-	DisableFastPath bool
-	// DisablePeel skips the exact leaf-elimination preprocessing (used by
-	// the ablation benchmarks; results are identical, only slower).
-	DisablePeel bool
-	// LP are the simplex options for each relaxation solve.
-	LP lp.Options
-	// Trace, if set, observes every cutting-plane round (diagnostics).
-	// With Workers > 1 it is called concurrently from several goroutines
-	// and must be safe for that.
-	Trace func(round, activeCuts, newCuts int, value float64)
+
+	// Test hooks, set only by this package's tests; the zero value is the
+	// production engine. noFastPath forces the LP past the spanning-forest
+	// certificates and noPeel skips leaf peeling (both leave values
+	// unchanged); maxRounds and stallRounds override roundLimit and
+	// stallLimit; maxPivots starves each simplex solve; onRound observes
+	// every cutting-plane round, concurrently when Workers > 1.
+	noFastPath, noPeel     bool
+	maxRounds, stallRounds int
+	maxPivots              int
+	onRound                func(round, activeCuts, newCuts int, value float64)
 }
 
-// Normalize returns o with every zero tuning field replaced by its
-// documented default — the form under which two Options ask for the same
-// evaluation. The plan cache digests normalized options so zero-valued and
-// explicit-default configurations share entries. (The nested LP options
-// default per solve, from the problem dimensions, and are left as given.)
-func (o Options) Normalize() Options { return o.withDefaults() }
+// The cutting-plane loop's fixed tuning.
+const (
+	// engineTol is the violation and feasibility tolerance.
+	engineTol = 1e-7
+	// roundLimit caps cutting-plane rounds per piece.
+	roundLimit = 1000
+	// cutsPerRound admits only the most violated cuts each round, keeping
+	// the working LP small.
+	cutsPerRound = 48
+	// dropSlackAfter ages out a cut after this many consecutive slack
+	// rounds.
+	dropSlackAfter = 3
+	// stallLimit abandons a piece after this many consecutive rounds
+	// without objective improvement, returning the relaxation bound and
+	// recording the residual gap in Stats (see Stats.StalledPieces).
+	stallLimit = 80
+)
 
+// withDefaults resolves the round and stall budgets of the test hooks.
 func (o Options) withDefaults() Options {
-	if o.Tol <= 0 {
-		o.Tol = 1e-7
+	if o.maxRounds <= 0 {
+		o.maxRounds = roundLimit
 	}
-	if o.MaxRounds <= 0 {
-		o.MaxRounds = 1000
-	}
-	if o.MaxCutsPerRound <= 0 {
-		o.MaxCutsPerRound = 48
-	}
-	if o.DropSlackAfter <= 0 {
-		o.DropSlackAfter = 3
-	}
-	if o.StallRounds <= 0 {
-		o.StallRounds = 80
-	}
-	if o.SepWaveWidth == 0 {
-		o.SepWaveWidth = sepWaveDefault
+	if o.stallRounds <= 0 {
+		o.stallRounds = stallLimit
 	}
 	return o
 }
@@ -295,19 +267,7 @@ func resolveSepWorkers(opts Options) int {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if wave := resolveSepWave(opts); w > wave {
-		w = wave
-	}
-	return w
-}
-
-// resolveSepWave maps the Options to the oracle's maximum wave width,
-// tolerating un-defaulted options (0 means sepWaveDefault).
-func resolveSepWave(opts Options) int {
-	if opts.SepWaveWidth <= 0 {
-		return sepWaveDefault
-	}
-	return opts.SepWaveWidth
+	return min(w, sepWaveWidth)
 }
 
 // lpValue solves max x(E) over the forest polytope of sub intersected with
@@ -328,7 +288,7 @@ func lpValue(ctx context.Context, sub *graph.Graph, caps []float64, opts Options
 	// carry weight, so new cuts keep moving the LP point along that face
 	// without lowering the objective (the stall detection below handles
 	// the pieces this certificate misses).
-	if !opts.DisableFastPath {
+	if !opts.noFastPath {
 		intCaps := make([]int, n)
 		feasible := true
 		for v := range intCaps {
@@ -406,7 +366,7 @@ func lpValue(ctx context.Context, sub *graph.Graph, caps []float64, opts Options
 	if err := fault.Hit("maxflow.arena"); err != nil {
 		return 0, err
 	}
-	sep := newSeparator(sub, edges, opts.Tol, resolveSepWorkers(opts), resolveSepWave(opts))
+	sep := newSeparator(sub, edges, resolveSepWorkers(opts))
 	cutRow := func(ct *cut) []float64 {
 		row := make([]float64, m)
 		for _, i := range ct.edgeIdx {
@@ -432,7 +392,7 @@ func lpValue(ctx context.Context, sub *graph.Graph, caps []float64, opts Options
 	prevValue := math.Inf(1)
 	stall := 0
 	warmFails := 0
-	for round := 0; round < opts.MaxRounds; round++ {
+	for round := 0; round < opts.maxRounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
@@ -442,7 +402,7 @@ func lpValue(ctx context.Context, sub *graph.Graph, caps []float64, opts Options
 			rows = append(rows, cutRow(ct))
 			rhs = append(rhs, float64(ct.size-1))
 		}
-		lpOpts := opts.LP
+		lpOpts := lp.Options{MaxPivots: opts.maxPivots}
 		if len(rows) >= warmBasisMinRows && warmFails < maxWarmFails {
 			lpOpts.Basis = curBasis
 		}
@@ -466,7 +426,7 @@ func lpValue(ctx context.Context, sub *graph.Graph, caps []float64, opts Options
 		}
 		// Gap pinch: sol.Value bounds the optimum from above, primalLB from
 		// below; when they meet within tolerance the piece is solved.
-		if sol.Value <= primalLB+opts.Tol {
+		if sol.Value <= primalLB+engineTol {
 			if sw != nil {
 				sw.store(orig, active, sol.Basis)
 			}
@@ -475,10 +435,10 @@ func lpValue(ctx context.Context, sub *graph.Graph, caps []float64, opts Options
 		prevBasis := sol.Basis
 		prevActive := append([]*cut(nil), active...)
 
-		cuts, flows := sep.findViolated(sol.X, opts.MaxCutsPerRound)
+		cuts, flows := sep.findViolated(sol.X, cutsPerRound)
 		stats.MaxFlowCalls += flows
-		if opts.Trace != nil {
-			opts.Trace(round, len(active), len(cuts), sol.Value)
+		if opts.onRound != nil {
+			opts.onRound(round, len(active), len(cuts), sol.Value)
 		}
 		if len(cuts) == 0 {
 			if sw != nil {
@@ -496,20 +456,20 @@ func lpValue(ctx context.Context, sub *graph.Graph, caps []float64, opts Options
 		// face (e.g. hub graphs, whose optima are symmetric in which
 		// spokes carry weight). "Frozen" uses a coarser threshold than the
 		// feasibility tolerance: cheap parked-cut revivals let degenerate
-		// instances creep by O(Tol·10³) per round forever, which is the
-		// same pathology at a glacial pace. Try to certify the frozen value
-		// with a primal capped-forest bound; otherwise return the
+		// instances creep by O(engineTol·10³) per round forever, which is
+		// the same pathology at a glacial pace. Try to certify the frozen
+		// value with a primal capped-forest bound; otherwise return the
 		// relaxation bound and record the residual gap.
-		if sol.Value >= prevValue-1000*opts.Tol {
+		if sol.Value >= prevValue-1000*engineTol {
 			stall++
 		} else {
 			stall = 0
 		}
-		if stall >= opts.StallRounds/2 && !sep.noRevive {
+		if stall >= opts.stallRounds/2 && !sep.noRevive {
 			sep.flushParked()
 		}
 		prevValue = sol.Value
-		if stall >= opts.StallRounds {
+		if stall >= opts.stallRounds {
 			if sw != nil {
 				sw.store(orig, active, sol.Basis)
 			}
@@ -518,7 +478,7 @@ func lpValue(ctx context.Context, sub *graph.Graph, caps []float64, opts Options
 			if value < 0 {
 				value = 0
 			}
-			if gap := value - lb; gap > opts.Tol {
+			if gap := value - lb; gap > engineTol {
 				stats.StalledPieces++
 				if gap > stats.StallGap {
 					stats.StallGap = gap
@@ -537,12 +497,12 @@ func lpValue(ctx context.Context, sub *graph.Graph, caps []float64, opts Options
 			for _, i := range ct.edgeIdx {
 				lhs += sol.X[i]
 			}
-			if lhs < float64(ct.size-1)-opts.Tol {
+			if lhs < float64(ct.size-1)-engineTol {
 				ct.slackRounds++
 			} else {
 				ct.slackRounds = 0
 			}
-			if ct.slackRounds >= opts.DropSlackAfter && (ct.revivals < 2 || sep.noRevive) {
+			if ct.slackRounds >= dropSlackAfter && (ct.revivals < 2 || sep.noRevive) {
 				ct.slackParked = true
 				sep.park(ct)
 				continue
@@ -569,7 +529,7 @@ func lpValue(ctx context.Context, sub *graph.Graph, caps []float64, opts Options
 			curBasis = mapBasis(prevBasis, prevActive, active, m, baseRowCount)
 		}
 	}
-	return 0, fmt.Errorf("cutting planes did not converge in %d rounds", opts.MaxRounds)
+	return 0, fmt.Errorf("cutting planes did not converge in %d rounds", opts.maxRounds)
 }
 
 // mapBasis translates a basis across a cutting-plane row change: base rows

@@ -48,7 +48,7 @@ func TestStarClosedForm(t *testing.T) {
 			g := generate.Star(k)
 			want := math.Min(float64(k), delta)
 			for _, disable := range []bool{false, true} {
-				got := value(t, g, delta, Options{DisableFastPath: disable})
+				got := value(t, g, delta, Options{noFastPath: disable})
 				if !approx(got, want) {
 					t.Fatalf("f_%v(K_{1,%d}) = %v, want %v (fastpath disabled=%v)",
 						delta, k, got, want, disable)
@@ -64,7 +64,7 @@ func TestCompleteClosedForm(t *testing.T) {
 		for _, delta := range []float64{0.5, 1, 1.5, 2, 3} {
 			g := generate.Complete(n)
 			want := math.Min(float64(n-1), float64(n)*delta/2)
-			got := value(t, g, delta, Options{DisableFastPath: true})
+			got := value(t, g, delta, Options{noFastPath: true})
 			if !approx(got, want) {
 				t.Fatalf("f_%v(K_%d) = %v, want %v", delta, n, got, want)
 			}
@@ -105,7 +105,7 @@ func TestSpanningForestFastPath(t *testing.T) {
 	g := generate.Caterpillar(5, 2) // tree with max degree 4
 	want := float64(g.SpanningForestSize())
 	for _, disable := range []bool{false, true} {
-		got := value(t, g, 4, Options{DisableFastPath: disable})
+		got := value(t, g, 4, Options{noFastPath: disable})
 		if !approx(got, want) {
 			t.Fatalf("caterpillar f_4 = %v, want %v (disable=%v)", got, want, disable)
 		}
@@ -149,7 +149,7 @@ func TestAgainstBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := value(t, g, delta, Options{DisableFastPath: seed%2 == 0})
+			got := value(t, g, delta, Options{noFastPath: seed%2 == 0})
 			if !approx(got, want) {
 				t.Fatalf("seed %d Δ=%v: cutting planes %v, brute force %v on %v",
 					seed, delta, got, want, g)
@@ -253,7 +253,7 @@ func TestAnchorSetLemma19(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := float64(tc.g.SpanningForestSize())
-			got := value(t, tc.g, tc.delta, Options{DisableFastPath: true})
+			got := value(t, tc.g, tc.delta, Options{noFastPath: true})
 			if !approx(got, want) {
 				t.Fatalf("f_%v = %v, want f_sf = %v", tc.delta, got, want)
 			}
@@ -282,9 +282,9 @@ func TestFractionalDelta(t *testing.T) {
 // bound, so at least two rounds are needed.
 func TestMaxRoundsFailure(t *testing.T) {
 	g := generate.Complete(4)
-	_, _, err := Value(g, 1.5, Options{MaxRounds: 1, DisableFastPath: true})
+	_, _, err := Value(g, 1.5, Options{maxRounds: 1, noFastPath: true})
 	if err == nil {
-		t.Fatal("MaxRounds=1 should fail on K_4 at Δ=1.5")
+		t.Fatal("maxRounds=1 should fail on K_4 at Δ=1.5")
 	}
 }
 
@@ -313,7 +313,7 @@ func TestStatsAccounting(t *testing.T) {
 // still min(k, Δ).
 func TestPeelResolvesStarsWithoutLP(t *testing.T) {
 	g := generate.Star(5)
-	v, stats, err := Value(g, 2, Options{DisableFastPath: true})
+	v, stats, err := Value(g, 2, Options{noFastPath: true})
 	if err != nil {
 		t.Fatal(err)
 	}

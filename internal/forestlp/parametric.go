@@ -77,7 +77,7 @@ func lpValueIncr(ctx context.Context, sub *graph.Graph, edges []graph.Edge, c []
 	if err := fault.Hit("maxflow.arena"); err != nil {
 		return 0, false, err
 	}
-	sep := newSeparator(sub, edges, opts.Tol, resolveSepWorkers(opts), resolveSepWave(opts))
+	sep := newSeparator(sub, edges, resolveSepWorkers(opts))
 	defer func() { stats.CutsRevived += sep.revived }()
 
 	cutRow := func(ct *cut) []float64 {
@@ -119,8 +119,7 @@ func lpValueIncr(ctx context.Context, sub *graph.Graph, edges []graph.Edge, c []
 		for _, ct := range active {
 			rows = append(rows, cutRow(ct))
 		}
-		lpOpts := opts.LP
-		lpOpts.Basis = memoBasis
+		lpOpts := lp.Options{MaxPivots: opts.maxPivots, Basis: memoBasis}
 		var err error
 		pi, err = lp.NewIncremental(c, rows, fullRHS(active), lpOpts)
 		if err != nil {
@@ -144,7 +143,7 @@ func lpValueIncr(ctx context.Context, sub *graph.Graph, edges []graph.Edge, c []
 	prevValue := math.Inf(1)
 	stall := 0
 	pivotsSpent := 0
-	for round := 0; round < opts.MaxRounds; round++ {
+	for round := 0; round < opts.maxRounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return 0, false, err
 		}
@@ -174,16 +173,16 @@ func lpValueIncr(ctx context.Context, sub *graph.Graph, edges []graph.Edge, c []
 
 		// Gap pinch — same certificate, same returned float, as the rebuild
 		// path (the bound depends only on the piece and its caps).
-		if sol.Value <= primalLB+opts.Tol {
+		if sol.Value <= primalLB+engineTol {
 			cheap(pivotsSpent)
 			sw.storeIncr(orig, active, pi)
 			return primalLB, true, nil
 		}
 
-		cuts, flows := sep.findViolated(sol.X, opts.MaxCutsPerRound)
+		cuts, flows := sep.findViolated(sol.X, cutsPerRound)
 		stats.MaxFlowCalls += flows
-		if opts.Trace != nil {
-			opts.Trace(round, len(active), len(cuts), sol.Value)
+		if opts.onRound != nil {
+			opts.onRound(round, len(active), len(cuts), sol.Value)
 		}
 		if len(cuts) == 0 {
 			cheap(pivotsSpent)
@@ -198,23 +197,23 @@ func lpValueIncr(ctx context.Context, sub *graph.Graph, edges []graph.Edge, c []
 		// Stall handling: identical thresholds and bailout semantics to the
 		// rebuild path, so a piece that stalls returns the same kind of
 		// bound whichever engine ran it.
-		if sol.Value >= prevValue-1000*opts.Tol {
+		if sol.Value >= prevValue-1000*engineTol {
 			stall++
 		} else {
 			stall = 0
 		}
-		if stall >= opts.StallRounds/2 {
+		if stall >= opts.stallRounds/2 {
 			sep.flushParked()
 		}
 		prevValue = sol.Value
-		if stall >= opts.StallRounds {
+		if stall >= opts.stallRounds {
 			cheap(pivotsSpent)
 			sw.storeIncr(orig, active, pi)
 			value := sol.Value
 			if value < 0 {
 				value = 0
 			}
-			if gap := value - primalLB; gap > opts.Tol {
+			if gap := value - primalLB; gap > engineTol {
 				stats.StalledPieces++
 				if gap > stats.StallGap {
 					stats.StallGap = gap
@@ -241,5 +240,5 @@ func lpValueIncr(ctx context.Context, sub *graph.Graph, edges []graph.Edge, c []
 		active = append(active, cuts...)
 		stats.CutsAdded += len(cuts)
 	}
-	return 0, false, fmt.Errorf("cutting planes did not converge in %d rounds", opts.MaxRounds)
+	return 0, false, fmt.Errorf("cutting planes did not converge in %d rounds", opts.maxRounds)
 }

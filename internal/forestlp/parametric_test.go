@@ -55,7 +55,7 @@ func TestParametricGridEquivalence(t *testing.T) {
 		g := generate.ErdosRenyi(n, 0.45, rng)
 		p := NewPlan(g)
 		grid := warmTestGrid(t, g)
-		opts := Options{Workers: 1, DisableFastPath: true, DisablePeel: true}
+		opts := Options{Workers: 1, noFastPath: true, noPeel: true}
 
 		incrVals, incrStats, err := p.GridValues(context.Background(), grid, opts)
 		if err != nil {
@@ -185,7 +185,7 @@ func TestParametricObservability(t *testing.T) {
 
 	// Fast path and peel are disabled so the same piece recurs at every
 	// grid point — the precondition for a slide (matching piece signature).
-	opts := Options{Workers: 1, DisableFastPath: true, DisablePeel: true}
+	opts := Options{Workers: 1, noFastPath: true, noPeel: true}
 	var stats Stats
 	warm := newGridWarm(p)
 	for _, d := range grid {

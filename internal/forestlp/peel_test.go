@@ -23,7 +23,7 @@ func TestPeelPreservesValue(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := Value(g, delta, Options{DisableFastPath: true})
+			got, _, err := Value(g, delta, Options{noFastPath: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func TestPeelLollipop(t *testing.T) {
 		t.Fatalf("attachment budget %v, want 2", caps[2])
 	}
 	// End-to-end: f_3 = f_sf = 4 (the graph has a spanning 3-forest).
-	v, _, err := Value(g, 3, Options{DisableFastPath: true})
+	v, _, err := Value(g, 3, Options{noFastPath: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestStallGracefulDegradation(t *testing.T) {
 		t.Skip("stall reproduction is slow")
 	}
 	g := generate.ErdosRenyi(200, 2.0/200, generate.NewRand(160))
-	v, stats, err := Value(g, 4, Options{DisableFastPath: true, MaxRounds: 400, StallRounds: 40})
+	v, stats, err := Value(g, 4, Options{noFastPath: true, maxRounds: 400, stallRounds: 40})
 	if err != nil {
 		t.Fatalf("stall must degrade gracefully, got %v", err)
 	}

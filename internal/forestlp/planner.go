@@ -240,7 +240,7 @@ func (ps *planShard) eval(ctx context.Context, delta float64, opts Options, sw *
 	var stats Stats
 	fsf := float64(ps.n - 1)
 
-	if !opts.DisableFastPath {
+	if !opts.noFastPath {
 		// Lemma 3.3, Item 1: a spanning Δ-forest certifies f_Δ = f_sf.
 		if float64(ps.bfsDeg) <= delta {
 			stats.FastPathHits++
@@ -269,7 +269,7 @@ func (ps *planShard) eval(ctx context.Context, delta float64, opts Options, sw *
 	// solve the LP on each remaining connected piece with its residual
 	// per-vertex budgets.
 	reduced, caps, fixed := ps.sub, uniformCaps(ps.n, delta), 0.0
-	if !opts.DisablePeel {
+	if !opts.noPeel {
 		reduced, caps, fixed = peel(ps.sub, delta)
 	}
 	total := fixed

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"nodedp/internal/generate"
-	"nodedp/internal/lp"
 )
 
 // Property-based tests (testing/quick) over the core invariants of the
@@ -73,11 +72,11 @@ func TestQuickPeelInvariance(t *testing.T) {
 		n := 2 + rng.IntN(10)
 		g := generate.ErdosRenyi(n, 1.5/float64(n)+0.2*rng.Float64(), rng)
 		delta := float64(1 + deltaPick%4)
-		withPeel, _, err := Value(g, delta, Options{DisableFastPath: true})
+		withPeel, _, err := Value(g, delta, Options{noFastPath: true})
 		if err != nil {
 			return false
 		}
-		withoutPeel, _, err := Value(g, delta, Options{DisableFastPath: true, DisablePeel: true})
+		withoutPeel, _, err := Value(g, delta, Options{noFastPath: true, noPeel: true})
 		if err != nil {
 			return false
 		}
@@ -123,10 +122,7 @@ func TestQuickEdgeMonotonicity(t *testing.T) {
 // an error from Value (never a silently wrong value).
 func TestLPFailureInjection(t *testing.T) {
 	g := generate.Cycle(6) // no leaves, no degree-1 spanning forest: LP must run
-	_, _, err := Value(g, 1, Options{
-		DisableFastPath: true,
-		LP:              lp.Options{MaxPivots: 1},
-	})
+	_, _, err := Value(g, 1, Options{noFastPath: true, maxPivots: 1})
 	if err == nil {
 		t.Fatal("starved simplex should propagate an error")
 	}

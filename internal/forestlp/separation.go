@@ -44,13 +44,12 @@ import (
 //     edges incident to the set via a per-vertex edge index instead of
 //     rescanning all m edges.
 
-// sepWaveDefault is the default maximum wave width of the parallel oracle:
-// how many forced vertices are dispatched at most before the covered
-// screening is re-applied. The effective width is configured per evaluation
-// (Options.SepWaveWidth) but never derived from SepWorkers, because the
-// wave schedule determines which oracle calls run, and those must not
-// change with the worker count. The width also caps the useful SepWorkers.
-const sepWaveDefault = 16
+// sepWaveWidth is the maximum wave width of the parallel oracle: how many
+// forced vertices are dispatched at most before the covered screening is
+// re-applied. It is never derived from SepWorkers, because the wave
+// schedule determines which oracle calls run, and those must not change
+// with the worker count. The width also caps the useful SepWorkers.
+const sepWaveWidth = 16
 
 // cutKey is the canonical 128-bit identity of a vertex set: two sets
 // collide only with probability ≈ 2⁻¹²⁸. It replaces the string keys of the
@@ -129,9 +128,8 @@ type separator struct {
 	g        *graph.Graph
 	edges    []graph.Edge
 	incident [][]int32 // incident[v] = indices into edges touching v
-	tol      float64
 	workers  int
-	wave     int             // maximum wave width (Options.SepWaveWidth clamped to [1, n])
+	wave     int             // maximum wave width (sepWaveWidth clamped to n)
 	seen     map[cutKey]bool // canonical keys of every known cut (active or parked)
 
 	// parked holds known-but-inactive cuts: aged-out actives, truncation
@@ -163,17 +161,14 @@ type separator struct {
 	stack    []int32
 }
 
-func newSeparator(g *graph.Graph, edges []graph.Edge, tol float64, workers, wave int) *separator {
+func newSeparator(g *graph.Graph, edges []graph.Edge, workers int) *separator {
 	n := g.N()
-	if wave < 1 {
-		wave = sepWaveDefault
-	}
 	// A wave never holds more than the piece's n forced vertices, and a
 	// width of at least the remaining vertex count gathers all of them, so
-	// wider waves change neither the schedule nor the counters — they would
+	// a wider wave changes neither the schedule nor the counters — it would
 	// only allocate result slots (each with an n-long membership slice)
 	// that no wave fills.
-	wave = min(wave, n)
+	wave := min(sepWaveWidth, n)
 	if workers < 1 {
 		workers = 1
 	}
@@ -200,7 +195,6 @@ func newSeparator(g *graph.Graph, edges []graph.Edge, tol float64, workers, wave
 		g:        g,
 		edges:    edges,
 		incident: incident,
-		tol:      tol,
 		workers:  workers,
 		wave:     wave,
 		seen:     make(map[cutKey]bool),
@@ -244,7 +238,7 @@ func (sp *separator) revive(x []float64) []*cut {
 		for _, i := range ct.edgeIdx {
 			lhs += x[i]
 		}
-		if v := lhs - float64(ct.size-1); v > sp.tol {
+		if v := lhs - float64(ct.size-1); v > engineTol {
 			ct.violation = v
 			ct.slackRounds = 0
 			if ct.slackParked {
@@ -324,7 +318,7 @@ func (sp *separator) findViolated(x []float64, maxCuts int) ([]*cut, int) {
 	// Cheap pass: pair constraints x_e ≤ 1.
 	var pairs []*cut
 	for i, e := range sp.edges {
-		if x[i] > 1+sp.tol {
+		if x[i] > 1+engineTol {
 			ids := []int32{int32(e.U), int32(e.V)}
 			if c, ok := sp.record(ids, x[i]-1, []int32{int32(i)}); ok {
 				pairs = append(pairs, c)
@@ -336,8 +330,8 @@ func (sp *separator) findViolated(x []float64, maxCuts int) ([]*cut, int) {
 	}
 
 	sp.buildTemplate(x)
-	if sp.totalX <= sp.tol {
-		// Every subtour lhs is at most Σx ≤ tol < 1 ≤ |S|−1: nothing to find.
+	if sp.totalX <= engineTol {
+		// Every subtour lhs is at most Σx ≤ engineTol < 1 ≤ |S|−1: nothing to find.
 		return nil, 0
 	}
 	sp.ensureScratch(n)
@@ -413,14 +407,14 @@ func (sp *separator) findViolated(x []float64, maxCuts int) ([]*cut, int) {
 // optimal closure except as the forced anchor, so vertices with no
 // incident fractional weight need no oracle call), the support 2-core
 // screen applies when every edge weight is at most 1 up to a summed slack
-// of tol: peeling a vertex with at most one support edge from a candidate
-// set S changes its violation by 1 − x_e ≥ −max(0, x_e − 1), so any set
-// with violation > tol + Σ_e max(0, x_e−1) peels down to a violated subset
-// inside the 2-core of the support graph, and forcing a vertex there finds
-// a cut at least as strong. Converged rounds — where the oracle's only job
-// is certifying that no violated set exists — often have forest-supported
-// optima whose 2-core is empty, turning the O(n)-flows certification sweep
-// into zero flows.
+// of engineTol: peeling a vertex with at most one support edge from a
+// candidate set S changes its violation by 1 − x_e ≥ −max(0, x_e − 1), so
+// any set with violation > engineTol + Σ_e max(0, x_e−1) peels down to a
+// violated subset inside the 2-core of the support graph, and forcing a
+// vertex there finds a cut at least as strong. Converged rounds — where
+// the oracle's only job is certifying that no violated set exists — often
+// have forest-supported optima whose 2-core is empty, turning the
+// O(n)-flows certification sweep into zero flows.
 func (sp *separator) screenEligible(x []float64) {
 	eligible := sp.eligible
 	n := sp.g.N()
@@ -430,7 +424,7 @@ func (sp *separator) screenEligible(x []float64) {
 	}
 	totalSlack := 0.0
 	for i, e := range sp.edges {
-		if x[i] > sp.tol {
+		if x[i] > engineTol {
 			deg[e.U]++
 			deg[e.V]++
 			if x[i] > 1 {
@@ -438,7 +432,7 @@ func (sp *separator) screenEligible(x []float64) {
 			}
 		}
 	}
-	if totalSlack > sp.tol {
+	if totalSlack > engineTol {
 		// Slack too large for the peeling bound: fall back to the basic
 		// positive-incident-weight screen.
 		for v := 0; v < n; v++ {
@@ -461,7 +455,7 @@ func (sp *separator) screenEligible(x []float64) {
 		}
 		deg[v] = 0
 		for _, i := range sp.incident[v] {
-			if x[i] <= sp.tol {
+			if x[i] <= engineTol {
 				continue
 			}
 			e := sp.edges[i]
@@ -523,7 +517,7 @@ func (sp *separator) emitParts(x []float64, member []bool, cuts []*cut) []*cut {
 			lhs += x[i]
 		}
 		viol := lhs - float64(len(ids)-1)
-		if viol <= sp.tol {
+		if viol <= engineTol {
 			continue
 		}
 		if c, ok := sp.record(ids, viol, edgeIdx); ok {
@@ -573,7 +567,7 @@ func (sp *separator) buildTemplate(x []float64) {
 	sp.template.Reset(m + n + 2)
 	sp.totalX = 0
 	for i, e := range sp.edges {
-		if x[i] <= sp.tol {
+		if x[i] <= engineTol {
 			continue
 		}
 		sp.template.AddEdge(src, 1+i, x[i])
@@ -648,7 +642,7 @@ func (sp *separator) closureInto(u int, arena *maxflow.Network, out *closureResu
 	arena.SetCap(sp.sinkArc[u], 0)
 	flow := arena.MaxFlow(src, snk)
 	w := sp.totalX - flow // = max_{S ∋ u} x(E[S]) − (|S| − 1)
-	if w <= sp.tol {
+	if w <= engineTol {
 		out.violated = false
 		return
 	}

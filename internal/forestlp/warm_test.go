@@ -81,7 +81,9 @@ func TestSepWorkersDeterminism(t *testing.T) {
 			}
 
 			base := run(1)
-			for _, workers := range []int{4, 8} {
+			// 16 is the oracle's wave width and 32 lies above it: both
+			// resolve to as many workers as a wave holds.
+			for _, workers := range []int{4, 8, 16, 32} {
 				got := run(workers)
 				for i := range base.values {
 					if math.Float64bits(got.values[i]) != math.Float64bits(base.values[i]) {
@@ -114,7 +116,7 @@ func TestWarmStartGridEquivalence(t *testing.T) {
 		g := generate.ErdosRenyi(n, 0.45, rng)
 		p := NewPlan(g)
 		grid := warmTestGrid(t, g)
-		opts := Options{Workers: 1, DisableFastPath: true, DisablePeel: true}
+		opts := Options{Workers: 1, noFastPath: true, noPeel: true}
 
 		warmVals, _, err := p.GridValues(context.Background(), grid, opts)
 		if err != nil {
@@ -187,7 +189,7 @@ func TestWarmPoolTranslation(t *testing.T) {
 	// Inject into an identical piece: both cuts are contained and must be
 	// parked with the separator.
 	g := generate.Complete(5)
-	sp := newSeparator(g, g.Edges(), 1e-7, 1, sepWaveDefault)
+	sp := newSeparator(g, g.Edges(), 1)
 	active, basis, seeded := sw.inject(sp, orig)
 	if len(active) != 0 || basis != nil {
 		t.Fatalf("no memo stored, yet inject returned active=%d basis=%v", len(active), basis)
@@ -200,7 +202,7 @@ func TestWarmPoolTranslation(t *testing.T) {
 	}
 
 	// A piece missing shard vertex 5 cannot host the first cut.
-	sp2 := newSeparator(g, g.Edges(), 1e-7, 1, sepWaveDefault)
+	sp2 := newSeparator(g, g.Edges(), 1)
 	_, _, seeded = sw.inject(sp2, []int{2, 4, 7, 9})
 	if seeded != 1 {
 		t.Fatalf("partial piece seeded %d cuts, want 1", seeded)
@@ -216,7 +218,7 @@ func TestWarmMemoNonIdentityPiece(t *testing.T) {
 	orig := []int{2, 4, 5, 7, 9}
 	g := generate.Complete(5)
 
-	sp := newSeparator(g, g.Edges(), 1e-7, 1, sepWaveDefault)
+	sp := newSeparator(g, g.Edges(), 1)
 	ct, ok := sp.record([]int32{0, 2, 3}, 0.5, nil)
 	if !ok {
 		t.Fatal("record failed")
@@ -227,7 +229,7 @@ func TestWarmMemoNonIdentityPiece(t *testing.T) {
 		t.Fatalf("memo not stored for non-identity piece (memos=%d)", len(sw.memos))
 	}
 
-	sp2 := newSeparator(g, g.Edges(), 1e-7, 1, sepWaveDefault)
+	sp2 := newSeparator(g, g.Edges(), 1)
 	active, basis, seeded := sw.inject(sp2, orig)
 	if len(active) != 1 || basis == nil || seeded != 1 {
 		t.Fatalf("memo replay: active=%d basis=%v seeded=%d, want 1 row with a basis", len(active), basis, seeded)
@@ -237,130 +239,14 @@ func TestWarmMemoNonIdentityPiece(t *testing.T) {
 	}
 }
 
-// TestSepWaveWidthDeterminism lifts the historical wave-width cap of 16:
-// at a configured width above it, every SepWorkers setting (including ones
-// only useful beyond the old cap) must still produce bit-identical grid
-// values, identical counting statistics, and identical cut pools. A width
-// change itself may move the schedule — so the fixed-width determinism is
-// the contract — but on converging instances the values must also agree
-// with the default width.
-func TestSepWaveWidthDeterminism(t *testing.T) {
-	const width = 32
-	for seed := uint64(1); seed <= 3; seed++ {
-		rng := generate.NewRand(seed * 977)
-		graphs := []*graph.Graph{
-			generate.PlantedComponents([]int{50}, 4.0/50, rng),
-			generate.WithHubs(generate.ErdosRenyi(48, 2.5/48, rng), 2, 0.25, rng),
-		}
-		for gi, g := range graphs {
-			p := NewPlan(g)
-			grid := warmTestGrid(t, g)
-
-			type outcome struct {
-				values []float64
-				stats  Stats
-				pools  [][]warmCut
-			}
-			run := func(sepWorkers, waveWidth int) outcome {
-				warm := newGridWarm(p)
-				var stats Stats
-				values := make([]float64, len(grid))
-				for i, d := range grid {
-					v, _, st, err := p.point(context.Background(), d,
-						Options{Workers: 1, SepWorkers: sepWorkers, SepWaveWidth: waveWidth}, warm)
-					if err != nil {
-						t.Fatalf("seed %d graph %d sepWorkers %d wave %d: %v", seed, gi, sepWorkers, waveWidth, err)
-					}
-					stats.MergeGridRound(st)
-					values[i] = v
-				}
-				pools := make([][]warmCut, len(warm.shards))
-				for i, sw := range warm.shards {
-					pools[i] = sw.pool
-				}
-				return outcome{values, stats, pools}
-			}
-
-			base := run(1, width)
-			for _, workers := range []int{8, 24, width} {
-				got := run(workers, width)
-				for i := range base.values {
-					if math.Float64bits(got.values[i]) != math.Float64bits(base.values[i]) {
-						t.Errorf("seed %d graph %d: wave %d SepWorkers=%d grid[%d] %v != serial %v",
-							seed, gi, width, workers, i, got.values[i], base.values[i])
-					}
-				}
-				if !reflect.DeepEqual(got.stats, base.stats) {
-					t.Errorf("seed %d graph %d: wave %d SepWorkers=%d stats %+v != serial %+v",
-						seed, gi, width, workers, got.stats, base.stats)
-				}
-				if !reflect.DeepEqual(got.pools, base.pools) {
-					t.Errorf("seed %d graph %d: wave %d SepWorkers=%d cut pools differ from serial",
-						seed, gi, width, workers)
-				}
-			}
-
-			// On converging instances a wider wave reaches the same optimum.
-			if base.stats.StalledPieces == 0 {
-				def := run(1, 0)
-				if def.stats.StalledPieces == 0 {
-					for i := range base.values {
-						if math.Float64bits(def.values[i]) != math.Float64bits(base.values[i]) {
-							t.Errorf("seed %d graph %d: grid[%d] differs across widths on a converging instance: %v (wave %d) vs %v (default)",
-								seed, gi, i, base.values[i], width, def.values[i])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestSepWaveWidthValidation: negative widths are rejected before any
-// evaluation; width 1 (fully sequential dispatch) still works.
-func TestSepWaveWidthValidation(t *testing.T) {
-	g := generate.PlantedComponents([]int{12}, 0.4, generate.NewRand(7))
-	if _, _, err := Value(g, 1, Options{SepWaveWidth: -1}); err == nil {
-		t.Fatal("SepWaveWidth=-1 accepted, want error")
-	}
-	if _, _, err := Value(g, 1, Options{SepWaveWidth: 1}); err != nil {
-		t.Fatalf("SepWaveWidth=1: %v", err)
-	}
-}
-
 // TestSepWaveWidthClampedToPiece: a wave never holds more than a piece's
-// vertices, so the separator clamps a wider configured width to the vertex
-// count instead of allocating result slots that no wave fills. The clamp
-// must not move the schedule: a sweep at a huge width matches a sweep at a
-// width already above every piece, in values and in work counters.
+// vertices, so the separator clamps the wave width, and the SepWorkers it
+// can use, to the vertex count instead of allocating result slots that no
+// wave fills.
 func TestSepWaveWidthClampedToPiece(t *testing.T) {
 	k := generate.Complete(7)
-	if sp := newSeparator(k, k.Edges(), 1e-7, 1<<20, 1<<20); sp.wave != k.N() || sp.workers != k.N() {
+	if sp := newSeparator(k, k.Edges(), 1<<20); sp.wave != k.N() || sp.workers != k.N() {
 		t.Fatalf("wave %d, workers %d on a %d-vertex piece, want both clamped to %d",
 			sp.wave, sp.workers, k.N(), k.N())
-	}
-
-	g := generate.PlantedComponents([]int{60}, 4.5/60, generate.NewRand(77))
-	p := NewPlan(g)
-	grid := warmTestGrid(t, g)
-	sweep := func(width int) ([]float64, Stats) {
-		vals, st, err := p.GridValues(context.Background(), grid, Options{Workers: 1, SepWaveWidth: width})
-		if err != nil {
-			t.Fatalf("wave %d: %v", width, err)
-		}
-		return vals, st
-	}
-	wantVals, wantStats := sweep(1 << 12)
-	if wantStats.MaxFlowCalls == 0 {
-		t.Fatal("the sweep made no oracle calls; pick an LP-heavy instance")
-	}
-	gotVals, gotStats := sweep(1 << 20)
-	for i := range grid {
-		if math.Float64bits(gotVals[i]) != math.Float64bits(wantVals[i]) {
-			t.Errorf("grid[%d]: wave 1<<20 gives %v, wave 1<<12 %v", i, gotVals[i], wantVals[i])
-		}
-	}
-	if !reflect.DeepEqual(gotStats, wantStats) {
-		t.Errorf("stats differ: wave 1<<20 %+v, wave 1<<12 %+v", gotStats, wantStats)
 	}
 }

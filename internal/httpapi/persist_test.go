@@ -6,6 +6,8 @@ package httpapi
 // /metrics and session introspection.
 
 import (
+	"bytes"
+	"context"
 	"io"
 	"math"
 	"net/http"
@@ -14,6 +16,7 @@ import (
 	"testing"
 
 	"nodedp/internal/core"
+	"nodedp/internal/snapshot"
 )
 
 // TestHTTPWarmRestartBitIdentity is the daemon-restart half of the
@@ -164,5 +167,44 @@ func TestHTTPMetricsSnapshotCounters(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestHTTPMetricsEngineStalledPieces: a cached plan whose engine stats
+// record stalled LP pieces shows them in /metrics, so an operator sees
+// that some cached values are relaxation bounds rather than converged
+// optima.
+func TestHTTPMetricsEngineStalledPieces(t *testing.T) {
+	live := core.NewPlanCacheWeighted(1 << 30)
+	if _, _, err := live.GridEval(context.Background(), testGraph(t), core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := live.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := snapshot.Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Entries[0].Stats.StalledPieces = 2
+	buf.Reset()
+	if err := snapshot.Encode(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	cache := core.NewPlanCacheWeighted(1 << 30)
+	if rep, err := cache.Load(&buf); err != nil || rep.Loaded != 1 {
+		t.Fatalf("load: %+v, %v", rep, err)
+	}
+	_, ts := testServer(t, Config{Cache: cache})
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := "nodedp_engine_stalled_pieces 2\n"; !strings.Contains(string(raw), want) {
+		t.Fatalf("/metrics missing %q:\n%s", want, raw)
 	}
 }

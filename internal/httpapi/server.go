@@ -420,6 +420,7 @@ func (s *Server) cacheTotals() core.CacheStats {
 		total.EngineParametricSlides += st.EngineParametricSlides
 		total.EngineParametricCheapSolves += st.EngineParametricCheapSolves
 		total.EngineIncrementalFallbacks += st.EngineIncrementalFallbacks
+		total.EngineStalledPieces += st.EngineStalledPieces
 	}
 	return total
 }
@@ -579,7 +580,6 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	opts.ForestLP.Workers = req.Workers
 	opts.ForestLP.SepWorkers = req.SepWorkers
-	opts.ForestLP.SepWaveWidth = req.SepWaveWidth
 	sess, err := serve.Open(r.Context(), g, opts)
 	if err != nil {
 		abort()
@@ -964,6 +964,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		"nodedp_engine_parametric_slides":                  float64(cs.EngineParametricSlides),
 		"nodedp_engine_parametric_cheap_solves":            float64(cs.EngineParametricCheapSolves),
 		"nodedp_engine_incremental_fallbacks":              float64(cs.EngineIncrementalFallbacks),
+		"nodedp_engine_stalled_pieces":                     float64(cs.EngineStalledPieces),
 	})
 }
 

@@ -224,6 +224,11 @@ func TestHTTPErrorTaxonomy(t *testing.T) {
 
 	eb = ErrorBody{}
 	code = doJSON(t, "POST", ts.URL+"/v1/graphs",
+		map[string]any{"n": 4, "edges": [][2]int{{0, 1}}, "budget": 1, "sep_wave_width": 32}, &eb)
+	check("removed sep_wave_width field", http.StatusBadRequest, CodeInvalidRequest, code, eb)
+
+	eb = ErrorBody{}
+	code = doJSON(t, "POST", ts.URL+"/v1/graphs",
 		CreateSessionRequest{N: 4, Edges: [][2]int{{0, 1}}, Budget: 1, Accountant: "renyi"}, &eb)
 	check("bad accountant", http.StatusBadRequest, CodeInvalidRequest, code, eb)
 

@@ -117,11 +117,11 @@ func WriteGraph(w io.Writer, g *Graph) error { return graph.WriteEdgeList(w, g) 
 // run concurrently inside a single component (0 = inherit Workers) — the
 // lever for graphs dominated by one giant component; the released value
 // is identical for every setting of either. Useful SepWorkers is capped
-// at the oracle's maximum wave width, Options.ForestLP.SepWaveWidth
-// (default 16; raise it on many-core machines). Grid sweeps warm-start
-// adjacent Δ evaluations (cut pool, simplex bases, and standing solvers
-// slid across the grid); where the cutting planes converge, that state
-// moves only work counters, never values.
+// at the oracle's fixed wave width of 16. The engine's tuning is not
+// configurable, so a plan depends only on the graph and DeltaMax. Grid
+// sweeps warm-start adjacent Δ evaluations (cut pool, simplex bases, and
+// standing solvers slid across the grid); where the cutting planes
+// converge, that state moves only work counters, never values.
 type Options = core.Options
 
 // Result is the outcome of a private estimation, including the selected
@@ -343,7 +343,8 @@ func NewPlanCache(capacity int) *PlanCache { return core.NewPlanCache(capacity) 
 // computes it. It keys the PlanCache and identifies sessions.
 type Fingerprint = graph.Fingerprint
 
-// LipschitzOptions configures LipschitzExtensionValue.
+// LipschitzOptions schedules LipschitzExtensionValue's work: Workers,
+// SepWorkers and ShardTimings, none of which changes the value.
 type LipschitzOptions = forestlp.Options
 
 // LipschitzStats reports the work done by one extension evaluation,
@@ -359,10 +360,14 @@ type LipschitzStats = forestlp.Stats
 const IncrementalCheapPivots = forestlp.IncrementalCheapPivots
 
 // LipschitzExtensionValue computes f_Δ(G), the paper's Lipschitz extension
-// of the spanning-forest size (Definition 3.1), exactly (up to LP
-// tolerance). This value is data-dependent and NOT private by itself; feed
-// it to your own Laplace release (scale Δ/ε) if you need a fixed-Δ
-// mechanism, or use EstimateSpanningForestSize for the full algorithm.
+// of the spanning-forest size (Definition 3.1), up to LP tolerance when
+// every LP piece converges. When LipschitzStats.StalledPieces > 0 the
+// cutting planes stalled and the value is only an upper bound on f_Δ, by
+// at most LipschitzStats.StallGap, so it need not be Δ-Lipschitz. The
+// value is data-dependent and NOT private by itself; feed it to your own
+// Laplace release (scale Δ/ε) only when no piece stalled — as
+// FixedDeltaComponentCountKnownN does — or use EstimateSpanningForestSize
+// for the full algorithm.
 //
 // Independent per-component LPs run concurrently when opts.Workers allows
 // (0 defaults to runtime.GOMAXPROCS); the result is bit-for-bit identical
@@ -449,7 +454,8 @@ func NaiveNodeDPComponentCount(rng *rand.Rand, g *Graph, eps float64) (float64, 
 // caller-chosen Lipschitz parameter Δ: the paper's mechanism without the
 // GEM selection step. ε-node-private for the f_sf part (n is treated as
 // public). Useful as an ablation and as the rigorous "calibrate to max
-// degree" baseline (Δ = MaxDegree()).
+// degree" baseline (Δ = MaxDegree()). It returns an error, releasing
+// nothing, when the evaluation of f_Δ stalled on an LP piece.
 func FixedDeltaComponentCountKnownN(rng *rand.Rand, g *Graph, delta, eps float64, opts LipschitzOptions) (float64, error) {
 	return baseline.FixedDeltaComponentCountKnownN(rng, g, delta, eps, opts)
 }

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"nodedp/internal/generate"
 )
 
 // These tests exercise the public facade end to end, the way a downstream
@@ -210,5 +212,24 @@ func TestPreparedIntrospection(t *testing.T) {
 	}
 	if prep.Releases() != 3 || prep.SpentBudget() != 3 {
 		t.Fatalf("after 3 releases: releases=%d spent=%v", prep.Releases(), prep.SpentBudget())
+	}
+}
+
+// TestFixedDeltaRefusesStalledEvaluation: on a spider, the one-shot
+// evaluation at a Δ below the hub's forced degree stalls and returns a
+// relaxation bound instead of f_Δ. The fixed-Δ release must refuse it
+// rather than publish it behind Δ/ε noise; at a Δ the spanning-forest fast
+// path settles, it releases.
+func TestFixedDeltaRefusesStalledEvaluation(t *testing.T) {
+	g := spiderGraph(12, 4, 5, 0.65, 1)
+	if _, st, err := LipschitzExtensionValue(g, 8, LipschitzOptions{}); err != nil || st.StalledPieces == 0 {
+		t.Fatalf("precondition: want a stalled evaluation at Δ=8, got %+v, %v", st, err)
+	}
+	rng := generate.NewRand(1)
+	if v, err := FixedDeltaComponentCountKnownN(rng, g, 8, 1e9, LipschitzOptions{}); err == nil {
+		t.Fatalf("stalled evaluation released %v", v)
+	}
+	if _, err := FixedDeltaComponentCountKnownN(rng, g, 16, 1, LipschitzOptions{}); err != nil {
+		t.Fatalf("Δ=16: %v", err)
 	}
 }

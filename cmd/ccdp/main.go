@@ -235,7 +235,7 @@ func runDaemon(args []string, stdout io.Writer) error {
 	maxSessions := fs.Int("max-sessions", httpapi.DefaultMaxSessions, "maximum live sessions across all tenants")
 	maxPerTenant := fs.Int("max-per-tenant", httpapi.DefaultMaxPerTenant, "maximum live sessions per tenant")
 	idleTTL := fs.Duration("idle-ttl", httpapi.DefaultIdleTTL, "evict sessions idle longer than this")
-	cacheWeight := fs.Int64("cache-weight", httpapi.DefaultCacheWeight, "plan-cache budget in grid-evaluation cost units (≈ (n+m)·grid points per plan); per tenant by default, but with -cache-file it sizes the ONE cache shared by all tenants")
+	cacheWeight := fs.Int64("cache-weight", httpapi.DefaultCacheWeight, "plan-cache budget in grid-evaluation cost units (≈ (n+m)·grid points per plan; must be positive); per tenant by default, but with -cache-file it sizes the ONE cache shared by all tenants")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "maximum time to wait for in-flight requests on shutdown")
 	cacheFile := fs.String("cache-file", "", "snapshot file for warm restarts: load the plan cache from it on boot, persist on drain/interval/admin request (implies ONE cache shared across tenants)")
 	cacheSaveInterval := fs.Duration("cache-save-interval", 5*time.Minute, "periodically persist the plan cache to -cache-file (0 disables the timer; drain and admin saves still run)")
@@ -250,6 +250,9 @@ func runDaemon(args []string, stdout io.Writer) error {
 	}
 	if *maxInflight <= 0 || *readLimit <= 0 || *maxSessions <= 0 || *maxPerTenant <= 0 {
 		return usageError(fs, "-max-inflight, -read-limit, -max-sessions and -max-per-tenant must be positive")
+	}
+	if *cacheWeight <= 0 {
+		return usageError(fs, "-cache-weight must be positive, got %d", *cacheWeight)
 	}
 	if *cacheSaveInterval < 0 {
 		return usageError(fs, "-cache-save-interval must be ≥ 0, got %v", *cacheSaveInterval)
@@ -411,8 +414,8 @@ func runDaemon(args []string, stdout io.Writer) error {
 				api.Sweep()
 			case <-saveC:
 				// Dirty-bit gated: a quiet interval (no inserts, hits, or
-				// invalidations since the last save) skips the serialization
-				// and the rename entirely. Drain and admin saves stay
+				// evictions since the last save) skips the serialization and
+				// the rename entirely. Drain and admin saves stay
 				// unconditional.
 				if _, _, err := api.SaveCacheIfChanged(); err != nil {
 					fmt.Fprintf(stdout, "ccdp daemon: WARNING: periodic plan-cache save failed: %v\n", err)

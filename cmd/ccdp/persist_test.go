@@ -22,14 +22,16 @@ import (
 
 // TestDaemonCacheFileFlagValidation: nonsensical persistence flags and an
 // unwritable snapshot path are boot-time errors, not SIGTERM-time
-// surprises.
+// surprises. A non-positive -cache-weight is a usage error with or without
+// -cache-file.
 func TestDaemonCacheFileFlagValidation(t *testing.T) {
 	dir := t.TempDir()
-	cases := []struct {
+	type flagCase struct {
 		name string
 		args []string
 		want string
-	}{
+	}
+	cases := []flagCase{
 		{
 			name: "negative save interval",
 			args: []string{"daemon", "-cache-file", filepath.Join(dir, "c.snap"), "-cache-save-interval", "-5s"},
@@ -45,6 +47,19 @@ func TestDaemonCacheFileFlagValidation(t *testing.T) {
 			args: []string{"daemon", "-listen", "127.0.0.1:0", "-cache-file", filepath.Join(dir, "no-such-dir", "c.snap")},
 			want: "not writable",
 		},
+	}
+	for _, w := range []string{"0", "-1"} {
+		cases = append(cases,
+			flagCase{
+				name: "cache weight " + w,
+				args: []string{"daemon", "-listen", "127.0.0.1:0", "-cache-weight", w},
+				want: "-cache-weight must be positive",
+			},
+			flagCase{
+				name: "cache weight " + w + " with cache file",
+				args: []string{"daemon", "-listen", "127.0.0.1:0", "-cache-weight", w, "-cache-file", filepath.Join(dir, "w.snap")},
+				want: "-cache-weight must be positive",
+			})
 	}
 	for _, tc := range cases {
 		err := run(tc.args, strings.NewReader(""), &bytes.Buffer{})

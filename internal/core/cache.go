@@ -11,13 +11,14 @@ package core
 //
 // Cached GridEvals are immutable and shared by reference; the cache only
 // bounds how many distinct (graph, DeltaMax) evaluations it retains, not
-// their lifetime in sessions that already hold one.
+// their lifetime in sessions that already hold one. A mutated graph's old
+// plan is never removed explicitly: no lookup can hit it again, so it ages
+// out under the entry-count or weight bound like any other cold entry.
 
 import (
 	"container/list"
 	"context"
 	"errors"
-	"fmt"
 	"strconv"
 	"sync"
 
@@ -32,11 +33,11 @@ const DefaultPlanCacheCapacity = 16
 
 // CacheStats reports a PlanCache's counters. Hits and Misses count GridEval
 // lookups; Evictions counts entries dropped by the LRU bounds (entry count
-// or weight); Invalidations counts entries removed by Invalidate; Coalesced
-// counts lookups that joined another caller's in-flight evaluation of the
-// same key instead of duplicating it (single-flight).
+// or weight); Coalesced counts lookups that joined another caller's
+// in-flight evaluation of the same key instead of duplicating it
+// (single-flight).
 type CacheStats struct {
-	Hits, Misses, Evictions, Invalidations, Coalesced int64
+	Hits, Misses, Evictions, Coalesced int64
 	// SnapshotSaves and SnapshotLoads count Save/Load passes;
 	// SnapshotEntriesSaved, SnapshotEntriesLoaded, and
 	// SnapshotEntriesSkipped count the entries they wrote, merged in, and
@@ -123,14 +124,6 @@ type flight struct {
 	done chan struct{}
 	ge   *GridEval
 	err  error
-	// invalidated is set (under the cache mutex) by Invalidate while the
-	// evaluation is still in flight. The leader reads it under the same
-	// mutex when it finishes: a marked flight's result is neither admitted
-	// to the cache nor handed to waiters as a hit — waiters are released
-	// with a cancelation so the single-flight loop makes them re-evaluate
-	// against the post-invalidation cache instead of adopting a plan the
-	// invalidator believes is gone.
-	invalidated bool
 }
 
 // PlanCache is a bounded, thread-safe LRU cache of grid evaluations keyed
@@ -154,9 +147,9 @@ type PlanCache struct {
 	subLL      *list.List // front = most recently used
 	subEntries map[subPlanKey]*list.Element
 
-	// gen counts persisted-state changes — inserts, loads, evictions,
-	// invalidations, and hits (a hit refreshes the recency order and the
-	// GreedyDual-Size credit, both of which Save writes out) — and
+	// gen counts persisted-state changes — inserts, loads, evictions, and
+	// hits (a hit refreshes the recency order and the GreedyDual-Size
+	// credit, both of which Save writes out) — and
 	// savedGen records gen at the last successful save. Equal values mean
 	// a snapshot taken now would be byte-identical to the one on disk, so
 	// SaveFileIfChanged skips it (the daemon's periodic-save dirty bit).
@@ -329,26 +322,15 @@ func (c *PlanCache) plan(ctx context.Context, n int, fp graph.Fingerprint, opts 
 
 		c.mu.Lock()
 		delete(c.inflight, key)
-		stale := f.invalidated
-		if f.err == nil && !stale {
+		if f.err == nil {
 			c.insertLocked(key, f.ge)
 		}
 		c.mu.Unlock()
-		ge, evalErr := f.ge, f.err
-		if evalErr == nil && stale {
-			// Invalidate ran while this evaluation was in flight. The result
-			// is still correct for the snapshot this caller evaluated —
-			// return it to them — but it is not admitted above, and waiters
-			// must not adopt it as a hit: hand them a cancelation so the
-			// single-flight loop sends each one back through a fresh lookup.
-			f.ge = nil
-			f.err = fmt.Errorf("core: plan-cache flight invalidated mid-evaluation: %w", context.Canceled)
-		}
 		close(f.done)
-		if evalErr != nil {
-			return nil, Lookup{}, evalErr
+		if f.err != nil {
+			return nil, Lookup{}, f.err
 		}
-		return ge, lk, nil
+		return f.ge, lk, nil
 	}
 }
 
@@ -402,46 +384,6 @@ func (c *PlanCache) admitLocked(key cacheKey, ge *GridEval, h float64) {
 // errIsCancel reports whether err is a context cancelation or deadline.
 func errIsCancel(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// Invalidate removes every cached evaluation of the graph with the given
-// fingerprint (across all DeltaMax values) and returns how many entries were
-// dropped. Mutating a graph already changes its fingerprint, so future
-// lookups would miss anyway; Invalidate exists to reclaim the memory of
-// evaluations that can no longer be hit and to give mutation sites an
-// explicit hook.
-func (c *PlanCache) Invalidate(fp graph.Fingerprint) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Mark in-flight evaluations of the fingerprint: their leaders finish,
-	// see the mark under this same mutex, and neither admit the result nor
-	// let waiters adopt it (see the flight type). Without the mark, a
-	// leader finishing after Invalidate returned would quietly re-insert an
-	// entry the caller was promised is gone.
-	for key, f := range c.inflight {
-		if key.fp == fp {
-			f.invalidated = true
-		}
-	}
-	// Component sub-plans are deliberately not touched: they are keyed by
-	// component content shared across graphs, and the point of a mutation
-	// is that untouched components keep their cached work.
-	removed := 0
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		if entry := el.Value.(*cacheEntry); entry.key.fp == fp {
-			c.ll.Remove(el)
-			delete(c.entries, entry.key)
-			c.weight -= entry.ge.Cost()
-			c.stats.Invalidations++
-			removed++
-		}
-		el = next
-	}
-	if removed > 0 {
-		c.gen++
-	}
-	return removed
 }
 
 // Stats returns a snapshot of the cache counters, including the per-entry

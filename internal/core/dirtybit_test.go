@@ -3,7 +3,7 @@ package core
 // Tests for the dirty-bit snapshot gate: SaveFileIfChanged must skip the
 // write when nothing a snapshot persists has changed since the last save,
 // and must write again after any persisted mutation — an insert, a hit
-// (recency and credit are persisted state), or an invalidation.
+// (recency and credit are persisted state), or a load.
 
 import (
 	"context"
@@ -89,22 +89,6 @@ func TestSaveFileIfChangedDirtyTriggers(t *testing.T) {
 	n, saved, err := c.SaveFileIfChanged(path)
 	if err != nil || !saved || n != 2 {
 		t.Fatalf("save after insert: n=%d saved=%v err=%v, want 2 entries", n, saved, err)
-	}
-
-	// An invalidation dirties the cache; invalidating a fingerprint that is
-	// not cached does not.
-	fp := c.Fingerprints()[0]
-	if removed := c.Invalidate(fp); removed == 0 {
-		t.Fatal("Invalidate removed nothing")
-	}
-	if _, saved, err := c.SaveFileIfChanged(path); err != nil || !saved {
-		t.Fatalf("save after invalidate: saved=%v err=%v, want a write", saved, err)
-	}
-	if removed := c.Invalidate(fp); removed != 0 {
-		t.Fatalf("second Invalidate removed %d", removed)
-	}
-	if _, saved, err := c.SaveFileIfChanged(path); err != nil || saved {
-		t.Fatalf("save after no-op invalidate: saved=%v err=%v, want skip", saved, err)
 	}
 }
 

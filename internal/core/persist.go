@@ -24,7 +24,6 @@ import (
 	"io"
 	"math"
 
-	"nodedp/internal/graph"
 	"nodedp/internal/mechanism"
 	"nodedp/internal/snapshot"
 )
@@ -86,7 +85,7 @@ func (c *PlanCache) SaveFile(path string) (int, error) {
 
 // SaveFileIfChanged is SaveFile gated by the cache's generation counter:
 // when nothing that a snapshot persists has changed since the last
-// successful save — no inserts, loads, hits, evictions, or invalidations —
+// successful save — no inserts, loads, hits, or evictions —
 // the serialization and the atomic rename are skipped entirely and the
 // skip is counted in Stats().SnapshotSavesSkipped. saved reports whether a
 // file was written. This is the daemon's periodic-save path; explicit
@@ -290,22 +289,4 @@ func gridEvalFromSnapshot(e *snapshot.Entry) (*GridEval, error) {
 		fsf:         e.FSF,
 		stats:       e.Stats,
 	}, nil
-}
-
-// Fingerprints returns the distinct graph fingerprints currently cached, in
-// most-recently-used-first order of their first appearance — introspection
-// for tests and for operators deciding what a snapshot would persist.
-func (c *PlanCache) Fingerprints() []graph.Fingerprint {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	seen := make(map[graph.Fingerprint]bool, c.ll.Len())
-	var out []graph.Fingerprint
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		fp := el.Value.(*cacheEntry).key.fp
-		if !seen[fp] {
-			seen[fp] = true
-			out = append(out, fp)
-		}
-	}
-	return out
 }

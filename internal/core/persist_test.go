@@ -167,7 +167,7 @@ func TestSaveLoadMultiEntryOrderAndCredit(t *testing.T) {
 		t.Fatalf("load: %+v, %v", rep, err)
 	}
 
-	if got, want := warm.Fingerprints(), live.Fingerprints(); !reflect.DeepEqual(got, want) {
+	if got, want := cachedFingerprints(warm), cachedFingerprints(live); !reflect.DeepEqual(got, want) {
 		t.Fatalf("recency order changed across reload:\nlive %v\nwarm %v", want, got)
 	}
 	// Per-entry GreedyDual-Size credits survive: compare the internal h
@@ -181,6 +181,18 @@ func TestSaveLoadMultiEntryOrderAndCredit(t *testing.T) {
 
 // entryCredits returns each entry's credit above the cache clock in MRU
 // order (clamped the way Save clamps).
+// cachedFingerprints lists the cached entries' graph fingerprints in
+// most-recently-used-first order.
+func cachedFingerprints(c *PlanCache) []graph.Fingerprint {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []graph.Fingerprint
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(*cacheEntry).key.fp)
+	}
+	return out
+}
+
 func entryCredits(c *PlanCache) []float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

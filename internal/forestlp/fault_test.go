@@ -19,7 +19,8 @@ import (
 // TestInjectedDistressFallsBackBitIdentical arms the standing-solver
 // distress failpoint with a seeded coin and requires the sweep to finish
 // with the exact values of a clean run — the fault changes the route
-// (rebuild instead of slide), never the result.
+// (rebuild instead of slide), never the result. The clean run itself
+// must not fall back.
 func TestInjectedDistressFallsBackBitIdentical(t *testing.T) {
 	defer fault.Reset()
 	lowerIncrGate(t)
@@ -27,9 +28,12 @@ func TestInjectedDistressFallsBackBitIdentical(t *testing.T) {
 	p := NewPlan(g)
 	grid := warmTestGrid(t, g)
 
-	clean, _, err := p.GridValues(context.Background(), grid, Options{Workers: 1})
+	clean, cleanStats, err := p.GridValues(context.Background(), grid, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cleanStats.IncrementalFallbacks != 0 {
+		t.Fatalf("clean run recorded %d fallbacks", cleanStats.IncrementalFallbacks)
 	}
 
 	if err := fault.Arm("lp.incremental.distress=prob:0.5:41"); err != nil {

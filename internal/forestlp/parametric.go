@@ -53,12 +53,6 @@ const incrRowCap = 4096
 // label the counter with its definition.
 const IncrementalCheapPivots = 8
 
-// testHookPoisonIncr, when non-nil, observes every standing solver a piece
-// evaluation obtains (fresh or slid) before its first Solve. Tests use it
-// to Poison solvers on demand and drive the numerical-distress fallback,
-// which organic conditions produce too rarely to test against.
-var testHookPoisonIncr func(*lp.Incremental)
-
 // lpValueIncr runs the cutting-plane loop for one piece on a standing
 // incremental solver. It returns ok=false (with no error) when the piece
 // should fall back to the rebuild path; an error return aborts the
@@ -125,9 +119,6 @@ func lpValueIncr(ctx context.Context, sub *graph.Graph, edges []graph.Edge, c []
 		if err != nil {
 			return 0, false, err
 		}
-	}
-	if testHookPoisonIncr != nil {
-		testHookPoisonIncr(pi)
 	}
 
 	fallback := func() (float64, bool, error) {

@@ -403,7 +403,6 @@ func (s *Server) cacheTotals() core.CacheStats {
 		total.Misses += st.Misses
 		total.Coalesced += st.Coalesced
 		total.Evictions += st.Evictions
-		total.Invalidations += st.Invalidations
 		total.Entries += st.Entries
 		total.Weight += st.Weight
 		total.SubPlanHits += st.SubPlanHits
@@ -898,7 +897,6 @@ func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 			Misses:                 cs.Misses,
 			Coalesced:              cs.Coalesced,
 			Evictions:              cs.Evictions,
-			Invalidations:          cs.Invalidations,
 			Entries:                cs.Entries,
 			Weight:                 cs.Weight,
 			WeightCapacity:         cs.WeightCapacity,

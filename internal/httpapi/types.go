@@ -271,7 +271,6 @@ type CacheInfo struct {
 	Misses         int64   `json:"misses"`
 	Coalesced      int64   `json:"coalesced"`
 	Evictions      int64   `json:"evictions"`
-	Invalidations  int64   `json:"invalidations"`
 	Entries        int     `json:"entries"`
 	Weight         int64   `json:"weight"`
 	WeightCapacity int64   `json:"weight_capacity,omitempty"`

@@ -1,11 +1,13 @@
 package lp
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/big"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -94,7 +96,7 @@ func TestIncrementalAppendRowsAgainstRebuild(t *testing.T) {
 					t.Fatalf("trial %d: AppendRows: %v", trial, err)
 				}
 			}
-			got, err := inc.Solve()
+			got, err := inc.SolveCtx(context.Background())
 			if err != nil {
 				t.Fatalf("trial %d m=%d: incremental Solve: %v", trial, m, err)
 			}
@@ -162,7 +164,7 @@ func TestIncrementalSetRHSSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := inc.Solve(); err != nil {
+		if _, err := inc.SolveCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		scales := []float64{0.5, 0.25, 1, 2, 0.75}
@@ -174,7 +176,7 @@ func TestIncrementalSetRHSSweep(t *testing.T) {
 			if err := inc.SetRHS(bs); err != nil {
 				t.Fatalf("trial %d scale %v: SetRHS: %v", trial, s, err)
 			}
-			got, err := inc.Solve()
+			got, err := inc.SolveCtx(context.Background())
 			if err != nil {
 				t.Fatalf("trial %d scale %v: Solve: %v", trial, s, err)
 			}
@@ -184,51 +186,6 @@ func TestIncrementalSetRHSSweep(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestIncrementalAppendColumns grows the column side, which the forest LP
-// does not exercise but the solver advertises.
-func TestIncrementalAppendColumns(t *testing.T) {
-	rng := rand.New(rand.NewSource(63))
-	for trial := 0; trial < 15; trial++ {
-		n := 4 + rng.Intn(4)
-		m := 4 + rng.Intn(4)
-		nExtra := 1 + rng.Intn(3)
-		c, a, b := randomForestish(rng, n+nExtra, m)
-
-		inc, err := NewIncremental(c[:n], trimCols(a, n), b, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := inc.Solve(); err != nil {
-			t.Fatal(err)
-		}
-		for j := n; j < n+nExtra; j++ {
-			col := make([]float64, m)
-			for i := range col {
-				col[i] = a[i][j]
-			}
-			if err := inc.AppendColumns([][]float64{col}, []float64{c[j]}); err != nil {
-				t.Fatalf("trial %d: AppendColumns: %v", trial, err)
-			}
-			got, err := inc.Solve()
-			if err != nil {
-				t.Fatalf("trial %d col %d: Solve: %v", trial, j, err)
-			}
-			exact := ratValue(t, c[:j+1], trimCols(a, j+1), b)
-			if math.Abs(got.Value-exact) > 1e-7*(1+math.Abs(exact)) {
-				t.Fatalf("trial %d col %d: incremental %v vs exact %v", trial, j, got.Value, exact)
-			}
-		}
-	}
-}
-
-func trimCols(a [][]float64, n int) [][]float64 {
-	out := make([][]float64, len(a))
-	for i := range a {
-		out[i] = a[i][:n]
-	}
-	return out
 }
 
 // TestIncrementalDegenerate hammers a highly degenerate family — many
@@ -275,7 +232,7 @@ func TestIncrementalDegenerate(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got, err := inc.Solve()
+		got, err := inc.SolveCtx(context.Background())
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -300,7 +257,7 @@ func TestIncrementalWarmStartAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := inc.Solve()
+	first, err := inc.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +270,7 @@ func TestIncrementalWarmStartAccounting(t *testing.T) {
 	if math.Abs(first.Value-cold.Value) > 1e-9*(1+math.Abs(cold.Value)) {
 		t.Fatalf("warm %v vs cold %v", first.Value, cold.Value)
 	}
-	second, err := inc.Solve()
+	second, err := inc.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +284,7 @@ func TestIncrementalWarmStartAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := inc2.Solve()
+	s2, err := inc2.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,22 +306,20 @@ func TestIncrementalRefactorize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inc.Solve(); err != nil {
+	if _, err := inc.SolveCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := inc.AppendRows(a[3:], b[3:]); err != nil {
 		t.Fatal(err)
 	}
-	before, err := inc.Solve()
+	before, err := inc.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := inc.opts.withDefaults(inc.m, inc.n)
-	inc.refactorize(opts)
-	if inc.Refactorizations() != 1 {
-		t.Fatalf("refactorizations = %d, want 1", inc.Refactorizations())
+	if _, ok := inc.refactorize(); !ok {
+		t.Fatal("refactorizing an optimal basis failed")
 	}
-	after, err := inc.Solve()
+	after, err := inc.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +332,7 @@ func TestIncrementalRefactorize(t *testing.T) {
 }
 
 // TestIncrementalPoison pins the distress contract: a poisoned solver
-// fails every Solve with ErrNumericalDistress and stays failed.
+// fails every solve with ErrNumericalDistress and stays failed.
 func TestIncrementalPoison(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	c, a, b := randomForestish(rng, 6, 4)
@@ -385,14 +340,14 @@ func TestIncrementalPoison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inc.Solve(); err != nil {
+	if _, err := inc.SolveCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	inc.Poison()
-	if _, err := inc.Solve(); !errors.Is(err, ErrNumericalDistress) {
+	inc.poisoned = true
+	if _, err := inc.SolveCtx(context.Background()); !errors.Is(err, ErrNumericalDistress) {
 		t.Fatalf("poisoned Solve returned %v, want ErrNumericalDistress", err)
 	}
-	if _, err := inc.Solve(); !errors.Is(err, ErrNumericalDistress) {
+	if _, err := inc.SolveCtx(context.Background()); !errors.Is(err, ErrNumericalDistress) {
 		t.Fatal("distress must be sticky")
 	}
 }
@@ -408,7 +363,7 @@ func TestIncrementalResidualCheckHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := inc.Solve()
+	want, err := inc.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +380,7 @@ func TestIncrementalResidualCheckHeals(t *testing.T) {
 	if !corrupted {
 		t.Skip("optimum has no positive basic structural variable to corrupt")
 	}
-	got, err := inc.Solve()
+	got, err := inc.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatalf("self-check should heal via refactorization, got %v", err)
 	}
@@ -461,10 +416,77 @@ func TestIncrementalBadInput(t *testing.T) {
 	if err := inc.AppendRows([][]float64{{1}}, []float64{1}); !errors.Is(err, ErrBadInput) {
 		t.Fatal("AppendRows ragged row must be rejected")
 	}
-	if err := inc.AppendColumns([][]float64{{1, 1}}, []float64{1}); !errors.Is(err, ErrBadInput) {
-		t.Fatal("AppendColumns wrong height must be rejected")
-	}
 	if err := inc.AppendRows(nil, nil); err != nil {
 		t.Fatalf("empty append must be a no-op, got %v", err)
+	}
+}
+
+// TestMaximizeMatchesFreshIncremental pins that Maximize and a fresh
+// standing solver are one solver. On random forest-shaped programs and
+// three starts — cold, an accepted basis (the optimum of the same rows,
+// reused under a shifted rhs) and a rejected one (duplicate entries) —
+// Maximize and NewIncremental followed by SolveCtx must return the same
+// status, the same bits in Value and every X entry, and the same basis and
+// pivot accounting.
+func TestMaximizeMatchesFreshIncremental(t *testing.T) {
+	rng := rand.New(rand.NewSource(69))
+	for trial := 0; trial < 40; trial++ {
+		n := 4 + rng.Intn(8)
+		m := 3 + rng.Intn(8)
+		c, a, b := randomForestish(rng, n, m)
+		// Tenths are not dyadic, so the bits of Value depend on the order
+		// of its sum.
+		for j := range c {
+			c[j] += float64(rng.Intn(10)) / 10
+		}
+		opt, err := Maximize(c, a, b, Options{})
+		if err != nil || opt.Status != Optimal {
+			t.Fatalf("trial %d: cold solve: %v %v", trial, err, opt.Status)
+		}
+		shifted := make([]float64, m)
+		for i := range shifted {
+			shifted[i] = b[i] + float64(rng.Intn(3))
+		}
+		starts := []struct {
+			name  string
+			b     []float64
+			basis []int
+			warm  bool
+		}{
+			{"cold", b, nil, false},
+			{"accepted", shifted, opt.Basis, true},
+			{"rejected", b, make([]int, m), false},
+		}
+		for _, st := range starts {
+			want, err := Maximize(c, a, st.b, Options{Basis: st.basis})
+			if err != nil {
+				t.Fatalf("trial %d %s: Maximize: %v", trial, st.name, err)
+			}
+			inc, err := NewIncremental(c, a, st.b, Options{Basis: st.basis})
+			if err != nil {
+				t.Fatalf("trial %d %s: NewIncremental: %v", trial, st.name, err)
+			}
+			got, err := inc.SolveCtx(context.Background())
+			if err != nil {
+				t.Fatalf("trial %d %s: SolveCtx: %v", trial, st.name, err)
+			}
+			if want.WarmStarted != st.warm {
+				t.Fatalf("trial %d %s: WarmStarted = %v, want %v", trial, st.name, want.WarmStarted, st.warm)
+			}
+			if got.Status != want.Status || math.Float64bits(got.Value) != math.Float64bits(want.Value) {
+				t.Fatalf("trial %d %s: incremental %v %v, Maximize %v %v",
+					trial, st.name, got.Status, got.Value, want.Status, want.Value)
+			}
+			for j := range want.X {
+				if math.Float64bits(got.X[j]) != math.Float64bits(want.X[j]) {
+					t.Fatalf("trial %d %s: x[%d] = %v, Maximize %v", trial, st.name, j, got.X[j], want.X[j])
+				}
+			}
+			if !slices.Equal(got.Basis, want.Basis) || got.Pivots != want.Pivots ||
+				got.WarmPivots != want.WarmPivots || got.WarmStarted != want.WarmStarted ||
+				got.Refactorizations != want.Refactorizations || len(got.X) != len(want.X) {
+				t.Fatalf("trial %d %s: incremental %+v\nMaximize %+v", trial, st.name, got, want)
+			}
+		}
 	}
 }

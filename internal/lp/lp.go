@@ -1,5 +1,4 @@
-// Package lp implements a dense primal simplex solver for linear programs
-// of the form
+// Package lp solves linear programs of the form
 //
 //	maximize    c·x
 //	subject to  A x ≤ b,  x ≥ 0,  with b ≥ 0,
@@ -9,10 +8,14 @@
 // cutting-plane loop in internal/forestlp. The restriction b ≥ 0 means the
 // all-slack basis is feasible, so no phase-one is needed.
 //
-// Two solvers are provided: a float64 tableau simplex (Dantzig pricing with
-// a Bland's-rule fallback for anti-cycling) used in production, and an
-// exact big.Rat simplex (Bland's rule throughout) used by tests to certify
-// the float results on small instances.
+// Production runs one float64 tableau simplex (Dantzig pricing with a
+// Bland's-rule fallback for anti-cycling) through two entry points that
+// share its tableau set-up, basis warm start and pivot loop: Maximize
+// solves one program, and Incremental keeps the tableau standing between
+// solves so that appended cut rows and a moved rhs cost a few pivots
+// instead of a rebuild. MaximizeRat is an exact big.Rat simplex (Bland's
+// rule throughout) that tests use to certify the float results on small
+// instances.
 package lp
 
 import (
@@ -29,6 +32,15 @@ import (
 // that an aborted solve stops within microseconds, large enough that the
 // poll never shows up in pivot-bound profiles.
 const ctxCheckEvery = 64
+
+// tol is the feasibility and optimality tolerance of the float simplex.
+// It is typed, so constant expressions over it round as float64
+// arithmetic would: 1000*tol is 1.0000000000000002e-06, not 1e-6.
+const tol float64 = 1e-9
+
+// blandAfter switches pricing from Dantzig to Bland's rule after this
+// many consecutive non-improving (degenerate) pivots.
+const blandAfter = 64
 
 // Status describes the outcome of a solve.
 type Status int
@@ -59,7 +71,7 @@ func (s Status) String() string {
 	}
 }
 
-// Solution is the result of Maximize.
+// Solution is the result of a solve: Maximize or Incremental.SolveCtx.
 type Solution struct {
 	Status Status
 	// Value is c·X.
@@ -68,10 +80,11 @@ type Solution struct {
 	X []float64
 	// Pivots is the number of simplex pivots performed.
 	Pivots int
-	// WarmPivots is the number of Gauss–Jordan eliminations spent restoring
-	// Options.Basis before iterating (0 for cold solves and rejected
-	// warm starts). Restoration pivots cost the same tableau work as
-	// simplex iterations, so honest accounting sums both.
+	// WarmPivots counts the Gauss–Jordan eliminations and dual-simplex
+	// pivots spent before the primal iterations: restoring Options.Basis
+	// (also when it is then rejected) and, on the standing solver,
+	// repairing after a mutation or a refactorization. They cost the same
+	// tableau work as simplex iterations, so honest accounting sums both.
 	WarmPivots int
 	// WarmStarted reports whether Options.Basis was accepted: restored to a
 	// feasible basic point that the iterations then continued from.
@@ -88,15 +101,11 @@ type Solution struct {
 	Refactorizations int
 }
 
-// Options tunes the solver. The zero value uses sensible defaults.
+// Options tunes a solve. The zero value is a cold solve under the default
+// pivot budget.
 type Options struct {
-	// Tol is the feasibility/optimality tolerance. Default 1e-9.
-	Tol float64
 	// MaxPivots caps simplex iterations. Default 50*(rows+cols)+1000.
 	MaxPivots int
-	// BlandAfter switches from Dantzig to Bland's rule after this many
-	// consecutive non-improving (degenerate) pivots. Default 64.
-	BlandAfter int
 	// Basis, when non-nil, is a starting basis from a previous Solution on
 	// a structurally compatible program (one basic variable per row, same
 	// columns; the rhs and appended rows may differ). The solver restores
@@ -110,17 +119,12 @@ type Options struct {
 	Basis []int
 }
 
-func (o Options) withDefaults(rows, cols int) Options {
-	if o.Tol <= 0 {
-		o.Tol = 1e-9
-	}
+// pivotLimit is MaxPivots, defaulted for a program of the given size.
+func (o Options) pivotLimit(rows, cols int) int {
 	if o.MaxPivots <= 0 {
-		o.MaxPivots = 50*(rows+cols) + 1000
+		return 50*(rows+cols) + 1000
 	}
-	if o.BlandAfter <= 0 {
-		o.BlandAfter = 64
-	}
-	return o
+	return o.MaxPivots
 }
 
 // ErrBadInput is wrapped by errors returned for malformed problems.
@@ -136,10 +140,7 @@ func Maximize(c []float64, a [][]float64, b []float64, opts Options) (Solution, 
 // ctx.Err() once the context is done. The checkpoints perform no float
 // arithmetic, so a solve that runs to completion walks a pivot trajectory
 // bit-identical to Maximize — cancellation support cannot perturb
-// released values. Cancellation deliberately arrives as a new function
-// rather than an Options field: Options is stringified into the plan
-// cache's key digest, and a new field would silently invalidate every
-// persisted plan.
+// released values.
 //
 // When the context carries a trace span (internal/obs), the solve
 // accumulates lp_solves/lp_pivots/lp_warm_pivots counter attributes onto
@@ -157,100 +158,145 @@ func MaximizeCtx(ctx context.Context, c []float64, a [][]float64, b []float64, o
 }
 
 func maximizeCtx(ctx context.Context, c []float64, a [][]float64, b []float64, opts Options) (Solution, error) {
+	if err := checkProblem(c, a, b); err != nil {
+		return Solution{}, err
+	}
 	m, n := len(a), len(c)
-	if len(b) != m {
-		return Solution{}, fmt.Errorf("%w: %d rows but %d rhs entries", ErrBadInput, m, len(b))
-	}
-	for i, row := range a {
-		if len(row) != n {
-			return Solution{}, fmt.Errorf("%w: row %d has %d entries, want %d", ErrBadInput, i, len(row), n)
-		}
-	}
-	for i, bi := range b {
-		if bi < 0 {
-			return Solution{}, fmt.Errorf("%w: b[%d]=%v < 0 (standard-form solver needs b ≥ 0)", ErrBadInput, i, bi)
-		}
-		if math.IsNaN(bi) || math.IsInf(bi, 0) {
-			return Solution{}, fmt.Errorf("%w: b[%d]=%v", ErrBadInput, i, bi)
-		}
-	}
-	for j, cj := range c {
-		if math.IsNaN(cj) || math.IsInf(cj, 0) {
-			return Solution{}, fmt.Errorf("%w: c[%d]=%v", ErrBadInput, j, cj)
-		}
-	}
-	opts = opts.withDefaults(m, n)
-
-	// Tableau layout: rows 0..m-1 are constraints over columns
-	// [0,n) structural, [n,n+m) slack, column n+m is the rhs.
-	// Row m is the objective row holding reduced costs (z_j - c_j) and the
-	// current objective value in the rhs cell.
-	build := func() ([][]float64, []int) {
-		width := n + m + 1
-		tab := make([][]float64, m+1)
-		for i := 0; i < m; i++ {
-			tab[i] = make([]float64, width)
-			copy(tab[i], a[i])
-			tab[i][n+i] = 1
-			tab[i][n+m] = b[i]
-		}
-		obj := make([]float64, width)
-		for j := 0; j < n; j++ {
-			obj[j] = -c[j]
-		}
-		tab[m] = obj
-		basis := make([]int, m) // basis[i] = variable basic in row i
-		for i := range basis {
-			basis[i] = n + i
-		}
-		return tab, basis
-	}
-	tab, basis := build()
-
-	sol := Solution{}
-	if opts.Basis != nil {
-		ok, restored := restoreBasis(tab, basis, opts.Basis, n, m, opts.Tol)
-		sol.WarmPivots = restored
-		if ok {
-			// The restored basis is dual-feasible by construction (the
-			// objective row was carried through the eliminations); repair
-			// any primal infeasibility — negative rhs in rows whose
-			// constraints the old optimum violates — with dual simplex.
-			dual, repaired := dualRepair(tab, basis, n, m, opts)
-			sol.WarmPivots += dual
-			ok = repaired
-		}
-		sol.WarmStarted = ok
-		if !ok {
-			// The attempted basis was malformed, singular, or beyond dual
-			// repair: fall back to a pristine all-slack tableau.
-			tab, basis = build()
-		}
-	}
+	tab, basis, warmPivots, warm := startTableau(c, a, b, opts.Basis)
+	sol := Solution{WarmPivots: warmPivots, WarmStarted: warm}
 	var err error
-	sol.Status, sol.Pivots, err = primalIterate(ctx, tab, basis, n, m, opts)
+	sol.Status, sol.Pivots, err = primalIterate(ctx, tab, basis, n, m, opts.pivotLimit(m, n))
 	if err != nil {
 		return Solution{}, err
 	}
+	sol.X = extractX(tab, basis, n, m)
+	sol.Basis = append([]int(nil), basis...)
 	if sol.Status == Unbounded {
 		sol.Value = math.Inf(1)
-		sol.X = extractX(tab, basis, n, m)
-		sol.Basis = append([]int(nil), basis...)
 		return sol, nil
 	}
-	sol.X = extractX(tab, basis, n, m)
-	sol.Value = 0
 	for j := 0; j < n; j++ {
 		sol.Value += c[j] * sol.X[j]
 	}
-	sol.Basis = append([]int(nil), basis...)
 	return sol, nil
 }
 
+// checkProblem validates a program's shape, rhs and objective in
+// O(rows + cols), cheap enough for every Maximize call. NewIncremental,
+// whose tableau outlives many solves, also scans every entry of a
+// (checkEntries).
+func checkProblem(c []float64, a [][]float64, b []float64) error {
+	m, n := len(a), len(c)
+	if len(b) != m {
+		return fmt.Errorf("%w: %d rows but %d rhs entries", ErrBadInput, m, len(b))
+	}
+	for i, row := range a {
+		if len(row) != n {
+			return fmt.Errorf("%w: row %d has %d entries, want %d", ErrBadInput, i, len(row), n)
+		}
+	}
+	if err := checkRHS(b); err != nil {
+		return err
+	}
+	for j, cj := range c {
+		if math.IsNaN(cj) || math.IsInf(cj, 0) {
+			return fmt.Errorf("%w: c[%d]=%v", ErrBadInput, j, cj)
+		}
+	}
+	return nil
+}
+
+// checkRHS requires every rhs entry to be finite and ≥ 0.
+func checkRHS(b []float64) error {
+	for i, bi := range b {
+		if bi < 0 {
+			return fmt.Errorf("%w: b[%d]=%v < 0 (standard-form solver needs b ≥ 0)", ErrBadInput, i, bi)
+		}
+		if math.IsNaN(bi) || math.IsInf(bi, 0) {
+			return fmt.Errorf("%w: b[%d]=%v", ErrBadInput, i, bi)
+		}
+	}
+	return nil
+}
+
+// checkEntries requires every constraint coefficient to be finite.
+func checkEntries(a [][]float64) error {
+	for i, row := range a {
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: a[%d][%d]=%v", ErrBadInput, i, j, v)
+			}
+		}
+	}
+	return nil
+}
+
+// newTableau builds the all-slack tableau of max c·x s.t. Ax ≤ b, x ≥ 0
+// and its basis (basis[i] = the variable basic in row i). Rows 0..m-1 are
+// the constraints over columns [0,n) structural, [n,n+m) slack and n+m
+// the rhs; row m is the objective row, holding the reduced costs
+// (z_j − c_j) and, in its rhs cell, the current objective value.
+func newTableau(c []float64, a [][]float64, b []float64) ([][]float64, []int) {
+	m, n := len(a), len(c)
+	width := n + m + 1
+	tab := make([][]float64, m+1)
+	for i := 0; i < m; i++ {
+		tab[i] = make([]float64, width)
+		copy(tab[i], a[i])
+		tab[i][n+i] = 1
+		tab[i][n+m] = b[i]
+	}
+	obj := make([]float64, width)
+	for j := 0; j < n; j++ {
+		obj[j] = -c[j]
+	}
+	tab[m] = obj
+	basis := make([]int, m)
+	for i := range basis {
+		basis[i] = n + i
+	}
+	return tab, basis
+}
+
+// startTableau builds the tableau of max c·x s.t. Ax ≤ b, x ≥ 0 and, when
+// want is non-nil, warm-starts it on that basis. A rejected basis leaves
+// the all-slack start, which b ≥ 0 makes feasible: the result is correct
+// either way, only the pivot count changes. It returns the warm-start
+// pivots, counted even on rejection, and whether want was accepted.
+func startTableau(c []float64, a [][]float64, b []float64, want []int) (tab [][]float64, basis []int, pivots int, warm bool) {
+	tab, basis = newTableau(c, a, b)
+	if want == nil {
+		return tab, basis, 0, false
+	}
+	pivots, restored, repaired := warmStart(tab, basis, want, len(c), len(a))
+	if warm = restored && repaired; !warm {
+		tab, basis = newTableau(c, a, b)
+	}
+	return tab, basis, pivots, warm
+}
+
+// warmStart moves a freshly built all-slack tableau onto the basis set
+// want (restoreBasis) and then repairs, by dual simplex, the primal
+// infeasibility the current rhs leaves there (dualRepair) — the
+// cutting-plane case, where newly added rows are violated by the old
+// optimum. The restored basis is dual-feasible by construction: the
+// objective row is carried through the eliminations. pivots counts both
+// steps, also on failure. restored=false means want is malformed or
+// singular, repaired=false that the repair gave up; either way the
+// tableau is unusable and the caller rebuilds it or gives up.
+func warmStart(tab [][]float64, basis, want []int, n, m int) (pivots int, restored, repaired bool) {
+	restored, pivots = restoreBasis(tab, basis, want, n, m)
+	if !restored {
+		return pivots, false, false
+	}
+	d, repaired := dualRepair(tab, basis, n, m)
+	return pivots + d, true, repaired
+}
+
 // primalIterate runs the primal simplex loop — Dantzig pricing with a
-// Bland's-rule fallback after BlandAfter consecutive degenerate pivots —
+// Bland's-rule fallback after blandAfter consecutive degenerate pivots —
 // on a primal-feasible tableau until optimality is proven, unboundedness
-// is detected, or the pivot budget runs out. It is shared by Maximize and
+// is detected, or maxPivots pivots are spent. It is shared by Maximize and
 // the Incremental solver so both walk bit-identical pivot trajectories:
 // the determinism contract upstream (seeded releases identical across
 // solver configurations) leans on the two paths performing the same float
@@ -260,12 +306,12 @@ func maximizeCtx(ctx context.Context, c []float64, a [][]float64, b []float64, o
 // returns it when the context is done. The poll touches no tableau state,
 // so completed solves are bit-identical whether or not a deadline was
 // attached.
-func primalIterate(ctx context.Context, tab [][]float64, basis []int, n, m int, opts Options) (Status, int, error) {
+func primalIterate(ctx context.Context, tab [][]float64, basis []int, n, m, maxPivots int) (Status, int, error) {
 	obj := tab[m]
 	degenerate := 0
 	lastValue := currentValue(obj, n, m)
 	pivots := 0
-	for ; pivots < opts.MaxPivots; pivots++ {
+	for ; pivots < maxPivots; pivots++ {
 		if pivots%ctxCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return IterationLimit, pivots, err
@@ -273,17 +319,17 @@ func primalIterate(ctx context.Context, tab [][]float64, basis []int, n, m int, 
 		}
 		// Pricing: pick entering column.
 		enter := -1
-		if degenerate >= opts.BlandAfter {
+		if degenerate >= blandAfter {
 			// Bland's rule: smallest index with negative reduced cost.
 			for j := 0; j < n+m; j++ {
-				if obj[j] < -opts.Tol {
+				if obj[j] < -tol {
 					enter = j
 					break
 				}
 			}
 		} else {
 			// Dantzig: most negative reduced cost.
-			best := -opts.Tol
+			best := -tol
 			for j := 0; j < n+m; j++ {
 				if obj[j] < best {
 					best = obj[j]
@@ -300,12 +346,12 @@ func primalIterate(ctx context.Context, tab [][]float64, basis []int, n, m int, 
 		bestRatio := math.Inf(1)
 		for i := 0; i < m; i++ {
 			aie := tab[i][enter]
-			if aie <= opts.Tol {
+			if aie <= tol {
 				continue
 			}
 			ratio := tab[i][n+m] / aie
-			if ratio < bestRatio-opts.Tol ||
-				(ratio < bestRatio+opts.Tol && (leave == -1 || basis[i] < basis[leave])) {
+			if ratio < bestRatio-tol ||
+				(ratio < bestRatio+tol && (leave == -1 || basis[i] < basis[leave])) {
 				bestRatio = ratio
 				leave = i
 			}
@@ -318,7 +364,7 @@ func primalIterate(ctx context.Context, tab [][]float64, basis []int, n, m int, 
 		basis[leave] = enter
 
 		cur := currentValue(obj, n, m)
-		if cur <= lastValue+opts.Tol {
+		if cur <= lastValue+tol {
 			degenerate++
 		} else {
 			degenerate = 0
@@ -338,14 +384,14 @@ func primalIterate(ctx context.Context, tab [][]float64, basis []int, n, m int, 
 // re-solve would spend. Returns ok=false when the repair exceeds its
 // budget or a row proves locally unfixable; the caller then rebuilds cold,
 // so a failed repair costs pivots but never correctness.
-func dualRepair(tab [][]float64, basis []int, n, m int, opts Options) (pivots int, ok bool) {
+func dualRepair(tab [][]float64, basis []int, n, m int) (pivots int, ok bool) {
 	obj := tab[m]
 	// Budget proportional to the damage: a healthy repair resolves each
 	// infeasible row in O(1) pivots, so anything far beyond that is a
 	// degenerate walk that would rival a cold solve — fail fast instead.
 	neg := 0
 	for i := 0; i < m; i++ {
-		if tab[i][n+m] < -opts.Tol {
+		if tab[i][n+m] < -tol {
 			neg++
 		}
 	}
@@ -354,7 +400,7 @@ func dualRepair(tab [][]float64, basis []int, n, m int, opts Options) (pivots in
 		// Leaving row: most negative rhs (ties to the smallest basic
 		// variable, for determinism).
 		leave := -1
-		worst := -opts.Tol
+		worst := -tol
 		for i := 0; i < m; i++ {
 			rhs := tab[i][n+m]
 			//detlint:allow floatorder — bit-exact tie detection: rows whose rhs ties to the current worst must defer to the smallest-basic-variable rule for deterministic pivoting
@@ -382,11 +428,11 @@ func dualRepair(tab [][]float64, basis []int, n, m int, opts Options) (pivots in
 		best := math.Inf(1)
 		for j := 0; j < n+m; j++ {
 			aij := tab[leave][j]
-			if aij >= -opts.Tol {
+			if aij >= -tol {
 				continue
 			}
 			ratio := obj[j] / -aij
-			if ratio < best-opts.Tol {
+			if ratio < best-tol {
 				best = ratio
 				enter = j
 			}
@@ -418,7 +464,7 @@ func dualRepair(tab [][]float64, basis []int, n, m int, opts Options) (pivots in
 // current rhs — dualRepair handles that; restoration itself only
 // guarantees that the objective row holds the basis's reduced costs and
 // each wanted column is a unit vector.
-func restoreBasis(tab [][]float64, basis, want []int, n, m int, tol float64) (bool, int) {
+func restoreBasis(tab [][]float64, basis, want []int, n, m int) (bool, int) {
 	if len(want) != m {
 		return false, 0
 	}

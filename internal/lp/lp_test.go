@@ -219,6 +219,16 @@ func TestWarmStartSlackPermutation(t *testing.T) {
 	}
 }
 
+// TestCertTolIsFloat64Product pins the residual self-check tolerance to
+// the float64 product of 1000 and 1e-9, the value the check has always
+// used. tol is typed for this: were it untyped, 1000*tol would be exactly
+// 1e-6, one ulp lower.
+func TestCertTolIsFloat64Product(t *testing.T) {
+	if certTol != 1.0000000000000002e-06 {
+		t.Fatalf("certTol = %v, want 1.0000000000000002e-06", certTol)
+	}
+}
+
 func TestStatusString(t *testing.T) {
 	if Optimal.String() != "optimal" || Unbounded.String() != "unbounded" ||
 		IterationLimit.String() != "iteration-limit" || Status(99).String() != "Status(99)" {

@@ -254,7 +254,7 @@ type Session struct {
 //
 // Mutating g after Open does not affect the session (it serves the
 // snapshot); it does change g's fingerprint, so a later Open sees the new
-// graph. Use Cache.Invalidate to reclaim stale cached plans.
+// graph. The stale cached plan ages out under the cache's bound.
 func Open(ctx context.Context, g *graph.Graph, opts SessionOptions) (*Session, error) {
 	acct := opts.Accountant
 	if acct != nil {

@@ -315,7 +315,8 @@ const (
 // Hand the same cache to many Open calls (SessionOptions.Cache) and
 // identical graphs — even ones re-read from disk or built in a different
 // edge order — skip planning entirely; any one-edge difference misses.
-// Invalidate reclaims entries for a mutated graph.
+// A mutated graph's stale plan is never hit again and ages out under the
+// cache's entry-count or weight bound.
 //
 // A cache can persist across process restarts: SaveFile snapshots every
 // entry to a versioned binary file (atomic write-then-rename), and

@@ -20,7 +20,7 @@ package nodedp
 // (both deterministic, so they compare with the frozen rows on any
 // machine), ns/op, bytes allocated per op, and the flow and pivot
 // reductions against the frozen legacy and warm rows. It also certifies the determinism contract:
-// seeded releases bit-identical across SepWorkers ∈ {1,4,8}.
+// seeded releases bit-identical across Workers ∈ {1,4,8}.
 
 import (
 	"context"
@@ -165,7 +165,7 @@ type sepBenchRecord struct {
 	// the frozen rows).
 	BytesPerOp int64 `json:"bytes_per_op,omitempty"`
 	// ReleasesBitIdentical certifies that a seeded release is bit-for-bit
-	// equal across SepWorkers ∈ {1,4,8}.
+	// equal across Workers ∈ {1,4,8}.
 	ReleasesBitIdentical bool `json:"releases_bit_identical"`
 	MaxProcs             int  `json:"gomaxprocs"`
 }
@@ -190,14 +190,14 @@ func sepBenchHistory(t *testing.T) map[[2]string]sepBenchRecord {
 }
 
 // sepReleaseBitIdentical runs a seeded end-to-end release on g at every
-// SepWorkers ∈ {1,4,8} and reports whether all are bit-equal.
+// Workers ∈ {1,4,8}, which also sizes the separation oracle's pool, and
+// reports whether all are bit-equal.
 func sepReleaseBitIdentical(t *testing.T, g *graph.Graph) bool {
 	t.Helper()
 	var want float64
-	for i, sepWorkers := range []int{1, 4, 8} {
+	for i, workers := range []int{1, 4, 8} {
 		opts := core.Options{Epsilon: 1, Rand: generate.NewRand(42)}
-		opts.ForestLP.Workers = 1
-		opts.ForestLP.SepWorkers = sepWorkers
+		opts.ForestLP.Workers = workers
 		res, err := core.EstimateComponentCount(g, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -307,7 +307,7 @@ func TestEmitSepBenchJSON(t *testing.T) {
 				f.Name, rec.StalledPieces)
 		}
 		if !rec.ReleasesBitIdentical {
-			t.Errorf("%s: seeded releases not bit-identical across SepWorkers", f.Name)
+			t.Errorf("%s: seeded releases not bit-identical across Workers", f.Name)
 		}
 	}
 	out, err := json.MarshalIndent(records, "", "  ")

@@ -5,13 +5,13 @@
 // One-shot usage:
 //
 //	ccdp -epsilon 1.0 [-mode cc|cc-known-n|sf] [-input graph.txt] [-seed 0]
-//	     [-workers 0] [-sep-workers 0] [-timeout 0] [-v]
+//	     [-workers 0] [-timeout 0] [-v]
 //
 // Serving usage (one plan, many budget-accounted queries):
 //
 //	ccdp serve -budget 4.0 -queries queries.txt [-input graph.txt]
 //	     [-accountant sequential|advanced] [-acct-delta 0]
-//	     [-seed 0] [-workers 0] [-sep-workers 0] [-timeout 0] [-v]
+//	     [-seed 0] [-workers 0] [-timeout 0] [-v]
 //
 // Daemon usage (multi-tenant HTTP/JSON front end over sessions):
 //
@@ -58,14 +58,11 @@
 // only — a reproducible release is not private).
 //
 // -workers sets how many per-component LPs the evaluation engine solves
-// concurrently (0 = all CPUs); the released value is identical for every
-// setting. Negative values are a usage error.
-//
-// -sep-workers sets how many max-flow oracle calls run concurrently inside
-// a single component's separation round — the lever for graphs whose work
-// is one giant component, where -workers has nothing to parallelize
-// (0 = inherit -workers). The released value is identical for every
-// setting. Negative values are a usage error.
+// concurrently (0 = all CPUs), and also how many max-flow oracle calls run
+// concurrently inside a single component's separation round (at most 16)
+// — the parallelism left for graphs whose work is one giant component.
+// The released value is identical for every setting. Negative values are
+// a usage error.
 //
 // -timeout bounds the whole run. In one-shot mode an expired deadline
 // aborts the single estimation before any noise is drawn, spending no
@@ -152,8 +149,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	mode := fs.String("mode", "cc", "what to estimate: cc (components), cc-known-n (components, public vertex count), sf (spanning-forest size)")
 	input := fs.String("input", "", "edge-list file (default: stdin)")
 	seed := fs.Uint64("seed", 0, "0 = crypto randomness; nonzero = reproducible (testing only)")
-	workers := fs.Int("workers", 0, "concurrent component LP solves (0 = all CPUs, ≥ 0; result is identical for any value)")
-	sepWorkers := fs.Int("sep-workers", 0, "concurrent separation oracle calls within one component (0 = inherit -workers, ≥ 0; result is identical for any value)")
+	workers := fs.Int("workers", 0, "concurrent component LP solves, also bounding the concurrent separation oracle calls within one component (0 = all CPUs, ≥ 0; result is identical for any value)")
 	timeout := fs.Duration("timeout", 0, "abort the estimation after this long, spending no budget (0 = no deadline)")
 	verbose := fs.Bool("v", false, "print selection diagnostics (NOT private; testing only)")
 	if err := fs.Parse(args); err != nil {
@@ -164,9 +160,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	if *workers < 0 {
 		return usageError(fs, "-workers must be ≥ 0, got %d", *workers)
-	}
-	if *sepWorkers < 0 {
-		return usageError(fs, "-sep-workers must be ≥ 0, got %d", *sepWorkers)
 	}
 
 	g, closeInput, err := readInputGraph(stdin, *input)
@@ -180,8 +173,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		opts.Rand = nodedp.NewRand(*seed)
 	}
 	opts.ForestLP.Workers = *workers
-	opts.ForestLP.SepWorkers = *sepWorkers
-	opts.ForestLP.ShardTimings = *verbose
 
 	ctx, cancel := timeoutContext(*timeout)
 	defer cancel()
@@ -217,7 +208,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "  solver: %d pivots, %d parametric slides (%d in ≤%d pivots), %d refactorizations, %d fallbacks\n",
 			res.Stats.SimplexPivots, res.Stats.ParametricSlides, res.Stats.ParametricCheapSolves,
 			nodedp.IncrementalCheapPivots, res.Stats.Refactorizations, res.Stats.IncrementalFallbacks)
-		printShardTimings(stdout, res.Stats.Shards)
 	}
 	return nil
 }
@@ -505,8 +495,7 @@ func runServe(args []string, stdin io.Reader, stdout io.Writer) error {
 	queries := fs.String("queries", "", "query file, one \"<mode> <epsilon> [seed]\" per line (required)")
 	input := fs.String("input", "", "edge-list file (default: stdin)")
 	seed := fs.Uint64("seed", 0, "session noise source: 0 = crypto randomness; nonzero = reproducible (testing only); per-query seeds override")
-	workers := fs.Int("workers", 0, "concurrent component LP solves for the one-time plan build (0 = all CPUs, ≥ 0)")
-	sepWorkers := fs.Int("sep-workers", 0, "concurrent separation oracle calls within one component (0 = inherit -workers, ≥ 0)")
+	workers := fs.Int("workers", 0, "concurrent component LP solves for the one-time plan build, also bounding the concurrent separation oracle calls within one component (0 = all CPUs, ≥ 0)")
 	timeout := fs.Duration("timeout", 0, "deadline for plan build + all queries; an expired query fails without spending its ε (0 = no deadline)")
 	auditLog := fs.String("audit-log", "", "append every privacy-ledger operation to this CRC-guarded file (verify offline with `ccdp audit -log <file>`)")
 	verbose := fs.Bool("v", false, "print per-query selection diagnostics (NOT private; testing only)")
@@ -521,9 +510,6 @@ func runServe(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	if *workers < 0 {
 		return usageError(fs, "-workers must be ≥ 0, got %d", *workers)
-	}
-	if *sepWorkers < 0 {
-		return usageError(fs, "-sep-workers must be ≥ 0, got %d", *sepWorkers)
 	}
 
 	reqs, err := readQueryFile(*queries)
@@ -561,7 +547,6 @@ func runServe(args []string, stdin io.Reader, stdout io.Writer) error {
 		sopts.Rand = nodedp.NewRand(*seed)
 	}
 	sopts.ForestLP.Workers = *workers
-	sopts.ForestLP.SepWorkers = *sepWorkers
 
 	ctx, cancel := timeoutContext(*timeout)
 	defer cancel()
@@ -756,27 +741,4 @@ func printConfigSummary(w io.Writer, indent string, fs *flag.FlagSet) {
 func usageError(fs *flag.FlagSet, format string, args ...interface{}) error {
 	fs.Usage()
 	return fmt.Errorf(format, args...)
-}
-
-// printShardTimings summarizes the slowest component evaluations across the
-// whole Δ-grid (the Stats carry one record per shard per grid point).
-func printShardTimings(w io.Writer, shards []nodedp.ShardTiming) {
-	if len(shards) == 0 {
-		return
-	}
-	slowest := shards[0]
-	var total time.Duration
-	lp := 0
-	for _, s := range shards {
-		total += s.Duration
-		if !s.FastPath {
-			lp++
-		}
-		if s.Duration > slowest.Duration {
-			slowest = s
-		}
-	}
-	fmt.Fprintf(w, "  shards: %d evaluations (%d via LP), Σ %s; slowest shard #%d (n=%d m=%d) took %s\n",
-		len(shards), lp, total.Round(time.Microsecond), slowest.Shard,
-		slowest.Vertices, slowest.Edges, slowest.Duration.Round(time.Microsecond))
 }

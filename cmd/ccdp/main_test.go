@@ -70,9 +70,14 @@ func TestRunFromFile(t *testing.T) {
 	}
 }
 
+// workersMask matches what -v output legitimately varies with -workers: the
+// effective -workers=N flag line and the engine line's resolved pool size.
+var workersMask = regexp.MustCompile(`-workers=\d+|\d+ workers,`)
+
 // TestRunWorkersDeterminism checks the engine's contract at the CLI level:
-// with a fixed seed the release must be byte-identical for every -workers
-// value.
+// with a fixed seed the release and every diagnostic must be
+// byte-identical for every -workers value, apart from the worker counts
+// themselves.
 func TestRunWorkersDeterminism(t *testing.T) {
 	const input = "n 40\n0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n6 7\n7 8\n8 6\n10 11\n"
 	var want string
@@ -82,11 +87,7 @@ func TestRunWorkersDeterminism(t *testing.T) {
 		if err := run(args, strings.NewReader(input), &out); err != nil {
 			t.Fatalf("workers %s: %v", workers, err)
 		}
-		// Compare everything up to the engine summary (shard timings are
-		// wall-clock measurements and legitimately vary). The config block
-		// echoes the -workers value itself, which differs by construction.
-		got, _, _ := strings.Cut(out.String(), "  engine:")
-		got = regexp.MustCompile(`(?m)^  -(workers|sep-workers)=\d+\n`).ReplaceAllString(got, "")
+		got := workersMask.ReplaceAllString(out.String(), "<workers>")
 		if want == "" {
 			want = got
 		} else if got != want {
@@ -139,38 +140,61 @@ func TestRunWorkersNegativeIsUsageError(t *testing.T) {
 	}
 }
 
+// TestRunSepWorkersNegativeIsUsageError: -sep-workers is gone (-workers
+// sizes separation too), so any value of it, negative or not, fails flag
+// parsing in one-shot and serve mode.
 func TestRunSepWorkersNegativeIsUsageError(t *testing.T) {
 	for _, args := range [][]string{
 		{"-epsilon", "1", "-sep-workers", "-3"},
+		{"-epsilon", "1", "-sep-workers", "1"},
 		{"serve", "-budget", "1", "-queries", "whatever.txt", "-sep-workers", "-3"},
+		{"serve", "-budget", "1", "-queries", "whatever.txt", "-sep-workers", "1"},
 	} {
-		err := run(args, strings.NewReader("0 1\n"), &bytes.Buffer{})
-		if err == nil || !strings.Contains(err.Error(), "-sep-workers must be ≥ 0") {
-			t.Errorf("args %v: err = %v, want -sep-workers usage error", args, err)
+		err := run(args, strings.NewReader("0 1\n"), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -sep-workers") {
+			t.Errorf("args %v: err = %v, want an unknown-flag usage error", args, err)
 		}
 	}
 }
 
-// TestRunSepWorkersAndWarmStartDeterminism: for a fixed seed, the printed
-// release of the warm-started engine is identical across separation
-// worker counts — the knob moves work, never values.
+// TestRunSepWorkersAndWarmStartDeterminism: for a fixed seed, the
+// warm-started engine's -v output — release, grid values, engine and
+// solver work counters — is identical across -workers settings, which
+// also size the separation oracle's pool.
 func TestRunSepWorkersAndWarmStartDeterminism(t *testing.T) {
 	const input = "n 40\n0 1\n1 2\n2 0\n0 3\n3 4\n4 0\n1 5\n5 6\n6 1\n10 11\n"
 	var want string
-	for _, args := range [][]string{
-		{"-epsilon", "1", "-seed", "99", "-sep-workers", "1"},
-		{"-epsilon", "1", "-seed", "99", "-sep-workers", "4"},
-		{"-epsilon", "1", "-seed", "99", "-sep-workers", "8"},
-	} {
+	for _, workers := range []string{"1", "4", "8"} {
+		args := []string{"-epsilon", "1", "-seed", "99", "-workers", workers, "-v"}
 		var out bytes.Buffer
 		if err := run(args, strings.NewReader(input), &out); err != nil {
 			t.Fatalf("args %v: %v", args, err)
 		}
-		if want == "" {
-			want = out.String()
-		} else if out.String() != want {
-			t.Errorf("args %v output diverged:\n%s\nwant:\n%s", args, out.String(), want)
+		got := workersMask.ReplaceAllString(out.String(), "<workers>")
+		if !strings.Contains(got, "  solver: ") {
+			t.Fatalf("args %v: no solver line in -v output:\n%s", args, got)
 		}
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("args %v output diverged:\n%s\nwant:\n%s", args, got, want)
+		}
+	}
+}
+
+// TestRunVerboseOutputRepeats: -v output carries no wall-clock figure, so
+// two runs with the same flags print the same bytes.
+func TestRunVerboseOutputRepeats(t *testing.T) {
+	const input = "n 40\n0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n6 7\n7 8\n8 6\n10 11\n"
+	var outs [2]bytes.Buffer
+	for i := range outs {
+		args := []string{"-epsilon", "1", "-seed", "99", "-workers", "2", "-v"}
+		if err := run(args, strings.NewReader(input), &outs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := outs[0].String(), outs[1].String(); a != b {
+		t.Errorf("-v output differs between identical runs:\n%s\nthen:\n%s", a, b)
 	}
 }
 

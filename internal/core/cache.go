@@ -84,7 +84,7 @@ type CacheStats struct {
 // cacheKey identifies one cached evaluation: the graph's canonical
 // fingerprint plus DeltaMax, which fixes the Δ-grid. Nothing else changes
 // the grid values — the forestlp options left to callers only schedule
-// work — so sessions with different Workers or SepWorkers share entries.
+// work — so sessions with different Workers share entries.
 type cacheKey struct {
 	fp       graph.Fingerprint
 	deltaMax float64

@@ -148,7 +148,7 @@ func TestPlanOptionsDigestMatchesSprintf(t *testing.T) {
 	for _, d := range []float64{16, 1, 0.5, 1e-5, 3.14159, 1e6, 123456789, 1e21, math.Inf(1), math.NaN()} {
 		variants = append(variants, Options{DeltaMax: d})
 	}
-	variants = append(variants, Options{DeltaMax: 16, ForestLP: forestlp.Options{Workers: 3, SepWorkers: 5, ShardTimings: true}})
+	variants = append(variants, Options{DeltaMax: 16, ForestLP: forestlp.Options{Workers: 3}})
 	for i, a := range variants {
 		want := sprintfDigest(a)
 		if got := planOptionsDigest(a); got != want {

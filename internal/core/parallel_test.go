@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
-	"reflect"
 	"testing"
 
-	"nodedp/internal/forestlp"
 	"nodedp/internal/generate"
 	"nodedp/internal/graph"
 )
@@ -62,10 +60,11 @@ func TestWorkerCountDeterminism(t *testing.T) {
 }
 
 // TestSepWorkersWarmStartReleaseDeterminism extends the end-to-end
-// determinism contract to the intra-component knob: with a seeded PRNG,
-// the warm-started grid sweep's release, GEM selection, every grid
-// diagnostic, and every work counter must be bit-identical across
-// SepWorkers settings.
+// determinism contract to intra-component separation, whose oracle pool
+// Workers sizes: with a seeded PRNG, the warm-started grid sweep's
+// release, GEM selection, every grid diagnostic, and every work counter
+// must be bit-identical across Workers settings on graphs of one or two
+// components, where the workers mostly serve separation.
 func TestSepWorkersWarmStartReleaseDeterminism(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		rng := generate.NewRand(seed * 389)
@@ -74,39 +73,40 @@ func TestSepWorkersWarmStartReleaseDeterminism(t *testing.T) {
 			generate.WithHubs(generate.PlantedComponents([]int{25, 25}, 3.5/25, rng), 2, 0.3, rng),
 		}
 		for gi, g := range graphs {
-			run := func(sepWorkers int) Result {
+			run := func(workers int) Result {
 				opts := Options{Epsilon: 1, Rand: generate.NewRand(seed)}
-				opts.ForestLP.SepWorkers = sepWorkers
+				opts.ForestLP.Workers = workers
 				res, err := EstimateComponentCount(g, opts)
 				if err != nil {
-					t.Fatalf("seed %d graph %d sepWorkers %d: %v", seed, gi, sepWorkers, err)
+					t.Fatalf("seed %d graph %d workers %d: %v", seed, gi, workers, err)
 				}
+				res.Stats.Workers = 0 // the resolved pool size follows the setting
 				return res
 			}
 			base := run(1)
 			if base.Stats.StalledPieces > 0 {
 				t.Fatalf("seed %d graph %d stalled; the bit-identity contract needs a converging instance", seed, gi)
 			}
-			for _, sepWorkers := range []int{4, 8} {
-				got := run(sepWorkers)
+			for _, workers := range []int{4, 8} {
+				got := run(workers)
 				if math.Float64bits(got.Value) != math.Float64bits(base.Value) {
-					t.Errorf("seed %d graph %d: release %v (SepWorkers=%d) != %v (baseline)",
-						seed, gi, got.Value, sepWorkers, base.Value)
+					t.Errorf("seed %d graph %d: release %v (Workers=%d) != %v (baseline)",
+						seed, gi, got.Value, workers, base.Value)
 				}
 				if got.Delta != base.Delta {
-					t.Errorf("seed %d graph %d: GEM Δ̂=%v (SepWorkers=%d) != Δ̂=%v",
-						seed, gi, got.Delta, sepWorkers, base.Delta)
+					t.Errorf("seed %d graph %d: GEM Δ̂=%v (Workers=%d) != Δ̂=%v",
+						seed, gi, got.Delta, workers, base.Delta)
 				}
 				for i := range base.Evaluations {
 					b, o := base.Evaluations[i], got.Evaluations[i]
 					if math.Float64bits(b.FDelta) != math.Float64bits(o.FDelta) ||
 						math.Float64bits(b.Q) != math.Float64bits(o.Q) {
-						t.Errorf("seed %d graph %d: grid point Δ=%v diverges (SepWorkers=%d)",
-							seed, gi, b.Delta, sepWorkers)
+						t.Errorf("seed %d graph %d: grid point Δ=%v diverges (Workers=%d)",
+							seed, gi, b.Delta, workers)
 					}
 				}
-				if !reflect.DeepEqual(got.Stats, base.Stats) {
-					t.Errorf("seed %d graph %d: stats diverge across SepWorkers: %+v != %+v",
+				if got.Stats != base.Stats {
+					t.Errorf("seed %d graph %d: stats diverge across Workers: %+v != %+v",
 						seed, gi, got.Stats, base.Stats)
 				}
 			}
@@ -136,22 +136,15 @@ func TestEstimateCtxCanceled(t *testing.T) {
 	}
 }
 
-// TestPreparedCarriesShardDiagnostics checks that the snapshot-reusing grid
-// evaluation surfaces per-shard timings for every grid point.
-func TestPreparedCarriesShardDiagnostics(t *testing.T) {
+// TestEstimateReportsResolvedWorkers checks that a release's Stats carry
+// the worker-pool size the engine resolved for its grid sweep.
+func TestEstimateReportsResolvedWorkers(t *testing.T) {
 	g := generate.PlantedComponents([]int{12, 9, 15}, 0.35, generate.NewRand(5))
 	opts := Options{Epsilon: 1, Rand: generate.NewRand(6)}
 	opts.ForestLP.Workers = 2
-	opts.ForestLP.ShardTimings = true
 	res, err := EstimateComponentCount(g, opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	plan := forestlp.NewPlan(g)
-	grid := len(res.Evaluations)
-	if want := plan.Shards() * grid; len(res.Stats.Shards) != want {
-		t.Fatalf("got %d shard records, want %d (%d shards × %d grid points)",
-			len(res.Stats.Shards), want, plan.Shards(), grid)
 	}
 	if res.Stats.Workers != 2 {
 		t.Errorf("stats.Workers = %d, want 2", res.Stats.Workers)

@@ -133,8 +133,7 @@ func (c *PlanCache) save(write func(*snapshot.Snapshot) error) (int, error) {
 // entryToSnapshot renders one cache entry for the codec. The GreedyDual-
 // Size credit is stored relative to the cache clock (clamped into
 // [0, cost]) so it stays meaningful in the loading cache, whose clock
-// differs. Stats.Shards — wall-clock diagnostics, not reproducible — is
-// stripped.
+// differs.
 func entryToSnapshot(entry *cacheEntry, clock float64) snapshot.Entry {
 	ge := entry.ge
 	credit := entry.h - clock
@@ -144,8 +143,6 @@ func entryToSnapshot(entry *cacheEntry, clock float64) snapshot.Entry {
 	if cost := float64(ge.Cost()); credit > cost {
 		credit = cost
 	}
-	stats := ge.stats
-	stats.Shards = nil
 	return snapshot.Entry{
 		Fingerprint: entry.key.fp,
 		OptsDigest:  planOptionsDigest(Options{DeltaMax: ge.deltaMax}),
@@ -156,7 +153,7 @@ func entryToSnapshot(entry *cacheEntry, clock float64) snapshot.Entry {
 		Grid:        ge.grid,
 		FDeltas:     ge.fdeltas,
 		Credit:      credit,
-		Stats:       stats,
+		Stats:       ge.stats,
 	}
 }
 

@@ -58,64 +58,61 @@ func releaseTriple(t *testing.T, ge *GridEval, seed uint64) [3]Result {
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // TestPlanCacheSaveLoadBitIdentity is the core of the conformance suite:
-// for every graph family and SepWorkers ∈ {1, 8}, a cache saved and
+// for every graph family and Workers ∈ {1, 8}, a cache saved and
 // reloaded into a fresh cache serves the lookup as a hit, with the same
 // plan key and admission weight, and seeded releases from the reloaded
 // plan are bit-identical to releases from the live plan.
 func TestPlanCacheSaveLoadBitIdentity(t *testing.T) {
 	ctx := context.Background()
 	for name, g := range persistFamilies(t) {
-		for _, sepWorkers := range []int{1, 8} {
+		for _, workers := range []int{1, 8} {
 			opts := Options{Epsilon: 1}
-			opts.ForestLP.SepWorkers = sepWorkers
+			opts.ForestLP.Workers = workers
 
 			live := NewPlanCacheWeighted(1 << 30)
 			geLive, hit, err := live.GridEval(ctx, g, opts)
 			if err != nil {
-				t.Fatalf("%s/sep=%d: %v", name, sepWorkers, err)
+				t.Fatalf("%s/workers=%d: %v", name, workers, err)
 			}
 			if hit {
-				t.Fatalf("%s/sep=%d: first lookup was a hit", name, sepWorkers)
+				t.Fatalf("%s/workers=%d: first lookup was a hit", name, workers)
 			}
 
 			var buf bytes.Buffer
 			n, err := live.Save(&buf)
 			if err != nil || n != 1 {
-				t.Fatalf("%s/sep=%d: Save = %d, %v", name, sepWorkers, n, err)
+				t.Fatalf("%s/workers=%d: Save = %d, %v", name, workers, n, err)
 			}
 
 			warm := NewPlanCacheWeighted(1 << 30)
 			rep, err := warm.Load(bytes.NewReader(buf.Bytes()))
 			if err != nil || rep.Loaded != 1 || rep.Skipped() != 0 {
-				t.Fatalf("%s/sep=%d: Load report %+v, err %v", name, sepWorkers, rep, err)
+				t.Fatalf("%s/workers=%d: Load report %+v, err %v", name, workers, rep, err)
 			}
 
 			geWarm, hit, err := warm.GridEval(ctx, g, opts)
 			if err != nil {
-				t.Fatalf("%s/sep=%d: warm lookup: %v", name, sepWorkers, err)
+				t.Fatalf("%s/workers=%d: warm lookup: %v", name, workers, err)
 			}
 			if !hit {
-				t.Fatalf("%s/sep=%d: reloaded cache missed — the restart would replan", name, sepWorkers)
+				t.Fatalf("%s/workers=%d: reloaded cache missed — the restart would replan", name, workers)
 			}
 
 			// The reloaded evaluation IS the saved one, field for field.
 			if geWarm.fingerprint != geLive.fingerprint || geWarm.n != geLive.n || geWarm.m != geLive.m {
-				t.Fatalf("%s/sep=%d: identity fields changed across reload", name, sepWorkers)
+				t.Fatalf("%s/workers=%d: identity fields changed across reload", name, workers)
 			}
 			if !sameBits(geWarm.fsf, geLive.fsf) || !sameBits(geWarm.deltaMax, geLive.deltaMax) {
-				t.Fatalf("%s/sep=%d: fsf/deltaMax changed across reload", name, sepWorkers)
+				t.Fatalf("%s/workers=%d: fsf/deltaMax changed across reload", name, workers)
 			}
 			for i := range geLive.fdeltas {
 				if !sameBits(geWarm.fdeltas[i], geLive.fdeltas[i]) || !sameBits(geWarm.grid[i], geLive.grid[i]) {
-					t.Fatalf("%s/sep=%d: grid value %d changed across reload", name, sepWorkers, i)
+					t.Fatalf("%s/workers=%d: grid value %d changed across reload", name, workers, i)
 				}
 			}
-			geWarm.stats.Shards = nil // durations are deliberately not persisted
-			stripped := geLive.stats
-			stripped.Shards = nil
-			if !reflect.DeepEqual(geWarm.stats, stripped) {
-				t.Fatalf("%s/sep=%d: engine counters changed across reload:\nlive %+v\nwarm %+v",
-					name, sepWorkers, stripped, geWarm.stats)
+			if geWarm.stats != geLive.stats {
+				t.Fatalf("%s/workers=%d: engine counters changed across reload:\nlive %+v\nwarm %+v",
+					name, workers, geLive.stats, geWarm.stats)
 			}
 
 			// Seeded releases from the reloaded plan are bit-identical.
@@ -126,8 +123,8 @@ func TestPlanCacheSaveLoadBitIdentity(t *testing.T) {
 					if !sameBits(got[i].Value, want[i].Value) || !sameBits(got[i].Delta, want[i].Delta) ||
 						!sameBits(got[i].NoiseScale, want[i].NoiseScale) || !sameBits(got[i].NHat, want[i].NHat) ||
 						!sameBits(got[i].FDelta, want[i].FDelta) {
-						t.Fatalf("%s/sep=%d seed=%d release %d differs after reload:\nlive %+v\nwarm %+v",
-							name, sepWorkers, seed, i, want[i], got[i])
+						t.Fatalf("%s/workers=%d seed=%d release %d differs after reload:\nlive %+v\nwarm %+v",
+							name, workers, seed, i, want[i], got[i])
 					}
 				}
 			}
@@ -136,11 +133,11 @@ func TestPlanCacheSaveLoadBitIdentity(t *testing.T) {
 			// across: same entry weights, same total.
 			ls, ws := live.Stats(), warm.Stats()
 			if ls.Weight != ws.Weight || !reflect.DeepEqual(ls.EntryWeights, ws.EntryWeights) {
-				t.Fatalf("%s/sep=%d: weights changed across reload: live %v/%v warm %v/%v",
-					name, sepWorkers, ls.Weight, ls.EntryWeights, ws.Weight, ws.EntryWeights)
+				t.Fatalf("%s/workers=%d: weights changed across reload: live %v/%v warm %v/%v",
+					name, workers, ls.Weight, ls.EntryWeights, ws.Weight, ws.EntryWeights)
 			}
 			if ws.SnapshotLoads != 1 || ws.SnapshotEntriesLoaded != 1 || ls.SnapshotSaves != 1 || ls.SnapshotEntriesSaved != 1 {
-				t.Fatalf("%s/sep=%d: snapshot counters wrong: live %+v warm %+v", name, sepWorkers, ls, ws)
+				t.Fatalf("%s/workers=%d: snapshot counters wrong: live %+v warm %+v", name, workers, ls, ws)
 			}
 		}
 	}

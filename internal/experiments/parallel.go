@@ -20,7 +20,7 @@ func E16ParallelEngine(cfg Config) (*Table, error) {
 		ID:      "E16",
 		Title:   "component-sharded parallel evaluation engine (Δ=2, planted ER clusters)",
 		Claim:   "shard merge order, not scheduling, determines the result: identical values for every worker count",
-		Columns: []string{"workers", "f_2(G)", "identical", "LP-solves", "shards-via-LP", "ms", "speedup"},
+		Columns: []string{"workers", "f_2(G)", "identical", "LP-solves", "ms", "speedup"},
 	}
 	clusters, size := 12, 36
 	if cfg.Quick {
@@ -44,9 +44,8 @@ func E16ParallelEngine(cfg Config) (*Table, error) {
 	var serialStats forestlp.Stats
 	var serialMS float64
 	for _, workers := range []int{1, 2, 4, 8} {
-		opts := forestlp.Options{Workers: workers, ShardTimings: true}
 		start := time.Now()
-		v, stats, err := plan.Value(context.Background(), 2, opts)
+		v, stats, err := plan.Value(context.Background(), 2, forestlp.Options{Workers: workers})
 		if err != nil {
 			return nil, err
 		}
@@ -59,13 +58,7 @@ func E16ParallelEngine(cfg Config) (*Table, error) {
 			stats.CutsAdded == serialStats.CutsAdded &&
 			stats.SimplexPivots == serialStats.SimplexPivots &&
 			stats.FastPathHits == serialStats.FastPathHits
-		viaLP := 0
-		for _, sh := range stats.Shards {
-			if !sh.FastPath {
-				viaLP++
-			}
-		}
-		t.AddRow(workers, v, identical, stats.LPSolves, viaLP, ms, serialMS/ms)
+		t.AddRow(workers, v, identical, stats.LPSolves, ms, serialMS/ms)
 	}
 	t.Notes = append(t.Notes,
 		"identical must be true in every row; speedup tracks GOMAXPROCS, so single-core machines report ≈1×")

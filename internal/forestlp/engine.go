@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"time"
 
 	"nodedp/internal/obs"
 )
@@ -20,36 +19,18 @@ import (
 // floating-point sum and every aggregated statistic, so the result is
 // bit-for-bit identical for every worker count, including 1.
 
-// ShardTiming is the per-shard diagnostic record of one evaluation.
-type ShardTiming struct {
-	// Shard is the shard index (component order, planned non-trivial
-	// shards only).
-	Shard int
-	// Vertices and Edges describe the shard.
-	Vertices int
-	Edges    int
-	// FastPath reports whether the shard was settled without any simplex
-	// work — by a spanning Δ-forest certificate or by exact leaf peeling.
-	FastPath bool
-	// LPSolves counts simplex solves spent on this shard.
-	LPSolves int
-	// Duration is the shard's wall-clock evaluation time. Durations are
-	// measurements, not results: they vary run to run even though the
-	// returned value does not.
-	Duration time.Duration
-}
-
 // shardResult carries one shard's outcome at one Δ from a worker to the
 // merger.
 type shardResult struct {
-	done   bool // false for evaluations that never ran (early error exit)
-	value  float64
-	stats  Stats
-	timing ShardTiming
-	err    error
+	done  bool // false for evaluations that never ran (early error exit)
+	value float64
+	stats Stats
+	err   error
 }
 
-// resolveWorkers clamps the configured worker count to [1, shards].
+// resolveWorkers clamps the configured worker count, GOMAXPROCS when not
+// positive, to [1, shards]; the separation oracle resolves its pool the
+// same way, with the wave width for shards.
 func resolveWorkers(configured, shards int) int {
 	w := configured
 	if w <= 0 {
@@ -152,7 +133,7 @@ func (p *Plan) evaluate(ctx context.Context, grid []float64, opts Options, warm 
 	runShard := func(i int) bool {
 		ps, sw := p.shards[i], warm.shard(i)
 		for j, d := range grid {
-			results[j][i] = p.evalShard(pctx[j], i, ps, d, opts, sw)
+			results[j][i] = evalShard(pctx[j], ps, d, opts, sw)
 			if results[j][i].err != nil {
 				return false
 			}
@@ -221,9 +202,6 @@ func (p *Plan) evaluate(ctx context.Context, grid []float64, opts Options, warm 
 			//detlint:allow floatorder — deterministic merge: the loop visits results in grid order, then shard-index order, after every job has finished, so the summation order is fixed regardless of completion order
 			pt.total += r.value
 			pt.stats.MergeComponent(r.stats)
-			if opts.ShardTimings {
-				pt.stats.Shards = append(pt.stats.Shards, r.timing)
-			}
 		}
 		pt.stats.Components = p.components - p.supplied
 		pt.stats.Workers = resolved
@@ -256,33 +234,16 @@ func (p *Plan) evaluate(ctx context.Context, grid []float64, opts Options, warm 
 	return points, nil
 }
 
-// evalShard evaluates one shard at one Δ and packages the outcome with its
-// timing (the timing record is discarded by the merger unless
-// Options.ShardTimings).
-//
-//detlint:allow rngsource — operational timing diagnostic: ShardTiming.Duration is reporting-only (opt-in via Options.ShardTimings) and never enters grid values or releases
-func (p *Plan) evalShard(ctx context.Context, i int, ps *planShard, delta float64, opts Options, sw *shardWarm) shardResult {
+// evalShard evaluates one shard at one Δ.
+func evalShard(ctx context.Context, ps *planShard, delta float64, opts Options, sw *shardWarm) shardResult {
 	if err := ctx.Err(); err != nil {
 		return shardResult{done: true, err: err}
 	}
-	start := time.Now()
 	v, st, err := ps.eval(ctx, delta, opts, sw)
 	if err != nil {
 		return shardResult{done: true, err: fmt.Errorf("forestlp: evaluating f_%v on a component of size %d: %w", delta, ps.n, err)}
 	}
-	return shardResult{
-		done:  true,
-		value: v,
-		stats: st,
-		timing: ShardTiming{
-			Shard:    i,
-			Vertices: ps.n,
-			Edges:    ps.m,
-			FastPath: st.LPSolves == 0,
-			LPSolves: st.LPSolves,
-			Duration: time.Since(start),
-		},
-	}
+	return shardResult{done: true, value: v, stats: st}
 }
 
 // errIsCancel reports whether err is a context cancelation or deadline.

@@ -43,7 +43,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 
 	"nodedp/internal/fault"
 	"nodedp/internal/graph"
@@ -55,26 +54,15 @@ import (
 // No exported field changes a value: f_Δ depends only on the graph and Δ,
 // and the engine's tuning is fixed (see the constants below).
 type Options struct {
-	// Workers is the number of component LPs solved concurrently. 0 (the
-	// default) means runtime.GOMAXPROCS; 1 forces serial evaluation. The
-	// returned value and all counting statistics are identical for every
-	// setting — only wall-clock time changes.
+	// Workers is the number of component LPs solved concurrently, and
+	// also bounds the concurrent max-closure oracle calls inside one
+	// component's separation round (capped at the oracle's wave width of
+	// 16), which is the parallelism a giant single-shard component
+	// needs. 0 (the default) means runtime.GOMAXPROCS; 1 forces serial
+	// evaluation. The returned value and all counting statistics
+	// (max-flow calls included) are identical for every setting: only
+	// wall-clock time changes.
 	Workers int
-	// SepWorkers is the number of concurrent max-closure oracle calls
-	// inside one component's separation round — the intra-component
-	// parallelism that Workers cannot reach when one giant component is a
-	// single shard. 0 (the default) inherits Workers' resolution; 1 forces
-	// serial separation. Forced vertices are dispatched in waves whose
-	// schedule never depends on the worker count, and results merge in
-	// vertex order, so the returned value and all counting statistics
-	// (including max-flow calls) are identical for every setting; useful
-	// parallelism is capped at the oracle's wave width of 16.
-	SepWorkers int
-	// ShardTimings enables per-shard wall-clock diagnostics in
-	// Stats.Shards. Off by default: every evaluation retains one record
-	// per non-trivial component, so a Δ-grid sweep over a graph with many
-	// components would otherwise accumulate shards × grid-points records.
-	ShardTimings bool
 
 	// Test hooks, set only by this package's tests; the zero value is the
 	// production engine. noFastPath forces the LP past the spanning-forest
@@ -175,10 +163,6 @@ type Stats struct {
 	// evaluation over every non-trivial component, supplied ones included
 	// (aggregations keep the maximum).
 	Workers int
-	// Shards holds per-shard wall-clock diagnostics in deterministic shard
-	// order, collected only when Options.ShardTimings is set; durations
-	// vary run to run, every other field is reproducible.
-	Shards []ShardTiming
 }
 
 // MergeComponent folds grid-aggregated statistics — one component's
@@ -206,7 +190,6 @@ func (s *Stats) MergeComponent(t Stats) {
 	if t.Workers > s.Workers {
 		s.Workers = t.Workers
 	}
-	s.Shards = append(s.Shards, t.Shards...)
 }
 
 // MergeGridRound folds the statistics of one evaluation into an aggregate
@@ -255,20 +238,6 @@ const maxWarmFails = 2
 // programs — warm starts only pay off once the cold solve is
 // superlinearly more expensive than the restoration.
 const warmBasisMinRows = 96
-
-// resolveSepWorkers maps the Options to the separation worker count:
-// SepWorkers, inheriting Workers when zero, then GOMAXPROCS, clamped to
-// the wave width (beyond which extra workers would idle).
-func resolveSepWorkers(opts Options) int {
-	w := opts.SepWorkers
-	if w == 0 {
-		w = opts.Workers
-	}
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return min(w, sepWaveWidth)
-}
 
 // lpValue solves max x(E) over the forest polytope of sub intersected with
 // per-vertex degree budgets, by cutting planes. sw, when non-nil, is the
@@ -366,7 +335,7 @@ func lpValue(ctx context.Context, sub *graph.Graph, caps []float64, opts Options
 	if err := fault.Hit("maxflow.arena"); err != nil {
 		return 0, err
 	}
-	sep := newSeparator(sub, edges, resolveSepWorkers(opts))
+	sep := newSeparator(sub, edges, resolveWorkers(opts.Workers, sepWaveWidth))
 	cutRow := func(ct *cut) []float64 {
 		row := make([]float64, m)
 		for _, i := range ct.edgeIdx {

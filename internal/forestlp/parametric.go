@@ -71,7 +71,7 @@ func lpValueIncr(ctx context.Context, sub *graph.Graph, edges []graph.Edge, c []
 	if err := fault.Hit("maxflow.arena"); err != nil {
 		return 0, false, err
 	}
-	sep := newSeparator(sub, edges, resolveSepWorkers(opts))
+	sep := newSeparator(sub, edges, resolveWorkers(opts.Workers, sepWaveWidth))
 	defer func() { stats.CutsRevived += sep.revived }()
 
 	cutRow := func(ct *cut) []float64 {

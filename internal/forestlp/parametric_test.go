@@ -82,7 +82,7 @@ func TestParametricGridEquivalence(t *testing.T) {
 }
 
 // TestParametricValueIdentity checks the release contract on LP-heavy
-// converging families: the parametric and rebuild engines at SepWorkers
+// converging families: the parametric and rebuild engines at Workers
 // {1, 8} all produce bit-identical grid values — the parametric engine
 // moves pivots, never answers.
 func TestParametricValueIdentity(t *testing.T) {
@@ -103,7 +103,7 @@ func TestParametricValueIdentity(t *testing.T) {
 		if baseStats.StalledPieces > 0 {
 			t.Fatalf("graph %d stalled; pick a converging instance for this test", gi)
 		}
-		sep8, _, err := p.GridValues(context.Background(), grid, Options{Workers: 1, SepWorkers: 8})
+		par8, _, err := p.GridValues(context.Background(), grid, Options{Workers: 8})
 		if err != nil {
 			t.Fatalf("graph %d: %v", gi, err)
 		}
@@ -112,8 +112,8 @@ func TestParametricValueIdentity(t *testing.T) {
 			vals []float64
 		}{
 			{"rebuild", rebuildGridValues(t, p, grid, Options{Workers: 1})},
-			{"parametric SepWorkers=8", sep8},
-			{"rebuild SepWorkers=8", rebuildGridValues(t, p, grid, Options{Workers: 1, SepWorkers: 8})},
+			{"parametric Workers=8", par8},
+			{"rebuild Workers=8", rebuildGridValues(t, p, grid, Options{Workers: 8})},
 		}
 		for _, v := range variants {
 			for i := range grid {

@@ -124,8 +124,7 @@ type GridSweep struct {
 	Work   []Stats
 	// Stats aggregates the sweep: the counters of every evaluated
 	// component, Components counting them (isolated vertices included),
-	// the resolved Workers, and per-shard timings when
-	// Options.ShardTimings is set.
+	// and the resolved Workers.
 	Stats Stats
 	// totals[j] is f_Δ of the planned components at grid[j] (GridValues).
 	totals []float64

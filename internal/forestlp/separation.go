@@ -26,10 +26,11 @@ import (
 //     workers stamp the template into a long-lived arena (maxflow.CopyFrom)
 //     instead of reallocating O(n+m) structures per call.
 //   - Forced vertices are dispatched in waves of geometrically ramping
-//     width across a worker pool (Options.SepWorkers). The wave schedule
-//     and the merge — covered screening and dedup in vertex order — are
-//     independent of the worker count, so results and flow counts are
-//     bit-for-bit identical for any SepWorkers setting.
+//     width across a worker pool (Options.Workers, capped at the wave
+//     width). The wave schedule and the merge — covered screening and
+//     dedup in vertex order — are independent of the worker count, so
+//     results and flow counts are bit-for-bit identical for any Workers
+//     setting.
 //   - A parked pool of previously discovered cuts is re-checked against
 //     every LP point before the oracle runs: reviving a known violated cut
 //     costs one sparse dot product and pre-covers its vertices, so flows
@@ -46,9 +47,9 @@ import (
 
 // sepWaveWidth is the maximum wave width of the parallel oracle: how many
 // forced vertices are dispatched at most before the covered screening is
-// re-applied. It is never derived from SepWorkers, because the wave
+// re-applied. It is never derived from Workers, because the wave
 // schedule determines which oracle calls run, and those must not change
-// with the worker count. The width also caps the useful SepWorkers.
+// with the worker count. The width also caps the separation workers.
 const sepWaveWidth = 16
 
 // cutKey is the canonical 128-bit identity of a vertex set: two sets
@@ -358,9 +359,9 @@ func (sp *separator) findViolated(x []float64, maxCuts int) ([]*cut, int) {
 	// first forced vertex usually finds one whose coverage silences many
 	// others, so narrow early waves avoid paying flows for results the
 	// merge would discard — while certification rounds (nothing to find,
-	// nothing covered) ramp to full width and parallelize across
-	// SepWorkers. The schedule depends only on (x, coverage), never on the
-	// worker count.
+	// nothing covered) ramp to full width and parallelize across the
+	// separation workers. The schedule depends only on (x, coverage),
+	// never on the worker count.
 	flows := 0
 	width := 1
 	next := 0

@@ -21,7 +21,7 @@ package forestlp
 // Determinism: the warm state is owned by one Sweep call and accessed per
 // shard — a shard's whole grid is one job, which one worker runs grid
 // point after grid point — so no locking is needed and the pool contents
-// are bit-for-bit independent of Workers and SepWorkers.
+// are bit-for-bit independent of Workers.
 
 import "nodedp/internal/lp"
 

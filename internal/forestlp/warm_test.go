@@ -39,11 +39,11 @@ func pointValues(t *testing.T, p *Plan, grid []float64, opts Options) []float64 
 }
 
 // TestSepWorkersDeterminism is the parallel-separation property test: on
-// random graphs, every SepWorkers setting must produce bit-identical grid
-// values, identical counting statistics (including max-flow calls — the
-// wave schedule never depends on the worker count), and identical cut
-// pools. Run under -race this also exercises the oracle worker pool for
-// data races.
+// random graphs, every Workers setting — which also sizes the separation
+// oracle's pool — must produce bit-identical grid values, identical
+// counting statistics (including max-flow calls — the wave schedule never
+// depends on the worker count), and identical cut pools. Run under -race
+// this also exercises the oracle worker pool for data races.
 func TestSepWorkersDeterminism(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		rng := generate.NewRand(seed * 131)
@@ -61,18 +61,19 @@ func TestSepWorkersDeterminism(t *testing.T) {
 				stats  Stats
 				pools  [][]warmCut
 			}
-			run := func(sepWorkers int) outcome {
+			run := func(workers int) outcome {
 				warm := newGridWarm(p)
 				var stats Stats
 				values := make([]float64, len(grid))
 				for i, d := range grid {
-					v, _, st, err := p.point(context.Background(), d, Options{Workers: 1, SepWorkers: sepWorkers}, warm)
+					v, _, st, err := p.point(context.Background(), d, Options{Workers: workers}, warm)
 					if err != nil {
-						t.Fatalf("seed %d graph %d sepWorkers %d: %v", seed, gi, sepWorkers, err)
+						t.Fatalf("seed %d graph %d workers %d: %v", seed, gi, workers, err)
 					}
 					stats.MergeGridRound(st)
 					values[i] = v
 				}
+				stats.Workers = 0 // the resolved pool size follows the setting
 				pools := make([][]warmCut, len(warm.shards))
 				for i, sw := range warm.shards {
 					pools[i] = sw.pool
@@ -87,16 +88,16 @@ func TestSepWorkersDeterminism(t *testing.T) {
 				got := run(workers)
 				for i := range base.values {
 					if math.Float64bits(got.values[i]) != math.Float64bits(base.values[i]) {
-						t.Errorf("seed %d graph %d: SepWorkers=%d grid[%d] %v != serial %v",
+						t.Errorf("seed %d graph %d: Workers=%d grid[%d] %v != serial %v",
 							seed, gi, workers, i, got.values[i], base.values[i])
 					}
 				}
-				if !reflect.DeepEqual(got.stats, base.stats) {
-					t.Errorf("seed %d graph %d: SepWorkers=%d stats %+v != serial %+v",
+				if got.stats != base.stats {
+					t.Errorf("seed %d graph %d: Workers=%d stats %+v != serial %+v",
 						seed, gi, workers, got.stats, base.stats)
 				}
 				if !reflect.DeepEqual(got.pools, base.pools) {
-					t.Errorf("seed %d graph %d: SepWorkers=%d cut pools differ from serial", seed, gi, workers)
+					t.Errorf("seed %d graph %d: Workers=%d cut pools differ from serial", seed, gi, workers)
 				}
 			}
 		}
@@ -240,9 +241,9 @@ func TestWarmMemoNonIdentityPiece(t *testing.T) {
 }
 
 // TestSepWaveWidthClampedToPiece: a wave never holds more than a piece's
-// vertices, so the separator clamps the wave width, and the SepWorkers it
-// can use, to the vertex count instead of allocating result slots that no
-// wave fills.
+// vertices, so the separator clamps the wave width, and the separation
+// workers it can use, to the vertex count instead of allocating result
+// slots that no wave fills.
 func TestSepWaveWidthClampedToPiece(t *testing.T) {
 	k := generate.Complete(7)
 	if sp := newSeparator(k, k.Edges(), 1<<20); sp.wave != k.N() || sp.workers != k.N() {

@@ -34,8 +34,10 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 }
 
 // ReadEdgeList parses the edge-list format. Unknown vertices implied only
-// by edges (without an "n" header) grow the graph as needed.
-func ReadEdgeList(r io.Reader) (*Graph, error) {
+// by edges (without an "n" header) grow the graph as needed, up to maxN:
+// an "n" header or an endpoint implying more vertices fails before any of
+// them is allocated (math.MaxInt for trusted input).
+func ReadEdgeList(r io.Reader, maxN int) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	g := New(0)
@@ -53,6 +55,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			if _, err := fmt.Sscanf(fields[1], "%d", &n); err != nil || n < 0 {
 				return nil, fmt.Errorf("graph: line %d: bad vertex count %q", line, fields[1])
 			}
+			if n > maxN {
+				return nil, fmt.Errorf("graph: line %d: %d vertices exceed the limit of %d", line, n, maxN)
+			}
 			for g.N() < n {
 				g.AddVertex()
 			}
@@ -66,6 +71,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			}
 			if u < 0 || v < 0 {
 				return nil, fmt.Errorf("graph: line %d: negative vertex", line)
+			}
+			if max(u, v) >= maxN {
+				return nil, fmt.Errorf("graph: line %d: vertex %d exceeds the limit of %d vertices", line, max(u, v), maxN)
 			}
 			for g.N() <= u || g.N() <= v {
 				g.AddVertex()

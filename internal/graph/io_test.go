@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 		if err := WriteEdgeList(&buf, g); err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadEdgeList(&buf)
+		back, err := ReadEdgeList(&buf, math.MaxInt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,7 +29,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 
 func TestReadEdgeListComments(t *testing.T) {
 	in := "# a comment\nn 4\n\n0 1\n# another\n2 3\n"
-	g, err := ReadEdgeList(strings.NewReader(in))
+	g, err := ReadEdgeList(strings.NewReader(in), 4) // n and endpoints at the bound
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestReadEdgeListComments(t *testing.T) {
 }
 
 func TestReadEdgeListImplicitVertices(t *testing.T) {
-	g, err := ReadEdgeList(strings.NewReader("0 5\n"))
+	g, err := ReadEdgeList(strings.NewReader("0 5\n"), math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +58,10 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"-1 0\n",      // negative vertex
 		"n 2\nx 1\n",  // bad vertex
 		"n 2\n0 zz\n", // bad vertex
+		"n 5\n",       // count above the bound of 4
+		"0 4\n",       // endpoint implying a fifth vertex
 	} {
-		if _, err := ReadEdgeList(strings.NewReader(bad)); err == nil {
+		if _, err := ReadEdgeList(strings.NewReader(bad), 4); err == nil {
 			t.Errorf("input %q should fail", bad)
 		}
 	}
@@ -70,7 +73,7 @@ func TestWriteEdgeListIsolatedVertices(t *testing.T) {
 	if err := WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadEdgeList(&buf)
+	back, err := ReadEdgeList(&buf, math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}

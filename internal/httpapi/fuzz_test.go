@@ -27,11 +27,12 @@ func FuzzDecodeCreateSessionRequest(f *testing.F) {
 		if err := decodeStrict(strings.NewReader(raw), &req); err != nil {
 			return // rejected cleanly
 		}
-		// Accepted: graph construction must not panic either.
+		// Accepted: graph construction must not panic either. A small
+		// vertex bound keeps fuzzed headers from claiming gigabytes.
 		if err := sanitizeTenant(req.Tenant); err != nil {
 			return
 		}
-		_, _ = buildGraph(&req)
+		_, _ = buildGraph(&req, 1<<12)
 	})
 }
 

@@ -544,7 +544,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r = s.identifyRequest(r, req.Tenant, req.RequestID)
-	g, err := buildGraph(&req)
+	g, err := buildGraph(&req, int(s.cfg.ReadLimit))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, err.Error())
 		return
@@ -577,8 +577,6 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		Cache:           s.tenantCache(req.Tenant),
 		Audit:           s.cfg.Audit,
 	}
-	opts.ForestLP.Workers = req.Workers
-	opts.ForestLP.SepWorkers = req.SepWorkers
 	sess, err := serve.Open(r.Context(), g, opts)
 	if err != nil {
 		abort()
@@ -613,19 +611,23 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 }
 
 // buildGraph materializes the uploaded graph from whichever encoding the
-// request used.
-func buildGraph(req *CreateSessionRequest) (*graph.Graph, error) {
+// request used. It refuses an upload that implies more than maxN vertices
+// before allocating any: a vertex costs hundreds of bytes, so a short
+// header could otherwise claim gigabytes.
+func buildGraph(req *CreateSessionRequest, maxN int) (*graph.Graph, error) {
 	switch {
 	case len(req.Edges) > 0 && req.EdgeList != "":
 		return nil, fmt.Errorf("edges and edge_list are mutually exclusive")
 	case req.EdgeList != "":
-		g, err := graph.ReadEdgeList(strings.NewReader(req.EdgeList))
+		g, err := graph.ReadEdgeList(strings.NewReader(req.EdgeList), maxN)
 		if err != nil {
 			return nil, fmt.Errorf("parsing edge_list: %w", err)
 		}
 		return g, nil
 	case req.N <= 0:
 		return nil, fmt.Errorf("n must be positive (got %d)", req.N)
+	case req.N > maxN:
+		return nil, fmt.Errorf("n = %d exceeds the limit of %d vertices (the read limit)", req.N, maxN)
 	default:
 		// Canonical ingress: duplicate edges and self-loops in the upload
 		// body collapse silently, so two uploads of the same simple graph

@@ -227,6 +227,13 @@ func TestHTTPErrorTaxonomy(t *testing.T) {
 		map[string]any{"n": 4, "edges": [][2]int{{0, 1}}, "budget": 1, "sep_wave_width": 32}, &eb)
 	check("removed sep_wave_width field", http.StatusBadRequest, CodeInvalidRequest, code, eb)
 
+	for _, field := range []string{"workers", "sep_workers"} {
+		eb = ErrorBody{}
+		code = doJSON(t, "POST", ts.URL+"/v1/graphs",
+			map[string]any{"n": 4, "edges": [][2]int{{0, 1}}, "budget": 1, field: 4}, &eb)
+		check("removed "+field+" field", http.StatusBadRequest, CodeInvalidRequest, code, eb)
+	}
+
 	eb = ErrorBody{}
 	code = doJSON(t, "POST", ts.URL+"/v1/graphs",
 		CreateSessionRequest{N: 4, Edges: [][2]int{{0, 1}}, Budget: 1, Accountant: "renyi"}, &eb)
@@ -567,6 +574,28 @@ func TestHTTPReadLimit(t *testing.T) {
 	var eb ErrorBody
 	if code := doJSON(t, "POST", ts.URL+"/v1/graphs", huge, &eb); code != http.StatusBadRequest {
 		t.Fatalf("oversized body: status %d, want 400", code)
+	}
+}
+
+// TestHTTPVertexLimit: an upload may imply at most ReadLimit vertices,
+// by its n, its edge_list header or an edge_list endpoint; a larger one
+// is refused before any vertex is allocated.
+func TestHTTPVertexLimit(t *testing.T) {
+	_, ts := testServer(t, Config{ReadLimit: 4096})
+	var created CreateSessionResponse
+	if code := doJSON(t, "POST", ts.URL+"/v1/graphs", CreateSessionRequest{N: 4096, Budget: 1}, &created); code != http.StatusCreated {
+		t.Fatalf("n = 4096 at the limit: status %d, want 201", code)
+	}
+	for name, req := range map[string]CreateSessionRequest{
+		"n":              {N: 4097, Budget: 1},
+		"edge_list n":    {EdgeList: "n 4097\n", Budget: 1},
+		"edge_list edge": {EdgeList: "0 4096\n", Budget: 1},
+	} {
+		var eb ErrorBody
+		if code := doJSON(t, "POST", ts.URL+"/v1/graphs", req, &eb); code != http.StatusBadRequest || eb.Error.Code != CodeInvalidRequest {
+			t.Errorf("%s over the limit: got (%d, %q), want (400, %q) — %s",
+				name, code, eb.Error.Code, CodeInvalidRequest, eb.Error.Message)
+		}
 	}
 }
 

@@ -80,12 +80,6 @@ type CreateSessionRequest struct {
 	Accountant string `json:"accountant,omitempty"`
 	// Delta is the advanced-composition failure probability δ.
 	Delta float64 `json:"delta,omitempty"`
-	// Workers / SepWorkers set the one-time plan build's parallelism
-	// (0 = defaults): Workers spreads its components across a pool,
-	// SepWorkers one component's separation. Neither changes a released
-	// value.
-	Workers    int `json:"workers,omitempty"`
-	SepWorkers int `json:"sep_workers,omitempty"`
 	// DiscreteRelease selects the exact integer release mechanism.
 	DiscreteRelease bool `json:"discrete_release,omitempty"`
 	// RequestID, when non-empty, names the upload for tracing and privacy

@@ -3,10 +3,9 @@ package serve
 // Property tests for the live-graph mutation keystone: after any
 // ApplyDelta, the session must be indistinguishable — bit-for-bit, in
 // released values AND in deterministic work counters — from a session
-// cold-opened on the already-mutated graph, across the full option matrix
-// (Workers × SepWorkers × warm-start × incremental engine), with and
-// without a plan cache as the sub-plan store, and across component merges
-// and splits.
+// cold-opened on the already-mutated graph, across worker counts, with
+// and without a plan cache as the sub-plan store, and across component
+// merges and splits.
 
 import (
 	"context"
@@ -46,14 +45,6 @@ func mutate(t *testing.T, base *graph.Graph, adds, removes []graph.Edge) *graph.
 	return g
 }
 
-// statsEqual compares two work-counter sets, ignoring the wall-clock
-// shard diagnostics (the only nondeterministic field; disabled here
-// anyway, but it makes the struct non-comparable).
-func statsEqual(a, b forestlp.Stats) bool {
-	a.Shards, b.Shards = nil, nil
-	return reflect.DeepEqual(a, b)
-}
-
 // bitEqualResults fails unless two releases agree in every float bit and
 // every work counter.
 func bitEqualResults(t *testing.T, label string, live, cold core.Result) {
@@ -76,16 +67,19 @@ func bitEqualResults(t *testing.T, label string, live, cold core.Result) {
 	if !reflect.DeepEqual(live.Evaluations, cold.Evaluations) {
 		t.Errorf("%s: per-Δ evaluations diverge:\n delta-open: %+v\n cold-open:  %+v", label, live.Evaluations, cold.Evaluations)
 	}
-	if !statsEqual(live.Stats, cold.Stats) {
+	if live.Stats != cold.Stats {
 		t.Errorf("%s: work counters diverge:\n delta-open: %+v\n cold-open:  %+v", label, live.Stats, cold.Stats)
 	}
 }
 
-// assertMatchesColdOpen cross-checks the mutated session against cold
-// opens of want — one planning through a fresh plan cache, one with no
-// cache at all (a nil sub-plan store) — and compares fingerprints,
-// plan-level work counters, and seeded releases of every query type.
-func assertMatchesColdOpen(t *testing.T, live *Session, want *graph.Graph, fl forestlp.Options) {
+// assertMatchesColdOpen cross-checks the mutated session, opened with fl,
+// against cold opens of want — one with fl planning through a fresh plan
+// cache, one with fl and no cache at all (a nil sub-plan store), and one
+// with the reference options ref — and compares fingerprints, plan-level
+// work counters, and seeded releases of every query type. Against ref the
+// resolved pool size Stats.Workers, which follows the options rather than
+// the graph and Δ, is left out when ref.Workers differs from fl.Workers.
+func assertMatchesColdOpen(t *testing.T, live *Session, want *graph.Graph, fl, ref forestlp.Options) {
 	t.Helper()
 	ctx := context.Background()
 	liveGE := live.snap.Load().ge
@@ -93,18 +87,23 @@ func assertMatchesColdOpen(t *testing.T, live *Session, want *graph.Graph, fl fo
 	for _, variant := range []struct {
 		name  string
 		cache *core.PlanCache
+		fl    forestlp.Options
 	}{
-		{"cold-cached", core.NewPlanCache(8)},
-		{"cold-uncached", nil},
+		{"cold-cached", core.NewPlanCache(8), fl},
+		{"cold-uncached", nil, fl},
+		{fmt.Sprintf("cold-workers=%d", ref.Workers), nil, ref},
 	} {
-		cold := mustOpen(t, want, SessionOptions{TotalBudget: 100, Cache: variant.cache, ForestLP: fl})
+		cold := mustOpen(t, want, SessionOptions{TotalBudget: 100, Cache: variant.cache, ForestLP: variant.fl})
 		coldGE := cold.snap.Load().ge
 		if liveGE.Fingerprint() != coldGE.Fingerprint() {
 			t.Fatalf("%s: fingerprint %v != %v", variant.name, liveGE.Fingerprint(), coldGE.Fingerprint())
 		}
-		if !statsEqual(liveGE.Stats(), coldGE.Stats()) {
-			t.Errorf("%s: plan work counters diverge:\n delta-open: %+v\n cold-open:  %+v",
-				variant.name, liveGE.Stats(), coldGE.Stats())
+		ls, cs := liveGE.Stats(), coldGE.Stats()
+		if variant.fl.Workers != fl.Workers {
+			ls.Workers, cs.Workers = 0, 0
+		}
+		if ls != cs {
+			t.Errorf("%s: plan work counters diverge:\n delta-open: %+v\n cold-open:  %+v", variant.name, ls, cs)
 		}
 		if math.Float64bits(liveGE.SpanningForestSize()) != math.Float64bits(coldGE.SpanningForestSize()) {
 			t.Errorf("%s: f_sf %v != %v", variant.name, liveGE.SpanningForestSize(), coldGE.SpanningForestSize())
@@ -131,6 +130,9 @@ func assertMatchesColdOpen(t *testing.T, live *Session, want *graph.Graph, fl fo
 				if err != nil {
 					t.Fatalf("%s/%s seed %d on cold session: %v", variant.name, name, seed, err)
 				}
+				if variant.fl.Workers != fl.Workers {
+					lr.Stats.Workers, cr.Stats.Workers = 0, 0
+				}
 				bitEqualResults(t, fmt.Sprintf("%s/%s seed %d", variant.name, name, seed), lr, cr)
 			}
 		}
@@ -138,13 +140,16 @@ func assertMatchesColdOpen(t *testing.T, live *Session, want *graph.Graph, fl fo
 }
 
 // TestDeltaOpenBitIdenticalToColdOpen drives one merge delta and one split
-// delta through every (Workers, SepWorkers) combination; Workers > 1
-// spreads a sweep's components across the pool. The subtest names keep
-// their nowarm=false,noincr=false suffix so results stay comparable with
-// earlier runs of the same matrix.
-// The planted blocks 0-7, 8-15, 16-23 are edge-disjoint, so edge {0, 8}
-// is a guaranteed bridge: adding it merges two components, removing it
-// again splits them.
+// delta through Workers ∈ {1, 4, 8}; Workers > 1 spreads a sweep's
+// components, and one component's separation, across a pool. After each
+// delta the session must match cold opens with its own Workers and a cold
+// open with Workers = sep, whose separation therefore runs sep wide: the
+// released values agree across worker counts, not only within one. The
+// sep=…,nowarm=false,noincr=false group names are those of the former
+// Workers × separation-workers matrix, kept so results stay comparable
+// with earlier runs. The planted blocks 0-7, 8-15, 16-23 are
+// edge-disjoint, so edge {0, 8} is a guaranteed bridge: adding it merges
+// two components, removing it again splits them.
 func TestDeltaOpenBitIdenticalToColdOpen(t *testing.T) {
 	g := testGraph(t)
 	ctx := context.Background()
@@ -152,9 +157,10 @@ func TestDeltaOpenBitIdenticalToColdOpen(t *testing.T) {
 	dropped := g.Edges()[0] // an intra-block edge to remove alongside the merge
 
 	for _, sep := range []int{1, 8} {
+		ref := forestlp.Options{Workers: sep}
 		t.Run(fmt.Sprintf("sep=%d,nowarm=false,noincr=false", sep), func(t *testing.T) {
-			for _, workers := range []int{1, 4} {
-				fl := forestlp.Options{Workers: workers, SepWorkers: sep}
+			for _, workers := range []int{1, 4, 8} {
+				fl := forestlp.Options{Workers: workers}
 				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 					cache := core.NewPlanCache(8)
 					live := mustOpen(t, g, SessionOptions{TotalBudget: 1000, Cache: cache, ForestLP: fl})
@@ -172,7 +178,7 @@ func TestDeltaOpenBitIdenticalToColdOpen(t *testing.T) {
 						t.Errorf("MergedGroups = %d, want 1 (bridge joins two components)", res.MergedGroups)
 					}
 					g1 := mutate(t, g, []graph.Edge{bridge}, []graph.Edge{dropped})
-					assertMatchesColdOpen(t, live, g1, fl)
+					assertMatchesColdOpen(t, live, g1, fl, ref)
 
 					// Delta 2: remove the bridge — the only edge between
 					// the two block vertex sets — forcing a split.
@@ -188,7 +194,7 @@ func TestDeltaOpenBitIdenticalToColdOpen(t *testing.T) {
 							res.PreComponents, res.Components)
 					}
 					g2 := mutate(t, g1, nil, []graph.Edge{bridge})
-					assertMatchesColdOpen(t, live, g2, fl)
+					assertMatchesColdOpen(t, live, g2, fl, ref)
 
 					// Sanity on the keystone's mechanism: the second delta
 					// returned to components the sub-plan layer has already

@@ -42,7 +42,7 @@ func bitsEqual(a, b core.Result) bool {
 }
 
 // TestSessionReloadBitIdentity: for every graph family, composition mode ∈
-// {sequential, advanced}, and SepWorkers ∈ {1, 8}, a session opened on a
+// {sequential, advanced}, and Workers ∈ {1, 8}, a session opened on a
 // snapshot-reloaded cache is a plan-cache hit and releases bit-identical
 // seeded values to the session that populated the live cache.
 func TestSessionReloadBitIdentity(t *testing.T) {
@@ -61,19 +61,19 @@ func TestSessionReloadBitIdentity(t *testing.T) {
 
 	for famName, g := range persistGraphs() {
 		for _, cm := range comps {
-			for _, sepWorkers := range []int{1, 8} {
+			for _, workers := range []int{1, 8} {
 				name := famName + "/" + cm.name
 				opts := SessionOptions{TotalBudget: 50, Composition: cm.mode, Delta: cm.delta}
-				opts.ForestLP.SepWorkers = sepWorkers
+				opts.ForestLP.Workers = workers
 
 				live := core.NewPlanCacheWeighted(1 << 30)
 				opts.Cache = live
 				sessLive, err := Open(ctx, g, opts)
 				if err != nil {
-					t.Fatalf("%s/sep=%d: open live: %v", name, sepWorkers, err)
+					t.Fatalf("%s/workers=%d: open live: %v", name, workers, err)
 				}
 				if sessLive.Stats().CacheHit {
-					t.Fatalf("%s/sep=%d: first open was a hit", name, sepWorkers)
+					t.Fatalf("%s/workers=%d: first open was a hit", name, workers)
 				}
 
 				queries := []struct {
@@ -96,7 +96,7 @@ func TestSessionReloadBitIdentity(t *testing.T) {
 						res, err = s.ComponentCount(ctx, q)
 					}
 					if err != nil {
-						t.Fatalf("%s/sep=%d: query: %v", name, sepWorkers, err)
+						t.Fatalf("%s/workers=%d: query: %v", name, workers, err)
 					}
 					return res
 				}
@@ -108,35 +108,35 @@ func TestSessionReloadBitIdentity(t *testing.T) {
 
 				snap := filepath.Join(dir, famName+"-"+cm.name+".snap")
 				if n, err := live.SaveFile(snap); err != nil || n != 1 {
-					t.Fatalf("%s/sep=%d: save: %d, %v", name, sepWorkers, n, err)
+					t.Fatalf("%s/workers=%d: save: %d, %v", name, workers, n, err)
 				}
 
 				warm := core.NewPlanCacheWeighted(1 << 30)
 				rep, err := warm.LoadFile(snap)
 				if err != nil || rep.Loaded != 1 || rep.Skipped() != 0 {
-					t.Fatalf("%s/sep=%d: load: %+v, %v", name, sepWorkers, rep, err)
+					t.Fatalf("%s/workers=%d: load: %+v, %v", name, workers, rep, err)
 				}
 				opts.Cache = warm
 				sessWarm, err := Open(ctx, g, opts)
 				if err != nil {
-					t.Fatalf("%s/sep=%d: open warm: %v", name, sepWorkers, err)
+					t.Fatalf("%s/workers=%d: open warm: %v", name, workers, err)
 				}
 				if !sessWarm.Stats().CacheHit {
-					t.Fatalf("%s/sep=%d: reloaded open was not a cache hit — the restart would replan", name, sepWorkers)
+					t.Fatalf("%s/workers=%d: reloaded open was not a cache hit — the restart would replan", name, workers)
 				}
 
 				for i, q := range queries {
 					got := run(sessWarm, q.op, q.mode, q.seed)
 					if !bitsEqual(got, want[i]) {
-						t.Fatalf("%s/sep=%d: seeded release %d differs after reload:\nlive %+v\nwarm %+v",
-							name, sepWorkers, i, want[i], got)
+						t.Fatalf("%s/workers=%d: seeded release %d differs after reload:\nlive %+v\nwarm %+v",
+							name, workers, i, want[i], got)
 					}
 				}
 
 				ls, ws := live.Stats(), warm.Stats()
 				if ls.Weight != ws.Weight {
-					t.Fatalf("%s/sep=%d: cache weight changed across reload: %d vs %d",
-						name, sepWorkers, ls.Weight, ws.Weight)
+					t.Fatalf("%s/workers=%d: cache weight changed across reload: %d vs %d",
+						name, workers, ls.Weight, ws.Weight)
 				}
 			}
 		}

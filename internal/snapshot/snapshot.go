@@ -33,9 +33,9 @@
 //	f64  stall gap
 //	u64  workers
 //
-// Version-1 entries (10 counters, stopping after stalled pieces) are still
-// decoded; the parametric-engine counters read as zero, which is exactly
-// what a pre-parametric evaluation did.
+// Version-1 entries (10 counters, written before the parametric engine)
+// are skipped like any other unknown version: their options digest
+// predates every digest the plan cache accepts, so none could be used.
 //
 // Robustness contract: Decode never panics on malformed input and never
 // returns a silently corrupted entry. Every entry is length-prefixed and
@@ -74,14 +74,10 @@ import (
 // entries begin).
 const FormatVersion = 1
 
-// EntryVersion is the per-entry payload version this package writes. A
-// reader seeing any version it does not understand skips that entry and
-// keeps going; version 1 (the pre-parametric counter set) is still read.
+// EntryVersion is the per-entry payload version this package writes and
+// the only one it reads. A reader seeing any other version skips that
+// entry and keeps going.
 const EntryVersion = 2
-
-// entryVersionV1 is the previous payload version, retained read-only so
-// snapshots saved before the parametric engine still warm-start a daemon.
-const entryVersionV1 = 1
 
 // magic identifies a plan-cache snapshot file.
 var magic = [8]byte{'N', 'D', 'P', 'S', 'N', 'A', 'P', 0}
@@ -98,9 +94,7 @@ const (
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // Entry is the serialized form of one cached grid evaluation, mirroring the
-// fields internal/core persists. Stats.Shards (wall-clock diagnostics) is
-// deliberately not part of the format: durations are not reproducible and
-// would bloat snapshots of many-component graphs.
+// fields internal/core persists.
 type Entry struct {
 	// Fingerprint is the canonical 128-bit digest of the evaluated graph —
 	// half of the plan-cache key.
@@ -195,7 +189,7 @@ type Report struct {
 	// SkippedCorrupt counts damaged records: entries dropped for checksum
 	// or structural failures, plus trailing data after the declared
 	// entries. SkippedVersion counts entries with an unknown payload
-	// version (written by a newer codec).
+	// version (written by an older or a newer codec).
 	SkippedCorrupt, SkippedVersion int
 	// Truncated reports that the file ended before its declared entries.
 	Truncated bool
@@ -274,9 +268,8 @@ func encodeEntry(e *Entry) ([]byte, error) {
 	return b, nil
 }
 
-// statsCounters lists the persisted counter fields in version-2 payload
-// order. The first nine and the last one are the version-1 set; the
-// parametric-engine counters sit between them, mirroring the Stats struct.
+// statsCounters lists the persisted counter fields in payload order,
+// mirroring the Stats struct.
 func statsCounters(s *forestlp.Stats) [14]int {
 	return [14]int{
 		s.Components, s.FastPathHits, s.LPSolves, s.CutsAdded, s.MaxFlowCalls,
@@ -391,7 +384,7 @@ func decodeEntry(payload []byte) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != EntryVersion && version != entryVersionV1 {
+	if version != EntryVersion {
 		return nil, &EntryVersionError{Version: version}
 	}
 	e := &Entry{}
@@ -428,24 +421,13 @@ func decodeEntry(payload []byte) (*Entry, error) {
 	if len(e.Grid) != len(e.FDeltas) {
 		return nil, fmt.Errorf("grid has %d points but %d values", len(e.Grid), len(e.FDeltas))
 	}
-	// Version 1 persisted ten counters; version 2 adds the four
-	// parametric-engine counters before the final stalled-pieces slot. A
-	// v1 entry leaves them zero — the engine did not exist when it ran.
 	counters := []*int{
 		&e.Stats.Components, &e.Stats.FastPathHits, &e.Stats.LPSolves,
 		&e.Stats.CutsAdded, &e.Stats.MaxFlowCalls, &e.Stats.SimplexPivots,
 		&e.Stats.CutsRevived, &e.Stats.WarmCutsReused, &e.Stats.WarmBasisHits,
+		&e.Stats.Refactorizations, &e.Stats.ParametricSlides,
+		&e.Stats.ParametricCheapSolves, &e.Stats.IncrementalFallbacks,
 		&e.Stats.StalledPieces,
-	}
-	if version == EntryVersion {
-		counters = []*int{
-			&e.Stats.Components, &e.Stats.FastPathHits, &e.Stats.LPSolves,
-			&e.Stats.CutsAdded, &e.Stats.MaxFlowCalls, &e.Stats.SimplexPivots,
-			&e.Stats.CutsRevived, &e.Stats.WarmCutsReused, &e.Stats.WarmBasisHits,
-			&e.Stats.Refactorizations, &e.Stats.ParametricSlides,
-			&e.Stats.ParametricCheapSolves, &e.Stats.IncrementalFallbacks,
-			&e.Stats.StalledPieces,
-		}
 	}
 	for i, dst := range counters {
 		if *dst, err = c.count(fmt.Sprintf("stats counter %d", i)); err != nil {

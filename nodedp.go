@@ -51,6 +51,7 @@ package nodedp
 import (
 	"context"
 	"io"
+	"math"
 	"math/rand/v2"
 
 	"nodedp/internal/baseline"
@@ -103,7 +104,7 @@ func CanonicalizeEdges(n int, edges []Edge) ([]Edge, error) {
 
 // ReadGraph parses the package's edge-list exchange format ("n <count>"
 // header plus one "u v" pair per line; '#' comments allowed).
-func ReadGraph(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
+func ReadGraph(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r, math.MaxInt) }
 
 // WriteGraph writes g in the edge-list exchange format.
 func WriteGraph(w io.Writer, g *Graph) error { return graph.WriteEdgeList(w, g) }
@@ -112,13 +113,12 @@ func WriteGraph(w io.Writer, g *Graph) error { return graph.WriteEdgeList(w, g) 
 // internal/core.Options. Epsilon is required; every other field has a
 // sensible default (crypto-grade noise, β = 1/ln ln n, Δmax = n).
 // Options.ForestLP.Workers sets how many per-component LPs the evaluation
-// engine solves concurrently (0 = runtime.GOMAXPROCS) and
-// Options.ForestLP.SepWorkers how many separation-oracle max-flow calls
-// run concurrently inside a single component (0 = inherit Workers) — the
-// lever for graphs dominated by one giant component; the released value
-// is identical for every setting of either. Useful SepWorkers is capped
-// at the oracle's fixed wave width of 16. The engine's tuning is not
-// configurable, so a plan depends only on the graph and DeltaMax. Grid
+// engine solves concurrently (0 = runtime.GOMAXPROCS), and also how many
+// separation-oracle max-flow calls run concurrently inside a single
+// component, capped at the oracle's fixed wave width of 16 — the lever
+// for graphs dominated by one giant component; the released value is
+// identical for every setting. The engine's tuning is not configurable,
+// so a plan depends only on the graph and DeltaMax. Grid
 // sweeps warm-start adjacent Δ evaluations (cut pool, simplex bases, and
 // standing solvers slid across the grid); where the cutting planes
 // converge, that state moves only work counters, never values.
@@ -344,8 +344,8 @@ func NewPlanCache(capacity int) *PlanCache { return core.NewPlanCache(capacity) 
 // computes it. It keys the PlanCache and identifies sessions.
 type Fingerprint = graph.Fingerprint
 
-// LipschitzOptions schedules LipschitzExtensionValue's work: Workers,
-// SepWorkers and ShardTimings, none of which changes the value.
+// LipschitzOptions schedules LipschitzExtensionValue's work: Workers, which
+// never changes the value.
 type LipschitzOptions = forestlp.Options
 
 // LipschitzStats reports the work done by one extension evaluation,
@@ -389,10 +389,6 @@ func LipschitzExtensionValueCtx(ctx context.Context, g *Graph, delta float64, op
 // Build one with NewLipschitzPlan and call Value for as many (Δ, options)
 // pairs as needed — Algorithm 1 does exactly this across its Δ-grid.
 type LipschitzPlan = forestlp.Plan
-
-// ShardTiming is the per-component diagnostic record reported in
-// LipschitzStats.Shards.
-type ShardTiming = forestlp.ShardTiming
 
 // NewLipschitzPlan snapshots g and plans its component shards for repeated
 // f_Δ evaluation.

@@ -1,16 +1,16 @@
 package core
 
 // This file implements PlanCache, a bounded LRU cache of grid evaluations
-// keyed by canonical graph fingerprint plus DeltaMax. The Δ-grid of
-// Lipschitz-extension LPs is the expensive half of Algorithm 1 and is
-// fully deterministic per (graph, grid), so a serving deployment pays it
-// once per distinct graph: opening a session on an identical graph — same
+// keyed by canonical graph fingerprint. The Δ-grid of Lipschitz-extension
+// LPs is the expensive half of Algorithm 1 and is fully deterministic per
+// graph (the grid itself is a function of n), so a serving deployment pays
+// it once per distinct graph: opening a session on an identical graph — same
 // *Graph, a re-read copy, or one built in a different edge order — reuses
 // the cached evaluation and goes straight to the cheap per-query noise.
 // Any one-edge difference changes the fingerprint and misses.
 //
 // Cached GridEvals are immutable and shared by reference; the cache only
-// bounds how many distinct (graph, DeltaMax) evaluations it retains, not
+// bounds how many distinct graphs' evaluations it retains, not
 // their lifetime in sessions that already hold one. A mutated graph's old
 // plan is never removed explicitly: no lookup can hit it again, so it ages
 // out under the entry-count or weight bound like any other cold entry.
@@ -81,26 +81,17 @@ type CacheStats struct {
 	EntryWeights           []int64
 }
 
-// cacheKey identifies one cached evaluation: the graph's canonical
-// fingerprint plus DeltaMax, which fixes the Δ-grid. Nothing else changes
-// the grid values — the forestlp options left to callers only schedule
-// work — so sessions with different Workers share entries.
-type cacheKey struct {
-	fp       graph.Fingerprint
-	deltaMax float64
-}
-
-// planOptionsDigest is the options digest a snapshot stores with each
-// entry. Its bytes are those of
+// planOptionsDigest is the options digest a snapshot stores with the entry
+// of a graph on n vertices. Its bytes are those of
 //
 //	fmt.Sprintf("dmax=%g tol=%g rounds=%d cuts=%d drop=%d stall=%d nofast=%t nopeel=%t nowarm=false noincr=false exh=false wave=%d lp=%+v", …)
 //
-// over DeltaMax and the engine's settings, which are constants now, so
-// only dmax varies and snapshots written under default options still load
-// and hit: keep them. Load skips an entry whose digest is not the one for
-// its DeltaMax, since no lookup can ask for it.
-func planOptionsDigest(o Options) string {
-	return "dmax=" + strconv.FormatFloat(o.DeltaMax, 'g', -1, 64) + engineDigest
+// over Δmax and the engine's settings, which are all fixed now, so only
+// dmax varies, as max(n, 1), and snapshots written under default options
+// still load and hit: keep them. Load skips an entry whose digest is not
+// the one for its n, since no lookup can ask for it.
+func planOptionsDigest(n int) string {
+	return "dmax=" + strconv.FormatFloat(deltaMax(n), 'g', -1, 64) + engineDigest
 }
 
 // engineDigest is planOptionsDigest's constant tail.
@@ -108,8 +99,8 @@ const engineDigest = " tol=1e-07 rounds=1000 cuts=48 drop=3 stall=80 nofast=fals
 	"nowarm=false noincr=false exh=false wave=16 lp={Tol:0 MaxPivots:0 BlandAfter:0 Basis:[]}"
 
 type cacheEntry struct {
-	key cacheKey
-	ge  *GridEval
+	fp graph.Fingerprint
+	ge *GridEval
 	// h is the entry's GreedyDual-Size credit (weighted caches only):
 	// the eviction clock at the last touch plus the entry's cost, so
 	// expensive plans out-survive parades of cheap ones while the rising
@@ -127,9 +118,10 @@ type flight struct {
 }
 
 // PlanCache is a bounded, thread-safe LRU cache of grid evaluations keyed
-// by graph fingerprint. A single PlanCache may back any number of
-// concurrent sessions; the zero value is not usable — construct with
-// NewPlanCache.
+// by graph fingerprint. No option changes a grid value, so the fingerprint
+// is the whole key: sessions with different Workers share entries. A
+// single PlanCache may back any number of concurrent sessions; the zero
+// value is not usable — construct with NewPlanCache.
 type PlanCache struct {
 	mu        sync.Mutex
 	cap       int
@@ -137,12 +129,12 @@ type PlanCache struct {
 	weight    int64      // summed Cost of cached entries
 	clock     float64    // GreedyDual-Size eviction clock (weighted mode)
 	ll        *list.List // front = most recently used
-	entries   map[cacheKey]*list.Element
-	inflight  map[cacheKey]*flight
+	entries   map[graph.Fingerprint]*list.Element
+	inflight  map[graph.Fingerprint]*flight
 	stats     CacheStats
 
 	// Sub-plan layer (see subplan.go): per-component grid evaluations
-	// keyed by component fingerprint + DeltaMax, bounded by a
+	// keyed by component fingerprint + Δmax, bounded by a
 	// separate entry-count LRU. Not persisted in snapshots.
 	subLL      *list.List // front = most recently used
 	subEntries map[subPlanKey]*list.Element
@@ -165,8 +157,8 @@ func NewPlanCache(capacity int) *PlanCache {
 	return &PlanCache{
 		cap:        capacity,
 		ll:         list.New(),
-		entries:    make(map[cacheKey]*list.Element),
-		inflight:   make(map[cacheKey]*flight),
+		entries:    make(map[graph.Fingerprint]*list.Element),
+		inflight:   make(map[graph.Fingerprint]*flight),
 		subLL:      list.New(),
 		subEntries: make(map[subPlanKey]*list.Element),
 	}
@@ -192,12 +184,11 @@ func NewPlanCacheWeighted(maxWeight int64) *PlanCache {
 	return c
 }
 
-// GridEval returns the grid evaluation for g under opts, computing and
-// caching it on a miss. hit reports whether planning was skipped. Options
-// handling matches EvaluateGrid: Epsilon is irrelevant to the result and
-// may be zero. The whole-graph key is g.Fingerprint(), O(1); only a miss
-// builds a CSR, whose one labelling pass yields the shards and whose shards
-// are hashed once for the sub-plan lookup.
+// GridEval returns the grid evaluation for g, computing and caching it on a
+// miss with opts.ForestLP, the only field it reads (as EvaluateGrid).
+// hit reports whether planning was skipped. The key is g.Fingerprint(),
+// O(1); only a miss builds a CSR, whose one labelling pass yields the
+// shards and whose shards are hashed once for the sub-plan lookup.
 //
 // Concurrent misses on the same key are single-flighted: the first caller
 // evaluates, the rest wait on its result and report a cache hit (they did
@@ -206,8 +197,8 @@ func NewPlanCacheWeighted(maxWeight int64) *PlanCache {
 // evaluation rather than inheriting the cancelation.
 func (c *PlanCache) GridEval(ctx context.Context, g *graph.Graph, opts Options) (ge *GridEval, hit bool, err error) {
 	fp := g.Fingerprint()
-	ge, lk, err := c.plan(ctx, g.N(), fp, opts, func(ctx context.Context, opts Options) (*GridEval, Lookup, error) {
-		return evaluateGrid(ctx, graph.NewCSR(g).ComponentShards(), nil, fp, opts, c)
+	ge, lk, err := c.plan(ctx, fp, func(ctx context.Context) (*GridEval, Lookup, error) {
+		return evaluateGrid(ctx, graph.NewCSR(g).ComponentShards(), nil, fp, opts.ForestLP, c)
 	})
 	return ge, lk.Hit, err
 }
@@ -232,23 +223,19 @@ type Lookup struct {
 // every component and caches nothing.
 func (c *PlanCache) GridEvalDecomposition(ctx context.Context, d *graph.Decomposition, opts Options) (*GridEval, Lookup, error) {
 	if c == nil {
-		opts, err := gridOptions(opts, d.N())
-		if err != nil {
-			return nil, Lookup{}, err
-		}
-		return evaluateGrid(ctx, d.Shards(), nil, d.Fingerprint(), opts, nil)
+		return evaluateGrid(ctx, d.Shards(), nil, d.Fingerprint(), opts.ForestLP, nil)
 	}
 	fp := d.Fingerprint()
-	return c.plan(ctx, d.N(), fp, opts, func(ctx context.Context, opts Options) (*GridEval, Lookup, error) {
-		return evaluateGrid(ctx, d.Shards(), d.ComponentFingerprints(), fp, opts, c)
+	return c.plan(ctx, fp, func(ctx context.Context) (*GridEval, Lookup, error) {
+		return evaluateGrid(ctx, d.Shards(), d.ComponentFingerprints(), fp, opts.ForestLP, c)
 	})
 }
 
-// plan is the lookup both entry points share: it keys the graph on n
-// vertices with fingerprint fp by the defaulted DeltaMax and runs evaluate —
-// with this cache as the sub-plan store, so after a graph mutation only the
-// touched components re-plan — on a single-flighted miss.
-func (c *PlanCache) plan(ctx context.Context, n int, fp graph.Fingerprint, opts Options, evaluate func(context.Context, Options) (*GridEval, Lookup, error)) (ge *GridEval, lk Lookup, err error) {
+// plan is the lookup both entry points share: it looks the graph with
+// fingerprint fp up and runs evaluate — with this cache as the sub-plan
+// store, so after a graph mutation only the touched components re-plan —
+// on a single-flighted miss.
+func (c *PlanCache) plan(ctx context.Context, fp graph.Fingerprint, evaluate func(context.Context) (*GridEval, Lookup, error)) (ge *GridEval, lk Lookup, err error) {
 	// Tracing (internal/obs): a "core.plan" span brackets the lookup; on a
 	// miss the forestlp sweep span nests under it. cache_hit mirrors the
 	// returned hit flag so a trace alone answers "did this query plan?".
@@ -263,12 +250,6 @@ func (c *PlanCache) plan(ctx context.Context, n int, fp graph.Fingerprint, opts 
 			sp.End()
 		}
 	}()
-	opts, err = gridOptions(opts, n)
-	if err != nil {
-		return nil, Lookup{}, err
-	}
-	key := cacheKey{fp: fp, deltaMax: opts.DeltaMax}
-
 	// Each logical lookup counts exactly once — Hits, Misses, or Coalesced
 	// — even when a canceled leader makes a waiter loop and take over.
 	counted := false
@@ -280,7 +261,7 @@ func (c *PlanCache) plan(ctx context.Context, n int, fp graph.Fingerprint, opts 
 	}
 	for {
 		c.mu.Lock()
-		if el, ok := c.entries[key]; ok {
+		if el, ok := c.entries[fp]; ok {
 			c.ll.MoveToFront(el)
 			entry := el.Value.(*cacheEntry)
 			entry.h = c.clock + float64(entry.ge.Cost())
@@ -289,7 +270,7 @@ func (c *PlanCache) plan(ctx context.Context, n int, fp graph.Fingerprint, opts 
 			c.mu.Unlock()
 			return entry.ge, Lookup{Hit: true}, nil
 		}
-		if f, ok := c.inflight[key]; ok {
+		if f, ok := c.inflight[fp]; ok {
 			count(&c.stats.Coalesced)
 			c.mu.Unlock()
 			select {
@@ -307,10 +288,10 @@ func (c *PlanCache) plan(ctx context.Context, n int, fp graph.Fingerprint, opts 
 		}
 		count(&c.stats.Misses)
 		f := &flight{done: make(chan struct{})}
-		c.inflight[key] = f
+		c.inflight[fp] = f
 		c.mu.Unlock()
 
-		f.ge, lk, f.err = evaluate(ctx, opts)
+		f.ge, lk, f.err = evaluate(ctx)
 		// Failpoint between evaluation and admission: a firing site turns a
 		// finished evaluation into an error *before* the insert gate below,
 		// proving no partial or fault-tainted plan can enter the cache (the
@@ -321,9 +302,9 @@ func (c *PlanCache) plan(ctx context.Context, n int, fp graph.Fingerprint, opts 
 		}
 
 		c.mu.Lock()
-		delete(c.inflight, key)
+		delete(c.inflight, fp)
 		if f.err == nil {
-			c.insertLocked(key, f.ge)
+			c.insertLocked(fp, f.ge)
 		}
 		c.mu.Unlock()
 		close(f.done)
@@ -340,22 +321,22 @@ func (c *PlanCache) plan(ctx context.Context, n int, fp graph.Fingerprint, opts 
 // the same key keeps the existing entry. The newly inserted entry itself is
 // never evicted: a plan heavier than the whole weight budget is more
 // valuable alone than an empty cache.
-func (c *PlanCache) insertLocked(key cacheKey, ge *GridEval) {
-	if el, ok := c.entries[key]; ok {
+func (c *PlanCache) insertLocked(fp graph.Fingerprint, ge *GridEval) {
+	if el, ok := c.entries[fp]; ok {
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.admitLocked(key, ge, c.clock+float64(ge.Cost()))
+	c.admitLocked(fp, ge, c.clock+float64(ge.Cost()))
 }
 
-// admitLocked pushes a new entry (key must be absent; c.mu held) with the
+// admitLocked pushes a new entry (fp must be absent; c.mu held) with the
 // given GreedyDual-Size credit and runs the eviction loop. Snapshot loading
 // enters here directly so reloaded entries keep their saved credit instead
 // of being treated as freshly touched.
-func (c *PlanCache) admitLocked(key cacheKey, ge *GridEval, h float64) {
+func (c *PlanCache) admitLocked(fp graph.Fingerprint, ge *GridEval, h float64) {
 	c.gen++ // one bump covers the insert and any evictions it causes
-	inserted := c.ll.PushFront(&cacheEntry{key: key, ge: ge, h: h})
-	c.entries[key] = inserted
+	inserted := c.ll.PushFront(&cacheEntry{fp: fp, ge: ge, h: h})
+	c.entries[fp] = inserted
 	c.weight += ge.Cost()
 	for c.ll.Len() > 1 && (c.ll.Len() > c.cap || (c.weightCap > 0 && c.weight > c.weightCap)) {
 		victim := c.ll.Back()
@@ -375,7 +356,7 @@ func (c *PlanCache) admitLocked(key cacheKey, ge *GridEval, h float64) {
 		}
 		c.ll.Remove(victim)
 		entry := victim.Value.(*cacheEntry)
-		delete(c.entries, entry.key)
+		delete(c.entries, entry.fp)
 		c.weight -= entry.ge.Cost()
 		c.stats.Evictions++
 	}

@@ -7,7 +7,6 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"nodedp/internal/forestlp"
 	"nodedp/internal/graph"
 )
 
@@ -92,31 +91,11 @@ func TestPlanCacheOptionsChangeMisses(t *testing.T) {
 	if _, _, err := cache.GridEval(ctx, g, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	// A different grid is a different plan.
-	if _, hit, err := cache.GridEval(ctx, g, Options{DeltaMax: 4}); err != nil || hit {
-		t.Fatalf("DeltaMax change: hit=%v err=%v, want miss", hit, err)
-	}
 	// Workers only changes scheduling; same values, must hit.
 	opts := Options{}
 	opts.ForestLP.Workers = 3
 	if _, hit, err := cache.GridEval(ctx, g, opts); err != nil || !hit {
 		t.Fatalf("Workers change: hit=%v err=%v, want hit", hit, err)
-	}
-}
-
-// TestGridEvalRejectsNonFiniteDeltaMax: NaN and infinite DeltaMax fail
-// option validation before the lookup, so they never count a miss or
-// open a flight under a key that could never match again.
-func TestGridEvalRejectsNonFiniteDeltaMax(t *testing.T) {
-	g := cacheTestGraph(t, cacheTestEdges[:8])
-	cache := NewPlanCache(4)
-	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, _, err := cache.GridEval(context.Background(), g, Options{DeltaMax: d}); err == nil {
-			t.Errorf("DeltaMax %v accepted", d)
-		}
-	}
-	if s := cache.Stats(); s.Misses != 0 || s.Entries != 0 {
-		t.Fatalf("stats = %+v, want no miss and no entry", s)
 	}
 }
 
@@ -126,41 +105,27 @@ func TestGridEvalRejectsNonFiniteDeltaMax(t *testing.T) {
 func TestPlanOptionsDigestPinned(t *testing.T) {
 	const want = "dmax=16 tol=1e-07 rounds=1000 cuts=48 drop=3 stall=80 nofast=false nopeel=false " +
 		"nowarm=false noincr=false exh=false wave=16 lp={Tol:0 MaxPivots:0 BlandAfter:0 Basis:[]}"
-	if got := planOptionsDigest(Options{DeltaMax: 16}); got != want {
+	if got := planOptionsDigest(16); got != want {
 		t.Fatalf("planOptionsDigest changed:\n got %s\nwant %s", got, want)
 	}
 }
 
 // sprintfDigest is the fmt form planOptionsDigest's bytes were first
-// defined by, over the engine settings that are constants now. Its lp
-// part is the %+v form of the zero lp.Options of the time, which had
-// four fields.
-func sprintfDigest(o Options) string {
+// defined by, over the engine settings that are constants now, with dmax
+// the Δmax of a graph on n vertices, max(n, 1). Its lp part is the %+v
+// form of the zero lp.Options of the time, which had four fields.
+func sprintfDigest(n int) string {
 	return fmt.Sprintf("dmax=%g tol=%g rounds=%d cuts=%d drop=%d stall=%d nofast=%t nopeel=%t nowarm=false noincr=false exh=false wave=%d lp={Tol:0 MaxPivots:0 BlandAfter:0 Basis:[]}",
-		o.DeltaMax, 1e-7, 1000, 48, 3, 80, false, false, 16)
+		float64(max(n, 1)), 1e-7, 1000, 48, 3, 80, false, false, 16)
 }
 
-// TestPlanOptionsDigestMatchesSprintf perturbs DeltaMax and the scheduling
-// options and checks planOptionsDigest against the fmt reference byte for
-// byte; checkGrid must accept exactly the pairs with equal DeltaMax.
+// TestPlanOptionsDigestMatchesSprintf checks planOptionsDigest against the
+// fmt reference byte for byte over vertex counts from empty to the
+// largest int, through the ones whose %g switches to exponent form.
 func TestPlanOptionsDigestMatchesSprintf(t *testing.T) {
-	var variants []Options
-	for _, d := range []float64{16, 1, 0.5, 1e-5, 3.14159, 1e6, 123456789, 1e21, math.Inf(1), math.NaN()} {
-		variants = append(variants, Options{DeltaMax: d})
-	}
-	variants = append(variants, Options{DeltaMax: 16, ForestLP: forestlp.Options{Workers: 3}})
-	for i, a := range variants {
-		want := sprintfDigest(a)
-		if got := planOptionsDigest(a); got != want {
-			t.Fatalf("variant %d: digest\n got %s\nwant %s", i, got, want)
-		}
-		ge := &GridEval{deltaMax: a.DeltaMax}
-		for j, b := range variants {
-			//detlint:allow floatorder — reference for checkGrid's exact config-identity check
-			accept := a.DeltaMax == b.DeltaMax
-			if err := checkGrid(ge, b); (err == nil) != accept {
-				t.Errorf("checkGrid(variant %d, variant %d) = %v, want accept=%v", i, j, err, accept)
-			}
+	for _, n := range []int{0, 1, 2, 16, 25, 99999, 100000, 1e6, 123456789, math.MaxInt} {
+		if got, want := planOptionsDigest(n), sprintfDigest(n); got != want {
+			t.Fatalf("n=%d: digest\n got %s\nwant %s", n, got, want)
 		}
 	}
 }
@@ -257,25 +222,6 @@ func TestGridEvalMatchesOneShot(t *testing.T) {
 					fromGrid.Value, fromGrid.Delta, fromGrid.NHat)
 			}
 		}
-	}
-}
-
-func TestEstimateFromGridRejectsMismatchedGrid(t *testing.T) {
-	g := cacheTestGraph(t, cacheTestEdges[:8])
-	ge, err := EvaluateGrid(context.Background(), g, Options{DeltaMax: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = EstimateSpanningForestSizeFromGrid(context.Background(), ge,
-		Options{Epsilon: 1, DeltaMax: 8})
-	if err == nil {
-		t.Fatal("mismatched DeltaMax must be rejected")
-	}
-	// Scheduling options are not part of the grid identity.
-	matching := Options{Epsilon: 1, DeltaMax: 4, Rand: rand.New(rand.NewPCG(1, 1))}
-	matching.ForestLP.Workers = 3
-	if _, err = EstimateSpanningForestSizeFromGrid(context.Background(), ge, matching); err != nil {
-		t.Fatalf("matching DeltaMax rejected: %v", err)
 	}
 }
 

@@ -33,31 +33,20 @@ import (
 	"nodedp/internal/mechanism"
 )
 
-// Options configures the private estimators.
+// Options configures the private estimators. The paper's constants are
+// not options: the Δ-grid tops out at Δmax = max(n, 1), GEM's failure
+// probability is β = 1/ln ln n clamped to 1/2, and EstimateComponentCount
+// spends one fifth of ε on the private vertex count.
 type Options struct {
 	// Epsilon is the total privacy budget ε > 0. Required.
 	Epsilon float64
-	// Beta is the failure probability of the GEM selection step. If zero,
-	// the paper's choice 1/ln(ln n) is used (clamped into (0, 1/2]).
-	Beta float64
 	// Rand is the noise source. If nil, a crypto/rand-backed source is
 	// used; experiments pass a seeded PRNG for reproducibility.
 	Rand *rand.Rand
-	// DeltaMax overrides the top of the Δ grid (default: n, as in the
-	// paper; values below 1, NaN and infinities are rejected).
-	DeltaMax float64
 	// ForestLP schedules the extension evaluator's work. No field of it
-	// changes a grid value, so plans are keyed by the graph and DeltaMax
-	// alone, and sessions with different ForestLP settings share them.
+	// changes a grid value, so plans are keyed by the graph alone, and
+	// sessions with different ForestLP settings share them.
 	ForestLP forestlp.Options
-	// CountBudgetFraction is the share of ε spent on releasing the vertex
-	// count when estimating f_cc (Equation (1) needs a private |V|).
-	// Default 0.2: the count's noise scale is 1/(ρε) against the forest
-	// estimate's ≈ Δ̂·lnln(n)/((1−ρ)ε), so a one-fifth share keeps the
-	// count term from dominating on small graphs while costing little on
-	// large ones. Ignored by EstimateSpanningForestSize and by
-	// EstimateComponentCountKnownN.
-	CountBudgetFraction float64
 	// DiscreteRelease replaces the float64 Laplace release with an exact
 	// integer mechanism: round(f_Δ̂) plus discrete Laplace noise sampled
 	// without floating-point arithmetic (internal/dpnoise). Rounding
@@ -67,43 +56,34 @@ type Options struct {
 	DiscreteRelease bool
 }
 
-func (o Options) withDefaults(n int) (Options, error) {
+func (o Options) withDefaults() (Options, error) {
 	if o.Epsilon <= 0 || math.IsNaN(o.Epsilon) || math.IsInf(o.Epsilon, 0) {
 		return o, fmt.Errorf("core: epsilon %v must be positive and finite", o.Epsilon)
-	}
-	if o.Beta == 0 {
-		// β = 1/ln(ln n) (the Theorem 1.3 setting), clamped to (0, 1/2].
-		b := 0.5
-		if n > 15 { // ln ln n > 1 ⟺ n > e^e ≈ 15.15
-			b = 1 / math.Log(math.Log(float64(n)))
-		}
-		if b > 0.5 {
-			b = 0.5
-		}
-		o.Beta = b
-	}
-	if o.Beta <= 0 || o.Beta >= 1 {
-		return o, fmt.Errorf("core: beta %v must be in (0,1)", o.Beta)
 	}
 	if o.Rand == nil {
 		o.Rand = dpnoise.NewCryptoRand()
 	}
-	if o.DeltaMax == 0 {
-		o.DeltaMax = float64(n)
-		if o.DeltaMax < 1 {
-			o.DeltaMax = 1
-		}
-	}
-	if !(o.DeltaMax >= 1) || math.IsInf(o.DeltaMax, 0) {
-		return o, fmt.Errorf("core: deltaMax %v must be finite and ≥ 1", o.DeltaMax)
-	}
-	if o.CountBudgetFraction == 0 {
-		o.CountBudgetFraction = 0.2
-	}
-	if o.CountBudgetFraction <= 0 || o.CountBudgetFraction >= 1 {
-		return o, fmt.Errorf("core: countBudgetFraction %v must be in (0,1)", o.CountBudgetFraction)
-	}
 	return o, nil
+}
+
+// countShare is the share of ε that EstimateComponentCount spends on the
+// private vertex count (Equation (1) needs a private |V|). The count's
+// noise scale is 1/(ρε) against the forest estimate's ≈ Δ̂·lnln(n)/((1−ρ)ε),
+// so a one-fifth share keeps the count term from dominating on small graphs
+// while costing little on large ones.
+const countShare = 0.2
+
+// deltaMax is the top of the Δ-grid for a graph on n vertices: n, as in
+// the paper, and at least 1 so that the grid is never empty.
+func deltaMax(n int) float64 { return float64(max(n, 1)) }
+
+// gemBeta is the failure probability of the GEM selection step on a graph
+// on n vertices: 1/ln(ln n), the Theorem 1.3 setting, clamped to 1/2.
+func gemBeta(n int) float64 {
+	if n <= 15 { // ln ln n > 1 ⟺ n > e^e ≈ 15.15
+		return 0.5
+	}
+	return min(1/math.Log(math.Log(float64(n))), 0.5)
 }
 
 // DeltaEval records one extension evaluation, for experiment diagnostics.
@@ -179,11 +159,11 @@ func EstimateSpanningForestSizeCtx(ctx context.Context, g *graph.Graph, opts Opt
 // estimator, which never consults a cache and so skips the fingerprint;
 // each estimator then releases through its FromGrid twin.
 func oneShotGrid(ctx context.Context, g *graph.Graph, opts Options) (*GridEval, Options, error) {
-	opts, err := opts.withDefaults(g.N())
+	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, opts, err
 	}
-	ge, _, err := evaluateGrid(ctx, graph.NewCSR(g).ComponentShards(), nil, graph.Fingerprint{}, opts, nil)
+	ge, _, err := evaluateGrid(ctx, graph.NewCSR(g).ComponentShards(), nil, graph.Fingerprint{}, opts.ForestLP, nil)
 	return ge, opts, err
 }
 
@@ -199,7 +179,6 @@ func oneShotGrid(ctx context.Context, g *graph.Graph, opts Options) (*GridEval, 
 type GridEval struct {
 	n           int
 	m           int
-	deltaMax    float64
 	fingerprint graph.Fingerprint
 	grid        []float64
 	fdeltas     []float64
@@ -233,25 +212,11 @@ func (ge *GridEval) Stats() forestlp.Stats { return ge.stats }
 
 // EvaluateGrid runs the deterministic half of Algorithm 1 for g: one CSR
 // snapshot, one shard plan, and one extension evaluation per grid point.
-// The result is independent of Options.Epsilon (which may be left zero
-// here); the one plan-relevant option, DeltaMax, is baked into the
-// returned evaluation.
+// Only opts.ForestLP is read, and it schedules work without changing a
+// value: the grid depends on g alone.
 func EvaluateGrid(ctx context.Context, g *graph.Graph, opts Options) (*GridEval, error) {
-	opts, err := gridOptions(opts, g.N())
-	if err != nil {
-		return nil, err
-	}
-	ge, _, err := evaluateGrid(ctx, graph.NewCSR(g).ComponentShards(), nil, g.Fingerprint(), opts, nil)
+	ge, _, err := evaluateGrid(ctx, graph.NewCSR(g).ComponentShards(), nil, g.Fingerprint(), opts.ForestLP, nil)
 	return ge, err
-}
-
-// gridOptions defaults opts for a grid evaluation on n vertices. ε does not
-// enter the grid values, so a zero Epsilon is accepted.
-func gridOptions(opts Options, n int) (Options, error) {
-	if opts.Epsilon == 0 {
-		opts.Epsilon = 1
-	}
-	return opts.withDefaults(n)
 }
 
 // Prepared caches the deterministic, expensive part of Algorithm 1 — the
@@ -270,7 +235,6 @@ type Prepared struct {
 	qs          []float64
 	evaluations []DeltaEval
 	eps         float64
-	beta        float64
 	rand        *rand.Rand
 	discrete    bool
 	releases    atomic.Int64
@@ -321,7 +285,6 @@ func newPrepared(ge *GridEval, opts Options, eps float64) *Prepared {
 		qs:          make([]float64, len(ge.grid)),
 		evaluations: make([]DeltaEval, len(ge.grid)),
 		eps:         eps,
-		beta:        opts.Beta,
 		rand:        opts.Rand,
 		discrete:    opts.DiscreteRelease,
 	}
@@ -344,7 +307,7 @@ func (p *Prepared) Release() (Result, error) {
 	p.releases.Add(1)
 	res := Result{Evaluations: p.evaluations, Stats: p.ge.stats}
 	epsHalf := p.eps / 2
-	sel, err := mechanism.GEM(p.rand, p.ge.grid, p.qs, epsHalf, p.beta)
+	sel, err := mechanism.GEM(p.rand, p.ge.grid, p.qs, epsHalf, gemBeta(p.ge.n))
 	if err != nil {
 		return res, fmt.Errorf("core: GEM selection: %w", err)
 	}
@@ -387,29 +350,14 @@ func estimateSFFromGrid(ctx context.Context, ge *GridEval, opts Options, eps flo
 	return p.Release()
 }
 
-// checkGrid rejects a grid evaluation that was computed under a different
-// Δ-grid than the (defaulted) options ask for — silently releasing from a
-// mismatched evaluation would be an accuracy bug, not a privacy bug, but
-// still a bug. DeltaMax is the only option that changes grid values.
-func checkGrid(ge *GridEval, opts Options) error {
-	//detlint:allow floatorder — exact config-identity check: DeltaMax is copied from Options, never computed, so bit equality is the correct test
-	if ge.deltaMax != opts.DeltaMax {
-		return fmt.Errorf("core: grid evaluation has DeltaMax %v, options ask for %v", ge.deltaMax, opts.DeltaMax)
-	}
-	return nil
-}
-
 // EstimateSpanningForestSizeFromGrid is EstimateSpanningForestSizeCtx with
 // the deterministic half replaced by a precomputed (possibly cached) grid
 // evaluation: only GEM selection and the Laplace release run here. With the
 // same options and noise source, the release is bit-for-bit identical to
 // the one-shot call on the same graph.
 func EstimateSpanningForestSizeFromGrid(ctx context.Context, ge *GridEval, opts Options) (Result, error) {
-	opts, err := opts.withDefaults(ge.n)
+	opts, err := opts.withDefaults()
 	if err != nil {
-		return Result{}, err
-	}
-	if err := checkGrid(ge, opts); err != nil {
 		return Result{}, err
 	}
 	return estimateSFFromGrid(ctx, ge, opts, opts.Epsilon)
@@ -418,11 +366,8 @@ func EstimateSpanningForestSizeFromGrid(ctx context.Context, ge *GridEval, opts 
 // EstimateComponentCountFromGrid is EstimateComponentCountCtx on a
 // precomputed grid evaluation; see EstimateSpanningForestSizeFromGrid.
 func EstimateComponentCountFromGrid(ctx context.Context, ge *GridEval, opts Options) (Result, error) {
-	opts, err := opts.withDefaults(ge.n)
+	opts, err := opts.withDefaults()
 	if err != nil {
-		return Result{}, err
-	}
-	if err := checkGrid(ge, opts); err != nil {
 		return Result{}, err
 	}
 	return estimateCCFromGrid(ctx, ge, opts)
@@ -432,7 +377,7 @@ func EstimateComponentCountFromGrid(ctx context.Context, ge *GridEval, opts Opti
 // vertex count and the forest estimate, drawing the count noise first —
 // the same draw order as the one-shot path, so seeded runs agree.
 func estimateCCFromGrid(ctx context.Context, ge *GridEval, opts Options) (Result, error) {
-	epsCount := opts.Epsilon * opts.CountBudgetFraction
+	epsCount := opts.Epsilon * countShare
 	epsSF := opts.Epsilon - epsCount
 	p := newPrepared(ge, opts, epsSF)
 	// As in estimateSFFromGrid: no noise draws once ctx is done.
@@ -455,11 +400,8 @@ func estimateCCFromGrid(ctx context.Context, ge *GridEval, opts Options) (Result
 // EstimateComponentCountKnownNFromGrid is EstimateComponentCountKnownNCtx
 // on a precomputed grid evaluation; see EstimateSpanningForestSizeFromGrid.
 func EstimateComponentCountKnownNFromGrid(ctx context.Context, ge *GridEval, opts Options) (Result, error) {
-	opts, err := opts.withDefaults(ge.n)
+	opts, err := opts.withDefaults()
 	if err != nil {
-		return Result{}, err
-	}
-	if err := checkGrid(ge, opts); err != nil {
 		return Result{}, err
 	}
 	res, err := estimateSFFromGrid(ctx, ge, opts, opts.Epsilon)
@@ -472,9 +414,9 @@ func EstimateComponentCountKnownNFromGrid(ctx context.Context, ge *GridEval, opt
 }
 
 // EstimateComponentCount releases an ε-node-private estimate of f_cc(G)
-// via Equation (1): f_cc = |V| − f_sf. A CountBudgetFraction share of ε
-// buys the private vertex count (sensitivity 1 under node-privacy); the
-// rest runs Algorithm 1 for f_sf.
+// via Equation (1): f_cc = |V| − f_sf. A fixed share of ε (countShare,
+// one fifth) buys the private vertex count (sensitivity 1 under
+// node-privacy); the rest runs Algorithm 1 for f_sf.
 func EstimateComponentCount(g *graph.Graph, opts Options) (Result, error) {
 	return EstimateComponentCountCtx(context.Background(), g, opts)
 }

@@ -16,15 +16,6 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := EstimateSpanningForestSize(g, Options{Epsilon: -1}); err == nil {
 		t.Error("negative epsilon should fail")
 	}
-	if _, err := EstimateSpanningForestSize(g, Options{Epsilon: 1, Beta: 2}); err == nil {
-		t.Error("beta >= 1 should fail")
-	}
-	if _, err := EstimateSpanningForestSize(g, Options{Epsilon: 1, DeltaMax: 0.5}); err == nil {
-		t.Error("deltaMax < 1 should fail")
-	}
-	if _, err := EstimateComponentCount(g, Options{Epsilon: 1, CountBudgetFraction: 1.5}); err == nil {
-		t.Error("bad budget fraction should fail")
-	}
 }
 
 func TestEstimateSFAccuracyOnPath(t *testing.T) {
@@ -171,20 +162,14 @@ func TestCryptoRandDefault(t *testing.T) {
 }
 
 func TestBetaDefaultClamped(t *testing.T) {
-	opts, err := Options{Epsilon: 1}.withDefaults(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts.Beta != 0.5 {
-		t.Fatalf("beta for n=10 should clamp to 0.5, got %v", opts.Beta)
-	}
-	opts, err = Options{Epsilon: 1}.withDefaults(100000)
-	if err != nil {
-		t.Fatal(err)
+	for _, n := range []int{0, 1, 10, 15, 16} {
+		if b := gemBeta(n); b != 0.5 {
+			t.Fatalf("beta for n=%d should clamp to 0.5, got %v", n, b)
+		}
 	}
 	want := 1 / math.Log(math.Log(100000))
-	if math.Abs(opts.Beta-want) > 1e-12 {
-		t.Fatalf("beta = %v, want %v", opts.Beta, want)
+	if b := gemBeta(100000); math.Abs(b-want) > 1e-12 {
+		t.Fatalf("beta = %v, want %v", b, want)
 	}
 }
 

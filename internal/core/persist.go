@@ -14,10 +14,10 @@ package core
 // entries: corrupt or unknown-version entries are skipped with typed errors
 // (a daemon boot must never be held hostage by one damaged record), but an
 // entry that decodes is still re-validated against the format's invariants
-// — the grid must be exactly the power-of-two grid of its DeltaMax, the
-// options digest the one for that DeltaMax, values must lie in [0, f_sf],
-// the fingerprint must be set — before it can ever serve a query, so a
-// silently-wrong plan cannot enter the cache.
+// — DeltaMax must be max(n, 1), the options digest the one for that n, the
+// grid exactly the power-of-two grid of DeltaMax, values must lie in
+// [0, f_sf], the fingerprint must be set — before it can ever serve a
+// query, so a silently-wrong plan cannot enter the cache.
 
 import (
 	"fmt"
@@ -144,11 +144,11 @@ func entryToSnapshot(entry *cacheEntry, clock float64) snapshot.Entry {
 		credit = cost
 	}
 	return snapshot.Entry{
-		Fingerprint: entry.key.fp,
-		OptsDigest:  planOptionsDigest(Options{DeltaMax: ge.deltaMax}),
+		Fingerprint: entry.fp,
+		OptsDigest:  planOptionsDigest(ge.n),
 		N:           ge.n,
 		M:           ge.m,
-		DeltaMax:    ge.deltaMax,
+		DeltaMax:    deltaMax(ge.n),
 		FSF:         ge.fsf,
 		Grid:        ge.grid,
 		FDeltas:     ge.fdeltas,
@@ -212,8 +212,7 @@ func (c *PlanCache) mergeEntries(snap *snapshot.Snapshot, rep *LoadReport) {
 			c.stats.SnapshotEntriesSkipped++
 			continue
 		}
-		key := cacheKey{fp: e.Fingerprint, deltaMax: e.DeltaMax}
-		if _, ok := c.entries[key]; ok {
+		if _, ok := c.entries[e.Fingerprint]; ok {
 			rep.Duplicates++
 			continue
 		}
@@ -224,7 +223,7 @@ func (c *PlanCache) mergeEntries(snap *snapshot.Snapshot, rep *LoadReport) {
 		if cost := float64(ge.Cost()); credit > cost {
 			credit = cost
 		}
-		c.admitLocked(key, ge, c.clock+credit)
+		c.admitLocked(e.Fingerprint, ge, c.clock+credit)
 		rep.Loaded++
 		c.stats.SnapshotEntriesLoaded++
 	}
@@ -232,10 +231,12 @@ func (c *PlanCache) mergeEntries(snap *snapshot.Snapshot, rep *LoadReport) {
 }
 
 // gridEvalFromSnapshot reconstructs a GridEval from a decoded entry,
-// enforcing the invariants every live evaluation satisfies. The grid check
-// is exact — the stored grid must be bit-identical to the power-of-two grid
-// its DeltaMax implies — so a plan that somehow decodes under the wrong
-// geometry can never serve releases.
+// enforcing the invariants every live evaluation satisfies. The grid checks
+// are exact — DeltaMax must be max(n, 1) and the stored grid bit-identical
+// to the power-of-two grid it implies — so a plan that somehow decodes
+// under the wrong geometry can never serve releases. An entry saved when
+// the cache still took a DeltaMax option fails the first check: no lookup
+// can ask for it.
 func gridEvalFromSnapshot(e *snapshot.Entry) (*GridEval, error) {
 	if e.Fingerprint.IsZero() {
 		return nil, fmt.Errorf("zero fingerprint")
@@ -243,10 +244,10 @@ func gridEvalFromSnapshot(e *snapshot.Entry) (*GridEval, error) {
 	if e.N < 0 || e.M < 0 {
 		return nil, fmt.Errorf("negative dimensions n=%d m=%d", e.N, e.M)
 	}
-	if !(e.DeltaMax >= 1) || math.IsInf(e.DeltaMax, 0) {
-		return nil, fmt.Errorf("deltaMax %v out of range", e.DeltaMax)
+	if want := deltaMax(e.N); math.Float64bits(e.DeltaMax) != math.Float64bits(want) {
+		return nil, fmt.Errorf("deltaMax %v is not max(n, 1) = %v", e.DeltaMax, want)
 	}
-	if want := planOptionsDigest(Options{DeltaMax: e.DeltaMax}); e.OptsDigest != want {
+	if want := planOptionsDigest(e.N); e.OptsDigest != want {
 		return nil, fmt.Errorf("options digest %q is not %q, the only one a lookup asks for", e.OptsDigest, want)
 	}
 	wantGrid, err := mechanism.PowerOfTwoGrid(e.DeltaMax)
@@ -279,7 +280,6 @@ func gridEvalFromSnapshot(e *snapshot.Entry) (*GridEval, error) {
 	return &GridEval{
 		n:           e.N,
 		m:           e.M,
-		deltaMax:    e.DeltaMax,
 		fingerprint: e.Fingerprint,
 		grid:        e.Grid,
 		fdeltas:     e.FDeltas,

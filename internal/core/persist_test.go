@@ -102,8 +102,8 @@ func TestPlanCacheSaveLoadBitIdentity(t *testing.T) {
 			if geWarm.fingerprint != geLive.fingerprint || geWarm.n != geLive.n || geWarm.m != geLive.m {
 				t.Fatalf("%s/workers=%d: identity fields changed across reload", name, workers)
 			}
-			if !sameBits(geWarm.fsf, geLive.fsf) || !sameBits(geWarm.deltaMax, geLive.deltaMax) {
-				t.Fatalf("%s/workers=%d: fsf/deltaMax changed across reload", name, workers)
+			if !sameBits(geWarm.fsf, geLive.fsf) {
+				t.Fatalf("%s/workers=%d: fsf changed across reload", name, workers)
 			}
 			for i := range geLive.fdeltas {
 				if !sameBits(geWarm.fdeltas[i], geLive.fdeltas[i]) || !sameBits(geWarm.grid[i], geLive.grid[i]) {
@@ -185,7 +185,7 @@ func cachedFingerprints(c *PlanCache) []graph.Fingerprint {
 	defer c.mu.Unlock()
 	var out []graph.Fingerprint
 	for el := c.ll.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*cacheEntry).key.fp)
+		out = append(out, el.Value.(*cacheEntry).fp)
 	}
 	return out
 }
@@ -274,15 +274,16 @@ func TestLoadSkipsDamagedEntries(t *testing.T) {
 }
 
 // TestLoadRejectsInvariantViolations: an entry that passes its checksum but
-// violates a grid-evaluation invariant (here: a value above f_sf, and a
-// grid that disagrees with its DeltaMax) is skipped with a typed
-// *InvalidEntryError — the "never load a silently-wrong plan" half of the
-// contract that checksums alone cannot give.
+// violates a grid-evaluation invariant (here: a value above f_sf, a grid
+// that disagrees with its DeltaMax, or a DeltaMax other than max(N, 1)) is
+// skipped with a typed *InvalidEntryError — the "never load a
+// silently-wrong plan" half of the contract that checksums alone cannot
+// give.
 func TestLoadRejectsInvariantViolations(t *testing.T) {
 	mk := func(mutate func(*snapshot.Entry)) []byte {
 		e := snapshot.Entry{
 			Fingerprint: graph.Fingerprint{Hi: 3, Lo: 4},
-			OptsDigest:  planOptionsDigest(Options{DeltaMax: 4}),
+			OptsDigest:  planOptionsDigest(4),
 			N:           4, M: 3,
 			DeltaMax: 4,
 			FSF:      3,
@@ -304,8 +305,14 @@ func TestLoadRejectsInvariantViolations(t *testing.T) {
 		"fsf above n-1":       func(e *snapshot.Entry) { e.FSF = 9; e.FDeltas = []float64{2, 3, 3} },
 		"zero fingerprint":    func(e *snapshot.Entry) { e.Fingerprint = graph.Fingerprint{} },
 		"empty digest":        func(e *snapshot.Entry) { e.OptsDigest = "" },
-		"other dmax digest":   func(e *snapshot.Entry) { e.OptsDigest = planOptionsDigest(Options{DeltaMax: 8}) },
-		"NaN value":           func(e *snapshot.Entry) { e.FDeltas[0] = math.NaN() },
+		"other dmax digest":   func(e *snapshot.Entry) { e.OptsDigest = planOptionsDigest(8) },
+		// Saved under a DeltaMax option of 2: grid, values and digest agree
+		// with it, but no lookup of a 4-vertex graph asks for that grid.
+		"deltaMax not max(N, 1)": func(e *snapshot.Entry) {
+			e.DeltaMax, e.Grid, e.FDeltas = 2, []float64{1, 2}, []float64{2, 3}
+			e.OptsDigest = planOptionsDigest(2)
+		},
+		"NaN value": func(e *snapshot.Entry) { e.FDeltas[0] = math.NaN() },
 	}
 	for name, mutate := range cases {
 		c := NewPlanCache(4)
@@ -336,12 +343,12 @@ func TestLoadRejectsInvariantViolations(t *testing.T) {
 	}
 }
 
-// TestLoadKeysByDeltaMax: the plan key is (fingerprint, DeltaMax), so an
-// entry loads only under the digest a lookup of its DeltaMax implies. The
-// digest written under default options when the engine's settings were
-// still options loads and hits; one written under a wave width of 32 can
-// never be asked for and is skipped as invalid.
-func TestLoadKeysByDeltaMax(t *testing.T) {
+// TestLoadKeysByFingerprint: the plan key is the fingerprint, and an entry
+// loads only under the digest its vertex count implies. The digest written
+// under default options when the engine's settings were still options
+// loads and hits; one written under a wave width of 32 can never be asked
+// for and is skipped as invalid.
+func TestLoadKeysByFingerprint(t *testing.T) {
 	ctx := context.Background()
 	g := generate.Grid(5, 5)
 	live := NewPlanCache(4)
@@ -399,6 +406,56 @@ func TestLoadKeysByDeltaMax(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Fatal("wave=32 entry entered the cache")
+	}
+}
+
+// TestLoadDefaultsV2Fixture: testdata/defaults-v2.snap holds two entries
+// that a plan cache saved under default options while DeltaMax, Beta and
+// the count share were still options: generate.Grid(5, 5) and the
+// three-component graph below. The file is never regenerated. Both
+// entries load, both graphs hit, and the loaded grid values and work
+// counters are bit-identical to a fresh evaluation, so snapshots saved
+// under the defaults keep serving across the removal.
+func TestLoadDefaultsV2Fixture(t *testing.T) {
+	three, err := graph.FromEdges(12, []graph.Edge{
+		{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 1, V: 2}, {U: 1, V: 3}, {U: 2, V: 3}, // K4
+		{U: 4, V: 5}, {U: 5, V: 6}, // path
+		{U: 7, V: 8}, {U: 8, V: 9}, {U: 9, V: 10}, {U: 10, V: 11}, {U: 11, V: 7}, // 5-cycle
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewPlanCache(4)
+	rep, err := c.LoadFile(filepath.Join("testdata", "defaults-v2.snap"))
+	if err != nil || rep.Loaded != 2 || rep.Skipped() != 0 {
+		t.Fatalf("Load report %+v, err %v, want 2 loaded and 0 skipped", rep, err)
+	}
+	ctx := context.Background()
+	for name, g := range map[string]*graph.Graph{"grid-5x5": generate.Grid(5, 5), "three-components": three} {
+		ge, hit, err := c.GridEval(ctx, g, Options{})
+		if err != nil || !hit {
+			t.Fatalf("%s: hit=%v err=%v, want a hit", name, hit, err)
+		}
+		fresh, err := EvaluateGrid(ctx, g, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ge.n != fresh.n || ge.m != fresh.m || !sameBits(ge.fsf, fresh.fsf) || len(ge.grid) != len(fresh.grid) {
+			t.Fatalf("%s: loaded (n=%d m=%d fsf=%v %d points), fresh (n=%d m=%d fsf=%v %d points)", name,
+				ge.n, ge.m, ge.fsf, len(ge.grid), fresh.n, fresh.m, fresh.fsf, len(fresh.grid))
+		}
+		for i := range fresh.grid {
+			if !sameBits(ge.grid[i], fresh.grid[i]) || !sameBits(ge.fdeltas[i], fresh.fdeltas[i]) {
+				t.Fatalf("%s: point %d is (Δ=%v, %v) loaded, (Δ=%v, %v) fresh", name, i,
+					ge.grid[i], ge.fdeltas[i], fresh.grid[i], fresh.fdeltas[i])
+			}
+		}
+		// Workers is the pool size resolved on the saving machine.
+		loaded, want := ge.stats, fresh.stats
+		loaded.Workers, want.Workers = 0, 0
+		if loaded != want {
+			t.Fatalf("%s: work counters\nloaded %+v\nfresh  %+v", name, loaded, want)
+		}
 	}
 }
 

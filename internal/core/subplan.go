@@ -33,8 +33,6 @@ package core
 //     adding a cached component's work equals evaluating it again. The
 //     sweep's plan covers every component, supplied ones included, so the
 //     Components and Workers it reports are those of the whole graph.
-//     (Per-shard timing records are wall-clock diagnostics and cover the
-//     evaluated shards only.)
 //
 // Sub-plans are bounded by an entry-count LRU, separate from the
 // whole-graph entry bounds, and are not persisted in snapshots: they are
@@ -61,8 +59,10 @@ const DefaultSubPlanCapacity = 256
 
 // subPlanKey identifies one component's grid evaluation: the component's
 // canonical fingerprint (local-rank renumbering, see
-// graph.CSR.ComponentFingerprints) plus DeltaMax, as for whole-graph
-// entries. DeltaMax fixes the grid, so a stored value vector is always
+// graph.CSR.ComponentFingerprints) plus the whole graph's Δmax. A
+// component's values depend on its edges and the grid, and the grid's top
+// is max(n, 1) of the graph it sits in, so the same component in graphs of
+// different sizes is two sub-plans; a stored value vector is always
 // aligned with the grid of any lookup that hits it.
 type subPlanKey struct {
 	fp       graph.Fingerprint
@@ -92,15 +92,22 @@ type subPlanEntry struct {
 // pass a nil store, the PlanCache's miss paths pass itself (see the file
 // comment). fps, when non-nil, holds the shards' fingerprints (a
 // graph.Decomposition carries them); with nil fps a store hashes each
-// non-trivial shard itself. opts must already carry defaults; fp is the
-// whole graph's fingerprint, O(1) from its lane sums. The returned Lookup
-// counts this evaluation's own sub-plan hits and misses.
-func evaluateGrid(ctx context.Context, shards []*graph.Shard, fps []graph.Fingerprint, fp graph.Fingerprint, opts Options, store *PlanCache) (*GridEval, Lookup, error) {
-	grid, err := mechanism.PowerOfTwoGrid(opts.DeltaMax)
+// non-trivial shard itself. The grid runs up to deltaMax of the shards'
+// vertex count; fp is the whole graph's fingerprint, O(1) from its lane
+// sums. The returned Lookup counts this evaluation's own sub-plan hits and
+// misses.
+func evaluateGrid(ctx context.Context, shards []*graph.Shard, fps []graph.Fingerprint, fp graph.Fingerprint, lpOpts forestlp.Options, store *PlanCache) (*GridEval, Lookup, error) {
+	n, m := 0, 0
+	for _, sh := range shards {
+		n += sh.N()
+		m += sh.M()
+	}
+	dmax := deltaMax(n)
+	grid, err := mechanism.PowerOfTwoGrid(dmax)
 	if err != nil {
 		return nil, Lookup{}, err
 	}
-	keys, subs, lk := store.subLookup(shards, fps, opts.DeltaMax)
+	keys, subs, lk := store.subLookup(shards, fps, dmax)
 
 	// One sweep plans and evaluates every component the store lacks, on
 	// the Workers pool; the supplied components are never materialized.
@@ -111,17 +118,15 @@ func evaluateGrid(ctx context.Context, shards []*graph.Shard, fps []graph.Finger
 		}
 	}
 	plan := forestlp.NewPlanShards(shards, func(c int) bool { return subs[c] != nil })
-	sweep, err := plan.Sweep(ctx, grid, opts.ForestLP)
+	sweep, err := plan.Sweep(ctx, grid, lpOpts)
 	if err != nil {
 		return nil, Lookup{}, fmt.Errorf("core: %w", err)
 	}
 	stats.MergeComponent(sweep.Stats)
-	for c, v := range sweep.Values {
-		if v != nil {
-			subs[c] = &subPlan{values: v, stats: sweep.Work[c]}
-		}
+	for i, c := range sweep.Comps {
+		subs[c] = &subPlan{values: sweep.Values[i], stats: sweep.Work[i]}
 	}
-	if err := store.subAdmit(keys, subs, sweep.Values); err != nil {
+	if err := store.subAdmit(keys, subs, len(sweep.Comps)); err != nil {
 		return nil, Lookup{}, err
 	}
 
@@ -151,15 +156,9 @@ func evaluateGrid(ctx context.Context, shards []*graph.Shard, fps []graph.Finger
 		}
 		values[j] = total
 	}
-	n, m := 0, 0
-	for _, sh := range shards {
-		n += sh.N()
-		m += sh.M()
-	}
 	return &GridEval{
 		n:           n,
 		m:           m,
-		deltaMax:    opts.DeltaMax,
 		fingerprint: fp,
 		grid:        grid,
 		fdeltas:     values,
@@ -210,8 +209,8 @@ func (c *PlanCache) subLookup(shards []*graph.Shard, fps []graph.Fingerprint, de
 }
 
 // subAdmit admits one evaluation's sub-plans after its sweep succeeded:
-// every component the sweep evaluated (fresh[c] non-nil) passes the
-// admission failpoint, and only if none fired are they inserted and the
+// each of the fresh components the sweep evaluated passes the admission
+// failpoint once, and only if none fired are they inserted and the
 // supplied ones refreshed, so the evaluation's components end up the most
 // recently used. Eviction then never goes below their count: a graph with
 // more non-trivial components than the capacity would otherwise evict its
@@ -219,14 +218,11 @@ func (c *PlanCache) subLookup(shards []*graph.Shard, fps []graph.Fingerprint, de
 // A racing insert of the same key keeps the existing entry — both computed
 // identical values. Sub-plan recency is not persisted state, so no gen
 // bump. The nil cache admits nothing.
-func (c *PlanCache) subAdmit(keys []subPlanKey, subs []*subPlan, fresh [][]float64) error {
+func (c *PlanCache) subAdmit(keys []subPlanKey, subs []*subPlan, fresh int) error {
 	if c == nil {
 		return nil
 	}
-	for _, v := range fresh {
-		if v == nil {
-			continue
-		}
+	for range fresh {
 		// Failpoint between a component's evaluation and its admission: a
 		// firing site proves a fault-tainted sub-plan never enters the
 		// sub-plan cache and never reaches the merge.

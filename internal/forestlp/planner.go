@@ -113,13 +113,17 @@ func (p *Plan) SpanningForestSize() int { return p.fsf }
 // shards, i.e. the maximum useful worker count.
 func (p *Plan) Shards() int { return len(p.shards) }
 
-// GridSweep is the outcome of Plan.Sweep, per component and aggregated.
+// GridSweep is the outcome of Plan.Sweep, per planned component and
+// aggregated.
 type GridSweep struct {
-	// Values[c] is component c's contribution to f_Δ at each grid point
-	// (clamped to [0, |C|−1], not yet summed) and Work[c] its
-	// grid-aggregated work, with Components = 1. Both are empty for
-	// isolated vertices and supplied components; c indexes the
-	// decomposition the plan was built from.
+	// Comps, Values and Work hold one entry per planned component, in
+	// shard order: Comps[i] is its index in the decomposition the plan was
+	// built from, Values[i] its contribution to f_Δ at each grid point
+	// (clamped to [0, |C|−1], not yet summed) and Work[i] its
+	// grid-aggregated work, with Components = 1. Isolated vertices and
+	// supplied components have no entry, so a graph of many isolated
+	// vertices costs nothing here.
+	Comps  []int
 	Values [][]float64
 	Work   []Stats
 	// Stats aggregates the sweep: the counters of every evaluated
@@ -165,20 +169,22 @@ func (p *Plan) Sweep(ctx context.Context, grid []float64, opts Options) (GridSwe
 		return GridSweep{}, err
 	}
 	out := GridSweep{
-		Values: make([][]float64, p.components),
-		Work:   make([]Stats, p.components),
+		Comps:  make([]int, len(p.shards)),
+		Values: make([][]float64, len(p.shards)),
+		Work:   make([]Stats, len(p.shards)),
 		totals: make([]float64, len(grid)),
 	}
-	for _, ps := range p.shards {
-		out.Values[ps.comp] = make([]float64, len(grid))
-		out.Work[ps.comp].Components = 1
+	for i, ps := range p.shards {
+		out.Comps[i] = ps.comp
+		out.Values[i] = make([]float64, len(grid))
+		out.Work[i].Components = 1
 	}
 	for j, pt := range points {
 		out.Stats.MergeGridRound(pt.stats)
 		out.totals[j] = pt.total
-		for i, ps := range p.shards {
-			out.Values[ps.comp][j] = pt.shards[i].value
-			out.Work[ps.comp].MergeComponent(pt.shards[i].stats)
+		for i := range p.shards {
+			out.Values[i][j] = pt.shards[i].value
+			out.Work[i].MergeComponent(pt.shards[i].stats)
 		}
 	}
 	span.SetCounter("grid_points", int64(len(grid)))

@@ -69,30 +69,6 @@ func (c *CSR) Degree(v int) int { return c.offsets[v+1] - c.offsets[v] }
 // slice aliases the snapshot's backing array and must not be modified.
 func (c *CSR) Neighbors(v int) []int { return c.targets[c.offsets[v]:c.offsets[v+1]] }
 
-// MaxDegree returns the maximum degree, or 0 for an edgeless graph.
-func (c *CSR) MaxDegree() int {
-	max := 0
-	for v, n := 0, c.N(); v < n; v++ {
-		if d := c.Degree(v); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// Edges returns all edges, normalized and sorted lexicographically.
-func (c *CSR) Edges() []Edge {
-	out := make([]Edge, 0, c.m)
-	for u, n := 0, c.N(); u < n; u++ {
-		for _, v := range c.Neighbors(u) {
-			if u < v {
-				out = append(out, Edge{U: u, V: v})
-			}
-		}
-	}
-	return out
-}
-
 // Components labels every vertex with a component id in [0, count).
 // Ids are assigned in increasing order of the smallest vertex in the
 // component — the same deterministic order as Graph.Components.
@@ -122,17 +98,6 @@ func (c *CSR) Components() (labels []int, count int) {
 		count++
 	}
 	return labels, count
-}
-
-// CountComponents returns f_cc, the number of connected components.
-func (c *CSR) CountComponents() int {
-	_, count := c.Components()
-	return count
-}
-
-// SpanningForestSize returns f_sf = |V| − f_cc.
-func (c *CSR) SpanningForestSize() int {
-	return c.N() - c.CountComponents()
 }
 
 // Shard is the CSR of one connected component, with vertices renumbered to

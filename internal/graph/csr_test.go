@@ -32,10 +32,10 @@ func TestCSRMatchesGraph(t *testing.T) {
 		if c.N() != g.N() || c.M() != g.M() {
 			t.Fatalf("trial %d: CSR n=%d m=%d, graph n=%d m=%d", trial, c.N(), c.M(), g.N(), g.M())
 		}
-		if c.MaxDegree() != g.MaxDegree() {
-			t.Fatalf("trial %d: max degree %d != %d", trial, c.MaxDegree(), g.MaxDegree())
-		}
 		for v := 0; v < n; v++ {
+			if c.Degree(v) != g.Degree(v) {
+				t.Fatalf("trial %d: vertex %d degree %d != %d", trial, v, c.Degree(v), g.Degree(v))
+			}
 			want := g.Neighbors(v)
 			got := c.Neighbors(v)
 			if len(got) != len(want) {
@@ -50,17 +50,13 @@ func TestCSRMatchesGraph(t *testing.T) {
 				}
 			}
 		}
-		if !reflect.DeepEqual(c.Edges(), g.Edges()) {
-			t.Fatalf("trial %d: edge lists differ", trial)
-		}
-
 		gl, gc := g.Components()
 		cl, cc := c.Components()
 		if gc != cc || !reflect.DeepEqual(gl, cl) {
 			t.Fatalf("trial %d: components (%v,%d) != (%v,%d)", trial, cl, cc, gl, gc)
 		}
-		if c.SpanningForestSize() != g.SpanningForestSize() {
-			t.Fatalf("trial %d: f_sf %d != %d", trial, c.SpanningForestSize(), g.SpanningForestSize())
+		if c.N()-cc != g.SpanningForestSize() {
+			t.Fatalf("trial %d: f_sf %d != %d", trial, c.N()-cc, g.SpanningForestSize())
 		}
 
 		back := c.Graph()
@@ -116,7 +112,7 @@ func TestComponentShards(t *testing.T) {
 			if !got.Equal(want) {
 				t.Fatalf("trial %d shard %d: shard graph != induced subgraph", trial, i)
 			}
-			if sh.CountComponents() > 1 {
+			if _, count := sh.Components(); count > 1 {
 				t.Fatalf("trial %d shard %d: shard is disconnected", trial, i)
 			}
 			for v := 0; v < sh.N(); v++ {
@@ -141,7 +137,7 @@ func TestCSREmpty(t *testing.T) {
 		t.Fatalf("empty CSR: n=%d m=%d shards=%d", c2.N(), c2.M(), len(c2.ComponentShards()))
 	}
 	c3 := NewCSR(New(3))
-	if c3.CountComponents() != 3 || len(c3.ComponentShards()) != 3 {
-		t.Fatalf("edgeless CSR: components=%d", c3.CountComponents())
+	if _, count := c3.Components(); count != 3 || len(c3.ComponentShards()) != 3 {
+		t.Fatalf("edgeless CSR: components=%d", count)
 	}
 }

@@ -46,6 +46,14 @@ func TestReadEdgeListImplicitVertices(t *testing.T) {
 	if g.N() != 6 || !g.HasEdge(0, 5) {
 		t.Fatalf("parsed %v", g)
 	}
+	// A header after the edges may declare more vertices, and may repeat.
+	g, err = ReadEdgeList(strings.NewReader("0 5\nn 7\n1 6\nn 7\n"), math.MaxInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.N() != 7 || g.M() != 2 || !g.HasEdge(1, 6) {
+		t.Fatalf("parsed %v", g)
+	}
 }
 
 func TestReadEdgeListErrors(t *testing.T) {
@@ -60,6 +68,12 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"n 2\n0 zz\n", // bad vertex
 		"n 5\n",       // count above the bound of 4
 		"0 4\n",       // endpoint implying a fifth vertex
+		"0 1x\n",      // trailing garbage after a vertex
+		"2 3.5\n",     // fractional vertex
+		"n 4x\n",      // trailing garbage after the count
+		"n 2\n0 3\n",  // endpoint outside the declared count
+		"0 3\nn 2\n",  // count below an endpoint already read
+		"n 3\nn 2\n",  // a second header contradicting the first
 	} {
 		if _, err := ReadEdgeList(strings.NewReader(bad), 4); err == nil {
 			t.Errorf("input %q should fail", bad)

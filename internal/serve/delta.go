@@ -200,14 +200,7 @@ func (s *Session) ApplyDelta(ctx context.Context, adds, removes []graph.Edge) (r
 	}
 
 	// 5. Evaluate, through the plan cache when the session has one.
-	probe := core.Options{
-		Beta:                s.beta,
-		DeltaMax:            s.deltaMax,
-		CountBudgetFraction: s.countFrac,
-		DiscreteRelease:     s.discrete,
-		ForestLP:            s.forestLP,
-	}
-	ge, lk, err := s.cache.GridEvalDecomposition(ctx, next, probe)
+	ge, lk, err := s.cache.GridEvalDecomposition(ctx, next, core.Options{ForestLP: s.forestLP})
 	if err != nil {
 		return fail(obs.AuditError, err)
 	}

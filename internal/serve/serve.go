@@ -91,8 +91,9 @@ func (o Op) String() string {
 }
 
 // SessionOptions configures Open. TotalBudget is required; everything else
-// defaults exactly as the one-shot estimators do (crypto noise,
-// β = 1/ln ln n, Δmax = n, count share 0.2).
+// defaults exactly as the one-shot estimators do (crypto noise), and the
+// paper's constants are fixed there too (β = 1/ln ln n, Δmax = n, count
+// share 0.2).
 type SessionOptions struct {
 	// TotalBudget is ε_total, the hard cap on the session's global privacy
 	// loss as measured by the selected composition accountant. Required
@@ -112,14 +113,11 @@ type SessionOptions struct {
 	// rule (and may share one ledger across several sessions over the same
 	// sensitive graph).
 	Accountant privacy.Accountant
-	// Beta, DeltaMax, CountBudgetFraction, DiscreteRelease, and ForestLP
-	// carry the same meaning (and defaults) as the corresponding
-	// core.Options fields and apply to every query of the session.
-	Beta                float64
-	DeltaMax            float64
-	CountBudgetFraction float64
-	DiscreteRelease     bool
-	ForestLP            forestlp.Options
+	// DiscreteRelease and ForestLP carry the same meaning (and defaults)
+	// as the corresponding core.Options fields and apply to every query of
+	// the session.
+	DiscreteRelease bool
+	ForestLP        forestlp.Options
 	// Rand is the noise source for queries without an explicit Seed. If
 	// nil, each unseeded query draws from a fresh crypto-backed source.
 	// A caller-provided Rand is serialized by the session (queries sharing
@@ -127,9 +125,9 @@ type SessionOptions struct {
 	// parallelize better.
 	Rand *rand.Rand
 	// Cache, when non-nil, is consulted before planning and populated
-	// after: opening a session on a graph whose fingerprint (and
-	// plan-relevant options) match a cached evaluation skips the Δ-grid
-	// LPs entirely. Multiple sessions may share one cache.
+	// after: opening a session on a graph whose fingerprint matches a
+	// cached evaluation skips the Δ-grid LPs entirely. Multiple sessions
+	// may share one cache.
 	Cache *core.PlanCache
 	// Audit, when non-nil, receives one append-only record per accountant
 	// event — session open, and every reserve/charge/refund with request
@@ -215,13 +213,10 @@ type Session struct {
 	csr    *graph.CSR
 	decomp *graph.Decomposition
 
-	// Per-session option template; zero fields default per query inside
+	// Per-session option template; the rest defaults per query inside
 	// core, which is what keeps seeded queries identical to one-shot calls.
-	beta      float64
-	deltaMax  float64
-	countFrac float64
-	discrete  bool
-	forestLP  forestlp.Options
+	discrete bool
+	forestLP forestlp.Options
 
 	acct privacy.Accountant
 
@@ -267,13 +262,7 @@ func Open(ctx context.Context, g *graph.Graph, opts SessionOptions) (*Session, e
 			return nil, fmt.Errorf("serve: %w", err)
 		}
 	}
-	probe := core.Options{
-		Beta:                opts.Beta,
-		DeltaMax:            opts.DeltaMax,
-		CountBudgetFraction: opts.CountBudgetFraction,
-		DiscreteRelease:     opts.DiscreteRelease,
-		ForestLP:            opts.ForestLP,
-	}
+	probe := core.Options{ForestLP: opts.ForestLP}
 	var (
 		ge  *core.GridEval
 		hit bool
@@ -288,18 +277,15 @@ func Open(ctx context.Context, g *graph.Graph, opts SessionOptions) (*Session, e
 		return nil, err
 	}
 	s := &Session{
-		cacheHit:  hit,
-		cache:     opts.Cache,
-		beta:      opts.Beta,
-		deltaMax:  opts.DeltaMax,
-		countFrac: opts.CountBudgetFraction,
-		discrete:  opts.DiscreteRelease,
-		forestLP:  opts.ForestLP,
-		rand:      opts.Rand,
-		acct:      acct,
-		audit:     opts.Audit,
-		scope:     ge.Fingerprint().String(),
-		csr:       graph.NewCSR(g),
+		cacheHit: hit,
+		cache:    opts.Cache,
+		discrete: opts.DiscreteRelease,
+		forestLP: opts.ForestLP,
+		rand:     opts.Rand,
+		acct:     acct,
+		audit:    opts.Audit,
+		scope:    ge.Fingerprint().String(),
+		csr:      graph.NewCSR(g),
 	}
 	s.snap.Store(&snapshot{ge: ge, built: !hit})
 	if !hit {
@@ -401,15 +387,7 @@ func (s *Session) execute(ctx context.Context, op Op, q QueryOptions) (core.Resu
 	default:
 		rng = dpnoise.NewCryptoRand()
 	}
-	opts := core.Options{
-		Epsilon:             q.Epsilon,
-		Beta:                s.beta,
-		Rand:                rng,
-		DeltaMax:            s.deltaMax,
-		ForestLP:            s.forestLP,
-		CountBudgetFraction: s.countFrac,
-		DiscreteRelease:     s.discrete,
-	}
+	opts := core.Options{Epsilon: q.Epsilon, Rand: rng, DiscreteRelease: s.discrete}
 	// One snapshot read serves the whole query: a delta landing mid-query
 	// cannot mix pre- and post-mutation state.
 	ge := s.snap.Load().ge

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -34,6 +35,29 @@ func TestOpenValidatesBudget(t *testing.T) {
 		if _, err := Open(context.Background(), g, SessionOptions{TotalBudget: bad}); err == nil {
 			t.Fatalf("TotalBudget %v accepted", bad)
 		}
+	}
+}
+
+// TestOpenEdgelessAllocation bounds what Open allocates per isolated
+// vertex. An upload's vertex count is bounded by the daemon's read limit
+// in bytes, and an edgeless upload of n vertices is a few bytes long, so
+// this per-vertex cost is what one small request can make the daemon
+// allocate.
+func TestOpenEdgelessAllocation(t *testing.T) {
+	const n = 100_000
+	g := graph.New(n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := Open(context.Background(), g, SessionOptions{TotalBudget: 1, Cache: core.NewPlanCache(4)})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.N() != n {
+		t.Fatalf("N = %d, want %d", s.N(), n)
+	}
+	if perVertex := float64(after.TotalAlloc-before.TotalAlloc) / n; perVertex >= 300 {
+		t.Fatalf("Open allocated %.0f bytes per isolated vertex, want under 300", perVertex)
 	}
 }
 

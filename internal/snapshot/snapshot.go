@@ -96,18 +96,19 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // Entry is the serialized form of one cached grid evaluation, mirroring the
 // fields internal/core persists.
 type Entry struct {
-	// Fingerprint is the canonical 128-bit digest of the evaluated graph —
-	// half of the plan-cache key.
+	// Fingerprint is the canonical 128-bit digest of the evaluated graph,
+	// the plan-cache key.
 	Fingerprint graph.Fingerprint
-	// OptsDigest is the plan-option digest — the other half of the key —
-	// recording every value-affecting evaluator option, the oracle's wave
-	// width included. It is an opaque string whose bytes a saved entry must
-	// match to hit.
+	// OptsDigest is the plan-option digest, from when the evaluator had
+	// value-affecting options. Those are all fixed now, so internal/core
+	// accepts one digest per N. It is an opaque string whose bytes a saved
+	// entry must match to load.
 	OptsDigest string
 	// N, M are the evaluated graph's vertex and edge counts.
 	N, M int
-	// DeltaMax is the top of the Δ grid; FSF the exact spanning-forest size
-	// the grid values are scored against.
+	// DeltaMax is the top of the Δ grid, which internal/core requires to
+	// be max(N, 1); FSF the exact spanning-forest size the grid values are
+	// scored against.
 	DeltaMax float64
 	FSF      float64
 	// Grid and FDeltas are the Δ grid points and the evaluated f_Δ values,
@@ -118,8 +119,7 @@ type Entry struct {
 	// cache's clock at save time, so reloaded entries keep their relative
 	// eviction priority.
 	Credit float64
-	// Stats are the engine work counters of the original evaluation
-	// (Shards excluded — see the type comment).
+	// Stats are the engine work counters of the original evaluation.
 	Stats forestlp.Stats
 }
 

@@ -103,25 +103,30 @@ func CanonicalizeEdges(n int, edges []Edge) ([]Edge, error) {
 }
 
 // ReadGraph parses the package's edge-list exchange format ("n <count>"
-// header plus one "u v" pair per line; '#' comments allowed).
+// header plus one "u v" pair per line; '#' comments allowed). Parsing is
+// strict: a malformed number, or an endpoint outside the header's count,
+// is an error.
 func ReadGraph(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r, math.MaxInt) }
 
 // WriteGraph writes g in the edge-list exchange format.
 func WriteGraph(w io.Writer, g *Graph) error { return graph.WriteEdgeList(w, g) }
 
 // Options configures the private estimators; see the fields of
-// internal/core.Options. Epsilon is required; every other field has a
-// sensible default (crypto-grade noise, β = 1/ln ln n, Δmax = n).
-// Options.ForestLP.Workers sets how many per-component LPs the evaluation
-// engine solves concurrently (0 = runtime.GOMAXPROCS), and also how many
-// separation-oracle max-flow calls run concurrently inside a single
-// component, capped at the oracle's fixed wave width of 16 — the lever
-// for graphs dominated by one giant component; the released value is
-// identical for every setting. The engine's tuning is not configurable,
-// so a plan depends only on the graph and DeltaMax. Grid
-// sweeps warm-start adjacent Δ evaluations (cut pool, simplex bases, and
-// standing solvers slid across the grid); where the cutting planes
-// converge, that state moves only work counters, never values.
+// internal/core.Options. Epsilon is required; Rand defaults to
+// crypto-grade noise. The paper's constants are not options: the Δ-grid
+// runs up to Δmax = n, GEM's failure probability is β = 1/ln ln n
+// (clamped to 1/2), and EstimateComponentCount spends one fifth of ε on
+// the private vertex count. Options.ForestLP.Workers sets how many
+// per-component LPs the evaluation engine solves concurrently
+// (0 = runtime.GOMAXPROCS), and also how many separation-oracle max-flow
+// calls run concurrently inside a single component, capped at the
+// oracle's fixed wave width of 16 — the lever for graphs dominated by one
+// giant component; the released value is identical for every setting.
+// The engine's tuning is not configurable either, so a plan depends only
+// on the graph. Grid sweeps warm-start adjacent Δ evaluations (cut pool,
+// simplex bases, and standing solvers slid across the grid); where the
+// cutting planes converge, that state moves only work counters, never
+// values.
 type Options = core.Options
 
 // Result is the outcome of a private estimation, including the selected
@@ -145,7 +150,7 @@ func EstimateSpanningForestSizeCtx(ctx context.Context, g *Graph, opts Options) 
 
 // EstimateComponentCount releases an ε-node-private estimate of f_cc(G),
 // the number of connected components, via f_cc = |V| − f_sf (Equation (1));
-// a configurable share of ε buys the private vertex count.
+// a fixed share of ε, one fifth, buys the private vertex count.
 func EstimateComponentCount(g *Graph, opts Options) (Result, error) {
 	return core.EstimateComponentCount(g, opts)
 }
@@ -215,11 +220,12 @@ func PrepareSpanningForestCtx(ctx context.Context, g *Graph, opts Options) (*Pre
 type Session = serve.Session
 
 // SessionOptions configures Open; TotalBudget is required, everything else
-// defaults as in Options. Composition selects the budget accountant
-// (sequential composition by default; CompositionAdvanced with a Delta
-// admits many more small queries at equal ε_total), and Accountant injects
-// a caller-owned ledger outright — e.g. one shared by several sessions
-// over the same sensitive graph.
+// defaults as in Options, and the paper's constants are fixed as there.
+// Composition selects the budget accountant (sequential composition by
+// default; CompositionAdvanced with a Delta admits many more small
+// queries at equal ε_total), and Accountant injects a caller-owned ledger
+// outright — e.g. one shared by several sessions over the same sensitive
+// graph.
 type SessionOptions = serve.SessionOptions
 
 // Composition selects a session's budget accountant; see SessionOptions.
@@ -311,7 +317,7 @@ const (
 )
 
 // PlanCache is a bounded, thread-safe LRU cache of the Δ-grid evaluations,
-// keyed by canonical graph fingerprint plus the plan-relevant options.
+// keyed by canonical graph fingerprint: no option changes a grid value.
 // Hand the same cache to many Open calls (SessionOptions.Cache) and
 // identical graphs — even ones re-read from disk or built in a different
 // edge order — skip planning entirely; any one-edge difference misses.

@@ -282,21 +282,19 @@ func lpValue(ctx context.Context, sub *graph.Graph, caps []float64, opts Options
 	}
 
 	// Base constraints: degree rows and the whole-component subtour row.
-	var baseRows [][]float64
-	var baseRHS []float64
-	for v := 0; v < n; v++ {
-		row := make([]float64, m)
-		for i, e := range edges {
-			if e.U == v || e.V == v {
-				row[i] = 1
-			}
+	// Each edge sets its column in its two endpoints' degree rows.
+	baseRows := make([][]float64, n, n+1)
+	baseRHS := make([]float64, n, n+1)
+	for v := range baseRows {
+		baseRows[v] = make([]float64, m)
+		baseRHS[v] = caps[v]
+		if caps[v] < 0 {
+			baseRHS[v] = 0
 		}
-		baseRows = append(baseRows, row)
-		cap := caps[v]
-		if cap < 0 {
-			cap = 0
-		}
-		baseRHS = append(baseRHS, cap)
+	}
+	for i, e := range edges {
+		baseRows[e.U][i] = 1
+		baseRows[e.V][i] = 1
 	}
 	all := make([]float64, m)
 	for i := range all {

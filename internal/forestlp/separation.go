@@ -23,8 +23,10 @@ import (
 //
 //   - One flow-network template is built per separation round; each
 //     per-forced-vertex variant differs only in one sink-arc capacity, so
-//     workers stamp the template into a long-lived arena (maxflow.CopyFrom)
-//     instead of reallocating O(n+m) structures per call.
+//     each worker copies the template's arcs into its long-lived arena once
+//     per round (maxflow.CopyFrom) and then restamps only the capacities
+//     for every further forced vertex (maxflow.Restamp), instead of
+//     reallocating O(n+m) structures per call.
 //   - Forced vertices are dispatched in waves of geometrically ramping
 //     width across a worker pool (Options.Workers, capped at the wave
 //     width). The wave schedule and the merge — covered screening and
@@ -151,7 +153,11 @@ type separator struct {
 	totalX   float64
 
 	// Arenas and wave scratch, allocated lazily and reused across rounds.
+	// Worker w solves on arenas[w]; stamped[w] reports whether that arena
+	// holds this round's template arcs, so only its capacities need
+	// restamping.
 	arenas   []*maxflow.Network
+	stamped  []bool
 	results  []closureResult
 	waveBuf  []int
 	eligible []bool
@@ -566,6 +572,9 @@ func (sp *separator) buildTemplate(x []float64) {
 	}
 	src, snk := 0, m+n+1
 	sp.template.Reset(m + n + 2)
+	for w := range sp.stamped {
+		sp.stamped[w] = false
+	}
 	sp.totalX = 0
 	for i, e := range sp.edges {
 		if x[i] <= engineTol {
@@ -596,6 +605,7 @@ func (sp *separator) ensureScratch(n int) {
 	}
 	if sp.arenas == nil {
 		sp.arenas = make([]*maxflow.Network, sp.workers)
+		sp.stamped = make([]bool, sp.workers)
 		for w := range sp.arenas {
 			sp.arenas[w] = maxflow.New(0)
 		}
@@ -605,7 +615,8 @@ func (sp *separator) ensureScratch(n int) {
 // runWave evaluates the max-closure oracle for every forced vertex of the
 // wave, striping slots across the worker pool. Slot k's result depends only
 // on (x, wave[k]) — each worker stamps the shared template into its own
-// arena — so the outcome is identical for every worker count.
+// arena — so the outcome is identical for every worker count. Worker w
+// alone touches arenas[w] and stamped[w] until the wave is done.
 func (sp *separator) runWave(x []float64, wave []int) {
 	sp.waveBuf = wave // retain the (possibly regrown) buffer
 	workers := sp.workers
@@ -614,7 +625,7 @@ func (sp *separator) runWave(x []float64, wave []int) {
 	}
 	if workers <= 1 {
 		for k, u := range wave {
-			sp.closureInto(u, sp.arenas[0], &sp.results[k])
+			sp.closureInto(u, 0, &sp.results[k])
 		}
 		return
 	}
@@ -623,23 +634,29 @@ func (sp *separator) runWave(x []float64, wave []int) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			arena := sp.arenas[w]
 			for k := w; k < len(wave); k += workers {
-				sp.closureInto(wave[k], arena, &sp.results[k])
+				sp.closureInto(wave[k], w, &sp.results[k])
 			}
 		}(w)
 	}
 	wg.Wait()
 }
 
-// closureInto solves the max-closure problem forcing u ∈ S into the slot.
-// The forced vertex's unit cost is waived by zeroing its sink arc (a
-// zero-capacity arc and an absent arc cut identically).
-func (sp *separator) closureInto(u int, arena *maxflow.Network, out *closureResult) {
+// closureInto solves the max-closure problem forcing u ∈ S into the slot,
+// on the given worker's arena. The forced vertex's unit cost is waived by
+// zeroing its sink arc (a zero-capacity arc and an absent arc cut
+// identically).
+func (sp *separator) closureInto(u, worker int, out *closureResult) {
 	n := sp.g.N()
 	m := len(sp.edges)
 	src, snk := 0, m+n+1
-	arena.CopyFrom(sp.template)
+	arena := sp.arenas[worker]
+	if sp.stamped[worker] {
+		arena.Restamp(sp.template)
+	} else {
+		arena.CopyFrom(sp.template)
+		sp.stamped[worker] = true
+	}
 	arena.SetCap(sp.sinkArc[u], 0)
 	flow := arena.MaxFlow(src, snk)
 	w := sp.totalX - flow // = max_{S ∋ u} x(E[S]) − (|S| − 1)

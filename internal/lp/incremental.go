@@ -52,13 +52,20 @@ const certTol = 1000 * tol
 type Incremental struct {
 	opts Options // MaxPivots only: NewIncremental consumes Basis
 
-	n, m int         // structural columns, constraint rows
-	c    []float64   // objective, length n
-	rows [][]float64 // original constraint rows (structural coords), length m
-	rhs  []float64   // original rhs, length m
+	n, m int       // structural columns, constraint rows
+	c    []float64 // objective, length n
+	rhs  []float64 // original rhs, length m
 
-	tab   [][]float64 // m constraint rows + objective row at index m; width n+m+1
-	basis []int       // basis[i] = variable basic in row i
+	// The original constraint rows, each stored once as its nonzeros in
+	// ascending column order: row i holds cols[start[i]:start[i+1]] with
+	// coefficients vals[start[i]:start[i+1]]. The residual check and
+	// refactorization read them; len(start) = m+1.
+	start []int
+	cols  []int32
+	vals  []float64
+
+	tab   *tableau // m constraint rows + objective row at index m; width n+m+1
+	basis []int    // basis[i] = variable basic in row i
 
 	// Warm-start bookkeeping from NewIncremental, folded into the first
 	// solve's Solution so restoration work is accounted like Maximize's.
@@ -84,15 +91,34 @@ func NewIncremental(c []float64, a [][]float64, b []float64, opts Options) (*Inc
 	if err := checkEntries(a); err != nil {
 		return nil, err
 	}
-	inc := &Incremental{opts: Options{MaxPivots: opts.MaxPivots}, n: len(c), m: len(a)}
+	inc := &Incremental{opts: Options{MaxPivots: opts.MaxPivots}, n: len(c), m: len(a), start: []int{0}}
 	inc.c = append([]float64(nil), c...)
-	inc.rows = make([][]float64, len(a))
-	for i := range a {
-		inc.rows[i] = append([]float64(nil), a[i]...)
+	for _, row := range a {
+		inc.storeRow(row)
 	}
 	inc.rhs = append([]float64(nil), b...)
-	inc.tab, inc.basis, inc.pendingWarmPivots, inc.pendingWarmStart = startTableau(inc.c, inc.rows, inc.rhs, opts.Basis)
+	inc.tab, inc.basis, inc.pendingWarmPivots, inc.pendingWarmStart = startTableau(inc.c, inc.rhs, inc.fillRow, opts.Basis)
 	return inc, nil
+}
+
+// storeRow appends an original constraint row's nonzeros to the stored
+// rows.
+func (inc *Incremental) storeRow(row []float64) {
+	for j, v := range row {
+		if v != 0 {
+			inc.cols = append(inc.cols, int32(j))
+			inc.vals = append(inc.vals, v)
+		}
+	}
+	inc.start = append(inc.start, len(inc.cols))
+}
+
+// fillRow writes stored row i into a zeroed tableau row (newTableau's
+// fill).
+func (inc *Incremental) fillRow(i int, row []float64) {
+	for k := inc.start[i]; k < inc.start[i+1]; k++ {
+		row[inc.cols[k]] = inc.vals[k]
+	}
 }
 
 // Rows returns the current number of constraint rows.
@@ -123,9 +149,9 @@ func (inc *Incremental) SetRHS(b []float64) error {
 		if db == 0 {
 			continue
 		}
-		for i := 0; i <= m; i++ {
-			if s := inc.tab[i][n+j]; s != 0 {
-				inc.tab[i][rhsCol] += s * db
+		for _, row := range inc.tab.rows {
+			if s := row[n+j]; s != 0 {
+				row[rhsCol] += s * db
 			}
 		}
 		inc.rhs[j] = b[j]
@@ -173,15 +199,16 @@ func (inc *Incremental) AppendRows(a [][]float64, b []float64) error {
 
 	// Widen every existing row: k fresh (zero) slack columns slide in
 	// before the rhs cell.
+	rows := inc.tab.rows
 	for i := 0; i <= oldM; i++ {
-		row := append(inc.tab[i], make([]float64, k)...)
+		row := append(rows[i], make([]float64, k)...)
 		row[newW-1], row[oldW-1] = row[oldW-1], 0
-		inc.tab[i] = row
+		rows[i] = row
 	}
-	obj := inc.tab[oldM]
+	obj := rows[oldM]
 
 	// The new rows take the objective row's slot onward; it moves last.
-	inc.tab = inc.tab[:oldM]
+	rows = rows[:oldM]
 	for t := 0; t < k; t++ {
 		row := make([]float64, newW)
 		copy(row, a[t])
@@ -194,18 +221,18 @@ func (inc *Incremental) AppendRows(a [][]float64, b []float64) error {
 			if f == 0 {
 				continue
 			}
-			prow := inc.tab[i]
+			prow := rows[i]
 			for j := 0; j < newW; j++ {
 				row[j] -= f * prow[j]
 			}
 			row[inc.basis[i]] = 0 // avoid drift
 		}
-		inc.tab = append(inc.tab, row)
-		inc.rows = append(inc.rows, append([]float64(nil), a[t]...))
+		rows = append(rows, row)
+		inc.storeRow(a[t])
 		inc.rhs = append(inc.rhs, b[t])
 		inc.basis = append(inc.basis, n+oldM+t)
 	}
-	inc.tab = append(inc.tab, obj)
+	inc.tab.rows = append(rows, obj)
 	inc.m = newM
 	return nil
 }
@@ -220,31 +247,30 @@ func (inc *Incremental) AppendRows(a [][]float64, b []float64) error {
 // distress. pivots counts the work either way.
 func (inc *Incremental) refactorize() (pivots int, ok bool) {
 	want := inc.basis
-	inc.tab, inc.basis = newTableau(inc.c, inc.rows, inc.rhs)
+	inc.tab, inc.basis = newTableau(inc.c, inc.rhs, inc.fillRow)
 	pivots, restored, repaired := warmStart(inc.tab, inc.basis, want, inc.n, inc.m)
 	if !restored {
-		inc.tab, inc.basis = newTableau(inc.c, inc.rows, inc.rhs)
+		inc.tab, inc.basis = newTableau(inc.c, inc.rhs, inc.fillRow)
 		return pivots, true
 	}
 	return pivots, repaired
 }
 
 // residualOK checks the claimed optimum against the ORIGINAL constraint
-// data — not the tableau, which is exactly what we no longer trust.
+// data — not the tableau, which is exactly what we no longer trust. Each
+// row's sum runs over its stored nonzeros in ascending column order.
 func (inc *Incremental) residualOK(x []float64) bool {
 	for _, xj := range x {
 		if xj < -certTol {
 			return false
 		}
 	}
-	for i, row := range inc.rows {
+	for i, rhs := range inc.rhs {
 		s := 0.0
-		for j, v := range row {
-			if v != 0 {
-				s += v * x[j]
-			}
+		for k := inc.start[i]; k < inc.start[i+1]; k++ {
+			s += inc.vals[k] * x[inc.cols[k]]
 		}
-		if s > inc.rhs[i]+certTol*(1+math.Abs(inc.rhs[i])) {
+		if s > rhs+certTol*(1+math.Abs(rhs)) {
 			return false
 		}
 	}

@@ -372,8 +372,8 @@ func TestIncrementalResidualCheckHeals(t *testing.T) {
 	// drifts off the polytope while the basis stays intact.
 	corrupted := false
 	for i, bv := range inc.basis {
-		if bv < inc.n && inc.tab[i][inc.n+inc.m] > 0 {
-			inc.tab[i][inc.n+inc.m] *= 1.5
+		if bv < inc.n && inc.tab.rows[i][inc.n+inc.m] > 0 {
+			inc.tab.rows[i][inc.n+inc.m] *= 1.5
 			corrupted = true
 		}
 	}

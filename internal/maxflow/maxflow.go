@@ -9,11 +9,18 @@
 // cannot create phantom augmenting paths.
 //
 // Networks are arena-style reusable: Reset re-initializes a network in
-// place keeping its buffers, and CopyFrom stamps one network's arcs into
-// another without allocating (once the destination has grown to size).
-// The separation oracle builds one template network per cutting-plane
-// round and each worker replays per-forced-vertex variants into its own
-// long-lived arena, so the hot loop performs no O(n+m) allocations.
+// place keeping its buffers, CopyFrom stamps one network's arcs into
+// another without allocating (once the destination has grown to size), and
+// Restamp resets a copy's residual capacities to its source's, leaving the
+// arc structure alone. The separation oracle builds one template network
+// per cutting-plane round; each worker copies it into its own long-lived
+// arena once per round and restamps only the capacities for every further
+// forced vertex, so the hot loop neither allocates nor recopies arcs.
+//
+// Each Dinic phase's breadth-first search stops expanding once the sink is
+// labeled: a vertex at or beyond the sink's level has no level-increasing
+// path to it, so labeling more of them changes no augmenting path, and the
+// flow and the cut come out bit-identical to a full search.
 package maxflow
 
 import (
@@ -77,6 +84,19 @@ func (nw *Network) CopyFrom(src *Network) {
 	nw.cap = append(nw.cap[:0], src.cap...)
 }
 
+// Restamp resets nw's residual capacities to src's, as CopyFrom would, but
+// copies only the capacity array. nw must hold src's arcs: a CopyFrom(src)
+// made since src last changed its vertices or arcs (Reset, AddEdge). A
+// solve on nw changes only capacities, so this rewinds any number of
+// solves and SetCap calls; it panics if the arc counts differ.
+func (nw *Network) Restamp(src *Network) {
+	if nw.n != src.n || len(nw.cap) != len(src.cap) {
+		panic(fmt.Sprintf("maxflow: restamp of a %d-vertex, %d-arc network from a %d-vertex, %d-arc one",
+			nw.n, len(nw.cap), src.n, len(src.cap)))
+	}
+	copy(nw.cap, src.cap)
+}
+
 // N returns the vertex count.
 func (nw *Network) N() int { return nw.n }
 
@@ -116,7 +136,10 @@ func (nw *Network) addArc(u, v int, capacity float64) {
 	nw.head[u] = int32(len(nw.to) - 1)
 }
 
-// bfs builds the level graph; returns true if t is reachable.
+// bfs builds the level graph; returns true if t is reachable. It stops
+// expanding vertices once t is labeled: the rest lie at or beyond t's
+// level, where no level-increasing path reaches t, so dfs would find them
+// dead ends either way.
 func (nw *Network) bfs(s, t int) bool {
 	if cap(nw.level) < nw.n {
 		nw.level = make([]int32, nw.n)
@@ -128,7 +151,7 @@ func (nw *Network) bfs(s, t int) bool {
 	queue := nw.queue[:0]
 	nw.level[s] = 0
 	queue = append(queue, int32(s))
-	for i := 0; i < len(queue); i++ {
+	for i := 0; i < len(queue) && nw.level[t] == -1; i++ {
 		u := queue[i]
 		for a := nw.head[u]; a != -1; a = nw.next[a] {
 			v := nw.to[a]

@@ -24,42 +24,124 @@ import (
 // typically a fraction of a sparse component — plus the exactly accounted
 // weight `fixed`.
 //
-// peel does not modify sub; it returns the reduced clone, the per-vertex
-// residual budgets, and the fixed weight.
-func peel(sub *graph.Graph, delta float64) (reduced *graph.Graph, caps []float64, fixed float64) {
+// Every deletion removes all remaining edges of one vertex (a zero-budget
+// vertex, or a leaf's single edge), so an edge survives exactly when
+// neither endpoint was stripped that way: peel marks vertices, not edges,
+// and keeps each vertex's residual degree. Each vertex's adjacency is
+// walked O(1) times, so peeling is O(n·passes + m) even on a hub.
+//
+// peel does not modify sub. It returns the residual graph's pieces, its
+// connected parts with at least two vertices (see residualPieces), the
+// per-vertex residual budgets in sub's numbering, and the fixed weight.
+func peel(sub *graph.Graph, delta float64) (pieces []piece, caps []float64, fixed float64) {
 	const eps = 1e-12
-	g := sub.Clone()
-	n := g.N()
-	caps = make([]float64, n)
-	for i := range caps {
-		caps[i] = delta
+	n := sub.N()
+	caps = uniformCaps(n, delta)
+	deg := make([]int, n)
+	for v := range deg {
+		deg[v] = sub.Degree(v)
+	}
+	stripped := make([]bool, n)
+	strip := func(v int) {
+		stripped[v], deg[v] = true, 0
+		sub.VisitNeighbors(v, func(w int) bool {
+			if !stripped[w] {
+				deg[w]--
+			}
+			return true
+		})
 	}
 	for changed := true; changed; {
 		changed = false
 		for v := 0; v < n; v++ {
-			if caps[v] <= eps && g.Degree(v) > 0 {
-				for _, w := range g.Neighbors(v) {
-					g.RemoveEdge(v, w)
-				}
+			if caps[v] <= eps && deg[v] > 0 {
+				strip(v)
 				changed = true
 			}
 		}
 		for v := 0; v < n; v++ {
-			if g.Degree(v) != 1 {
+			if deg[v] != 1 {
 				continue
 			}
-			u := g.Neighbors(v)[0]
+			u := -1
+			sub.VisitNeighbors(v, func(w int) bool {
+				if !stripped[w] {
+					u = w
+				}
+				return u < 0
+			})
 			t := math.Min(1, math.Min(caps[v], caps[u]))
 			if t < 0 {
 				t = 0
 			}
 			fixed += t
 			caps[u] -= t
-			g.RemoveEdge(v, u)
+			strip(v)
 			changed = true
 		}
 	}
-	return g, caps, fixed
+	return residualPieces(sub, stripped), caps, fixed
+}
+
+// piece is one connected part of a shard that goes to the LP, with its
+// vertices renumbered by rank: orig maps piece ids to shard ids.
+type piece struct {
+	sub  *graph.Graph
+	orig []int
+}
+
+// residualPieces returns the connected components with at least two
+// vertices of sub minus the stripped vertices, ordered by smallest vertex,
+// each the induced subgraph of its sorted vertex set — what
+// ComponentSets and InducedSubgraph return on the residual graph.
+func residualPieces(sub *graph.Graph, stripped []bool) []piece {
+	n := sub.N()
+	label := make([]int, n)
+	for v := range label {
+		label[v] = -1
+	}
+	var sizes []int
+	var stack []int
+	for s := 0; s < n; s++ {
+		if stripped[s] || label[s] >= 0 {
+			continue
+		}
+		id := len(sizes)
+		label[s] = id
+		size := 1
+		stack = append(stack[:0], s)
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			sub.VisitNeighbors(u, func(w int) bool {
+				if !stripped[w] && label[w] < 0 {
+					label[w] = id
+					size++
+					stack = append(stack, w)
+				}
+				return true
+			})
+		}
+		sizes = append(sizes, size)
+	}
+	sets := make([][]int, len(sizes))
+	for v, id := range label {
+		if id >= 0 && sizes[id] >= 2 {
+			sets[id] = append(sets[id], v)
+		}
+	}
+	var pieces []piece
+	for _, set := range sets {
+		if set == nil {
+			continue
+		}
+		psub, orig, err := sub.InducedSubgraph(set)
+		if err != nil {
+			panic(err) // component sets are always valid
+		}
+		pieces = append(pieces, piece{sub: psub, orig: orig})
+	}
+	return pieces
 }
 
 // uniformCaps returns n copies of delta (the no-peel budget vector).

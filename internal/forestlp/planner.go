@@ -273,27 +273,20 @@ func (ps *planShard) eval(ctx context.Context, delta float64, opts Options, sw *
 	// Exact preprocessing: strip the tree-like fringe (see peel), then
 	// solve the LP on each remaining connected piece with its residual
 	// per-vertex budgets.
-	reduced, caps, fixed := ps.sub, uniformCaps(ps.n, delta), 0.0
-	if !opts.noPeel {
-		reduced, caps, fixed = peel(ps.sub, delta)
+	var pieces []piece
+	var caps []float64
+	total := 0.0
+	if opts.noPeel {
+		pieces, caps = residualPieces(ps.sub, make([]bool, ps.n)), uniformCaps(ps.n, delta)
+	} else {
+		pieces, caps, total = peel(ps.sub, delta)
 	}
-	total := fixed
-	for _, piece := range reduced.ComponentSets() {
-		if len(piece) < 2 {
-			continue
-		}
-		psub, orig, err := reduced.InducedSubgraph(piece)
-		if err != nil {
-			panic(err) // component sets are always valid
-		}
-		if psub.M() == 0 {
-			continue
-		}
-		pcaps := make([]float64, len(orig))
-		for i, ov := range orig {
+	for _, pc := range pieces {
+		pcaps := make([]float64, len(pc.orig))
+		for i, ov := range pc.orig {
 			pcaps[i] = caps[ov]
 		}
-		v, err := lpValue(ctx, psub, pcaps, opts, &stats, sw, orig)
+		v, err := lpValue(ctx, pc.sub, pcaps, opts, &stats, sw, pc.orig)
 		if err != nil {
 			return 0, stats, err
 		}

@@ -515,7 +515,7 @@ func (sp *separator) emitParts(x []float64, member []bool, cuts []*cut) []*cut {
 		if len(ids) < 2 {
 			continue
 		}
-		// Canonicalize: neighbor iteration order is unspecified, and the id
+		// Canonicalize: the search finds ids in discovery order, and the id
 		// order feeds the hash and the float accumulation below.
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		edgeIdx := sp.edgesWithin(ids)

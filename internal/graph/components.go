@@ -22,11 +22,7 @@ func (g *Graph) Components() (labels []int, count int) {
 		for len(queue) > 0 {
 			u := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
-			// The traversal order over g.adj[u] varies per run, but every
-			// vertex reached gets the same label: the id depends only on
-			// the outer smallest-vertex scan, never on visit order.
-			//detlint:allow maporder — traversal order is irrelevant: labels[w] = count is idempotent and the component id comes from the outer deterministic scan
-			for w := range g.adj[u] {
+			for _, w := range g.adj[u] {
 				if labels[w] == -1 {
 					labels[w] = count
 					queue = append(queue, w)
@@ -78,7 +74,7 @@ func (g *Graph) SpanningForest() []Edge {
 		queue = append(queue[:0], s)
 		for head := 0; head < len(queue); head++ {
 			u := queue[head]
-			for _, w := range g.Neighbors(u) {
+			for _, w := range g.adj[u] {
 				if !visited[w] {
 					visited[w] = true
 					forest = append(forest, NewEdge(u, w))

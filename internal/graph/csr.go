@@ -1,15 +1,13 @@
 package graph
 
 // This file implements CSR, an immutable compressed-sparse-row snapshot of
-// a Graph. The mutable Graph stores adjacency as per-vertex hash maps —
-// convenient for edits, but every traversal either allocates (Neighbors)
-// or walks map buckets in random order (VisitNeighbors). A CSR snapshot is
-// built once and then shared freely: it is safe for concurrent readers,
-// its Neighbors method returns a sorted subslice of a single backing
-// array with zero allocation, and its component decomposition emits
-// per-component CSR shards in one O(n+m) pass. The parallel evaluation
-// engine (internal/forestlp) plans its work over these shards and reuses
-// one snapshot across the whole Δ-grid of Algorithm 1.
+// a Graph: every vertex's sorted neighbor run laid end to end in one
+// backing array. A snapshot is built once and then shared freely: it is
+// safe for concurrent readers, its Neighbors method returns a sorted
+// subslice of that array with zero allocation, and its component
+// decomposition emits per-component CSR shards in one O(n+m) pass. The
+// parallel evaluation engine (internal/forestlp) plans its work over these
+// shards and reuses one snapshot across the whole Δ-grid of Algorithm 1.
 
 // CSR is an immutable compressed-sparse-row view of an undirected simple
 // graph on vertices 0..N-1. The zero value is an empty graph on zero
@@ -24,29 +22,18 @@ type CSR struct {
 	m       int
 }
 
-// NewCSR builds a CSR snapshot of g. Later mutations of g are not
-// reflected in the snapshot.
+// NewCSR builds a CSR snapshot of g by copying its sorted runs. Later
+// mutations of g are not reflected in the snapshot.
 func NewCSR(g *Graph) *CSR {
 	n := g.N()
 	c := &CSR{
 		offsets: make([]int, n+1),
-		targets: make([]int, 2*g.M()),
+		targets: make([]int, 0, 2*g.M()),
 		m:       g.M(),
 	}
-	for v := 0; v < n; v++ {
-		c.offsets[v+1] = c.offsets[v] + g.Degree(v)
-	}
-	// Counting-sort pass: because vertices are visited in increasing order,
-	// appending u to each neighbor's slot list leaves every adjacency run
-	// sorted without an explicit sort.
-	next := make([]int, n)
-	copy(next, c.offsets[:n])
-	for u := 0; u < n; u++ {
-		g.VisitNeighbors(u, func(w int) bool {
-			c.targets[next[w]] = u
-			next[w]++
-			return true
-		})
+	for v, nbrs := range g.adj {
+		c.targets = append(c.targets, nbrs...)
+		c.offsets[v+1] = len(c.targets)
 	}
 	return c
 }
@@ -167,28 +154,11 @@ func (c *CSR) ComponentShards() []*Shard {
 }
 
 // Graph materializes a mutable *Graph with the snapshot's vertex and edge
-// set. It is the bridge back to algorithms that require adjacency maps
-// (spanning-forest construction, peeling); the copy is built directly from
-// the CSR runs without intermediate allocations.
+// set, for the algorithms written against Graph (spanning-forest
+// construction, peeling). Its runs are one copy of the snapshot's targets.
 func (c *CSR) Graph() *Graph {
-	n := c.N()
-	g := New(n)
-	g.m = c.m
-	for v := 0; v < n; v++ {
-		nbrs := c.Neighbors(v)
-		if len(nbrs) == 0 {
-			continue
-		}
-		set := make(map[int]struct{}, len(nbrs))
-		for _, w := range nbrs {
-			set[w] = struct{}{}
-			if v < w {
-				hi, lo := edgeHash(v, w)
-				g.fpHi += hi
-				g.fpLo += lo
-			}
-		}
-		g.adj[v] = set
+	if c.N() == 0 {
+		return New(0)
 	}
-	return g
+	return fromRuns(append([]int(nil), c.targets...), c.offsets[1:])
 }

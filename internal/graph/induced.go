@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // This file implements the node-level operations of Definition 1.1:
@@ -13,30 +13,27 @@ import (
 // RemoveVertex returns the node-neighbor of g obtained by deleting v and
 // all its adjacent edges. Remaining vertices are renumbered to 0..n-2
 // preserving order: vertex w of the result corresponds to w in g if w < v
-// and to w+1 otherwise.
+// and to w+1 otherwise. The renumbering is monotone, so every run stays
+// sorted and the result is built in one O(n + m) walk.
 func (g *Graph) RemoveVertex(v int) *Graph {
 	g.checkVertex(v)
-	h := New(g.N() - 1)
-	remap := func(w int) int {
-		if w > v {
-			return w - 1
-		}
-		return w
-	}
-	for u := range g.adj {
+	targets := make([]int, 0, 2*(g.m-len(g.adj[v])))
+	ends := make([]int, 0, g.N()-1)
+	for u, nbrs := range g.adj {
 		if u == v {
 			continue
 		}
-		for w := range g.adj[u] {
-			if w == v || u > w {
-				continue
-			}
-			if err := h.AddEdge(remap(u), remap(w)); err != nil {
-				panic(err) // cannot happen: g is simple
+		for _, w := range nbrs {
+			switch {
+			case w < v:
+				targets = append(targets, w)
+			case w > v:
+				targets = append(targets, w-1)
 			}
 		}
+		ends = append(ends, len(targets))
 	}
-	return h
+	return fromRuns(targets, ends)
 }
 
 // AddVertexWithEdges returns the node-neighbor of g obtained by inserting a
@@ -59,7 +56,7 @@ func (g *Graph) AddVertexWithEdges(neighbors []int) (*Graph, error) {
 // original ids.
 func (g *Graph) InducedSubgraph(keep []int) (*Graph, []int, error) {
 	sorted := append([]int(nil), keep...)
-	sort.Ints(sorted)
+	slices.Sort(sorted)
 	for i, v := range sorted {
 		if v < 0 || v >= g.N() {
 			return nil, nil, fmt.Errorf("graph: induced subgraph vertex %d out of range", v)
@@ -68,22 +65,19 @@ func (g *Graph) InducedSubgraph(keep []int) (*Graph, []int, error) {
 			return nil, nil, fmt.Errorf("graph: duplicate vertex %d in induced subgraph", v)
 		}
 	}
-	index := make(map[int]int, len(sorted))
+	// Ranks are found by binary search in sorted, and since both sorted
+	// and every run ascend, each new run comes out sorted.
+	var targets []int
+	ends := make([]int, len(sorted))
 	for i, v := range sorted {
-		index[v] = i
-	}
-	h := New(len(sorted))
-	for i, v := range sorted {
-		for w := range g.adj[v] {
-			j, ok := index[w]
-			if ok && i < j {
-				if err := h.AddEdge(i, j); err != nil {
-					panic(err) // cannot happen
-				}
+		for _, w := range g.adj[v] {
+			if j, ok := slices.BinarySearch(sorted, w); ok {
+				targets = append(targets, j)
 			}
 		}
+		ends[i] = len(targets)
 	}
-	return h, sorted, nil
+	return fromRuns(targets, ends), sorted, nil
 }
 
 // InducedSubgraphByMask is InducedSubgraph driven by a boolean mask of

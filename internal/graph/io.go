@@ -41,11 +41,30 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 // the graph holds at most maxN vertices: an "n" header or an endpoint
 // implying more fails before any of them is allocated (math.MaxInt for
 // trusted input).
+//
+// The edges are collected first and the graph is built from them in one
+// O(n + m) pass (see FromEdges), so input order costs nothing. An error
+// names the first bad line, a repeated edge included, exactly as reading
+// the lines one by one would.
 func ReadEdgeList(r io.Reader, maxN int) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	g := New(0)
-	declared := -1 // the "n" header's count, once one is read
+	var edges []Edge
+	var lines []int // lines[i] is the line edges[i] was read from
+	n := 0          // vertices so far: the header's count or one past the largest endpoint
+	declared := -1  // the "n" header's count, once one is read
+	// repeated names the line of edges[dup], which repeats an earlier edge.
+	repeated := func(dup int) error {
+		return fmt.Errorf("graph: line %d: %w", lines[dup], duplicateEdge(edges[dup].U, edges[dup].V))
+	}
+	// fail reports err from the current line, unless an earlier line
+	// repeated an edge.
+	fail := func(err error) (*Graph, error) {
+		if _, dup := build(n, edges); dup >= 0 {
+			return nil, repeated(dup)
+		}
+		return nil, err
+	}
 	line := 0
 	for sc.Scan() {
 		line++
@@ -56,53 +75,54 @@ func ReadEdgeList(r io.Reader, maxN int) (*Graph, error) {
 		fields := strings.Fields(text)
 		switch {
 		case fields[0] == "n" && len(fields) == 2:
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("graph: line %d: bad vertex count %q", line, fields[1])
+			count, err := strconv.Atoi(fields[1])
+			if err != nil || count < 0 {
+				return fail(fmt.Errorf("graph: line %d: bad vertex count %q", line, fields[1]))
 			}
-			if n > maxN {
-				return nil, fmt.Errorf("graph: line %d: %d vertices exceed the limit of %d", line, n, maxN)
+			if count > maxN {
+				return fail(fmt.Errorf("graph: line %d: %d vertices exceed the limit of %d", line, count, maxN))
 			}
-			if declared >= 0 && n != declared {
-				return nil, fmt.Errorf("graph: line %d: vertex count %d contradicts the earlier header's %d", line, n, declared)
+			if declared >= 0 && count != declared {
+				return fail(fmt.Errorf("graph: line %d: vertex count %d contradicts the earlier header's %d", line, count, declared))
 			}
-			if n < g.N() {
-				return nil, fmt.Errorf("graph: line %d: vertex count %d leaves out vertex %d of an earlier edge", line, n, g.N()-1)
+			if count < n {
+				return fail(fmt.Errorf("graph: line %d: vertex count %d leaves out vertex %d of an earlier edge", line, count, n-1))
 			}
-			declared = n
-			for g.N() < n {
-				g.AddVertex()
-			}
+			declared, n = count, count
 		case len(fields) == 2:
 			u, err := strconv.Atoi(fields[0])
 			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad vertex %q", line, fields[0])
+				return fail(fmt.Errorf("graph: line %d: bad vertex %q", line, fields[0]))
 			}
 			v, err := strconv.Atoi(fields[1])
 			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad vertex %q", line, fields[1])
+				return fail(fmt.Errorf("graph: line %d: bad vertex %q", line, fields[1]))
 			}
 			if u < 0 || v < 0 {
-				return nil, fmt.Errorf("graph: line %d: negative vertex", line)
+				return fail(fmt.Errorf("graph: line %d: negative vertex", line))
 			}
 			if declared >= 0 && max(u, v) >= declared {
-				return nil, fmt.Errorf("graph: line %d: vertex %d is outside the %d vertices of the header", line, max(u, v), declared)
+				return fail(fmt.Errorf("graph: line %d: vertex %d is outside the %d vertices of the header", line, max(u, v), declared))
 			}
 			if max(u, v) >= maxN {
-				return nil, fmt.Errorf("graph: line %d: vertex %d exceeds the limit of %d vertices", line, max(u, v), maxN)
+				return fail(fmt.Errorf("graph: line %d: vertex %d exceeds the limit of %d vertices", line, max(u, v), maxN))
 			}
-			for g.N() <= u || g.N() <= v {
-				g.AddVertex()
+			if u == v {
+				return fail(fmt.Errorf("graph: line %d: %w", line, checkEdge(u, v, n)))
 			}
-			if err := g.AddEdge(u, v); err != nil {
-				return nil, fmt.Errorf("graph: line %d: %w", line, err)
-			}
+			n = max(n, u+1, v+1)
+			edges = append(edges, Edge{U: u, V: v})
+			lines = append(lines, line)
 		default:
-			return nil, fmt.Errorf("graph: line %d: unrecognized line %q", line, text)
+			return fail(fmt.Errorf("graph: line %d: unrecognized line %q", line, text))
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return fail(err)
+	}
+	g, dup := build(n, edges)
+	if dup >= 0 {
+		return nil, repeated(dup)
 	}
 	return g, nil
 }

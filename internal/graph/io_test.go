@@ -56,25 +56,29 @@ func TestReadEdgeListImplicitVertices(t *testing.T) {
 	}
 }
 
+// badEdgeLists are inputs ReadEdgeList must reject with a vertex limit
+// of 4.
+var badEdgeLists = []string{
+	"0 0\n",       // self loop
+	"0 1\n0 1\n",  // duplicate
+	"n -3\n",      // bad count
+	"a b\n",       // garbage
+	"0 1 2\n",     // too many fields
+	"-1 0\n",      // negative vertex
+	"n 2\nx 1\n",  // bad vertex
+	"n 2\n0 zz\n", // bad vertex
+	"n 5\n",       // count above the bound of 4
+	"0 4\n",       // endpoint implying a fifth vertex
+	"0 1x\n",      // trailing garbage after a vertex
+	"2 3.5\n",     // fractional vertex
+	"n 4x\n",      // trailing garbage after the count
+	"n 2\n0 3\n",  // endpoint outside the declared count
+	"0 3\nn 2\n",  // count below an endpoint already read
+	"n 3\nn 2\n",  // a second header contradicting the first
+}
+
 func TestReadEdgeListErrors(t *testing.T) {
-	for _, bad := range []string{
-		"0 0\n",       // self loop
-		"0 1\n0 1\n",  // duplicate
-		"n -3\n",      // bad count
-		"a b\n",       // garbage
-		"0 1 2\n",     // too many fields
-		"-1 0\n",      // negative vertex
-		"n 2\nx 1\n",  // bad vertex
-		"n 2\n0 zz\n", // bad vertex
-		"n 5\n",       // count above the bound of 4
-		"0 4\n",       // endpoint implying a fifth vertex
-		"0 1x\n",      // trailing garbage after a vertex
-		"2 3.5\n",     // fractional vertex
-		"n 4x\n",      // trailing garbage after the count
-		"n 2\n0 3\n",  // endpoint outside the declared count
-		"0 3\nn 2\n",  // count below an endpoint already read
-		"n 3\nn 2\n",  // a second header contradicting the first
-	} {
+	for _, bad := range badEdgeLists {
 		if _, err := ReadEdgeList(strings.NewReader(bad), 4); err == nil {
 			t.Errorf("input %q should fail", bad)
 		}

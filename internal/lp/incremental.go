@@ -67,6 +67,11 @@ type Incremental struct {
 	tab   *tableau // m constraint rows + objective row at index m; width n+m+1
 	basis []int    // basis[i] = variable basic in row i
 
+	// AppendRows' scratch: nzOf[i], once gathered in the current call,
+	// lists old row i's nonzero columns, stored in nzBuf.
+	nzOf  [][]int32
+	nzBuf []int32
+
 	// Warm-start bookkeeping from NewIncremental, folded into the first
 	// solve's Solution so restoration work is accounted like Maximize's.
 	pendingWarmPivots int
@@ -209,6 +214,8 @@ func (inc *Incremental) AppendRows(a [][]float64, b []float64) error {
 
 	// The new rows take the objective row's slot onward; it moves last.
 	rows = rows[:oldM]
+	inc.nzOf = append(inc.nzOf[:0], make([][]int32, oldM)...)
+	inc.nzBuf = inc.nzBuf[:0]
 	for t := 0; t < k; t++ {
 		row := make([]float64, newW)
 		copy(row, a[t])
@@ -216,14 +223,21 @@ func (inc *Incremental) AppendRows(a [][]float64, b []float64) error {
 		row[newW-1] = b[t]
 		// Reduce against the standing basis: each basic column is an exact
 		// unit vector, so one subtraction per basic variable eliminates it.
+		// Basic rows are visited in basis order and only at their nonzero
+		// cells: subtracting a zero product changes no value (at most the
+		// sign of a zero), so every nonzero keeps its dense-reduction bits.
 		for i := 0; i < oldM; i++ {
 			f := row[inc.basis[i]]
 			if f == 0 {
 				continue
 			}
 			prow := rows[i]
-			for j := 0; j < newW; j++ {
-				row[j] -= f * prow[j]
+			if reduceRef != nil {
+				reduceRef(row, prow, f)
+			} else {
+				for _, j := range inc.rowNonzeros(i, prow) {
+					row[j] -= f * prow[j]
+				}
 			}
 			row[inc.basis[i]] = 0 // avoid drift
 		}
@@ -236,6 +250,31 @@ func (inc *Incremental) AppendRows(a [][]float64, b []float64) error {
 	inc.m = newM
 	return nil
 }
+
+// rowNonzeros returns the nonzero columns of old row i (prow), gathering
+// them on the first call of an AppendRows call. The old rows do not change
+// while the new ones are reduced, and cuts that share edges reduce against
+// the same basic rows, so each row is scanned once per call. A basic row's
+// unit cell keeps every gathered list nonempty.
+func (inc *Incremental) rowNonzeros(i int, prow []float64) []int32 {
+	if nz := inc.nzOf[i]; nz != nil {
+		return nz
+	}
+	lo := len(inc.nzBuf)
+	for j, p := range prow {
+		if p != 0 {
+			inc.nzBuf = append(inc.nzBuf, int32(j))
+		}
+	}
+	inc.nzOf[i] = inc.nzBuf[lo:]
+	return inc.nzOf[i]
+}
+
+// reduceRef, when set, replaces AppendRows' reduction of a new row by one
+// basic row (row -= f·prow): the kernel equivalence tests install a dense
+// reference there, as they do for pivot through pivotRef. Production code
+// never sets it.
+var reduceRef func(row, prow []float64, f float64)
 
 // refactorize rebuilds the tableau from the stored original rows and
 // warm-starts it on the current basis set, discarding whatever rounding

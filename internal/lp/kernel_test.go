@@ -33,6 +33,14 @@ func densePivot(rows [][]float64, leave, enter int) {
 	}
 }
 
+// denseReduce is the reference cut-row reduction: it subtracts f times
+// the basic row at every cell.
+func denseReduce(row, prow []float64, f float64) {
+	for j := range row {
+		row[j] -= f * prow[j]
+	}
+}
+
 // forestProgram is a random program of the cutting-plane loop's shape on a
 // random graph: one 0/1 degree row per vertex, the whole-set row and 0/1
 // subset rows (x(E[S]) ≤ |S|−1 for random vertex sets S), with two
@@ -165,20 +173,21 @@ func solveTrace(t *testing.T, p forestProgram) []Solution {
 	return out
 }
 
-// TestPivotMatchesDenseReference pins the sparse pivot to dense
-// elimination: on random forest-shaped programs, Maximize and a standing
-// solver driven through AppendRows and SetRHS return the same Value bits,
-// X, Basis, Pivots and WarmPivots with either elimination. X is compared
-// with ==: a skipped zero cell may carry the other zero sign.
+// TestPivotMatchesDenseReference pins the sparse pivot and the sparse
+// cut-row reduction of AppendRows to dense elimination: on random
+// forest-shaped programs, Maximize and a standing solver driven through
+// AppendRows and SetRHS return the same Value bits, X, Basis, Pivots and
+// WarmPivots with either elimination. X is compared with ==: a skipped
+// zero cell may carry the other zero sign.
 func TestPivotMatchesDenseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	pivots := 0
 	for trial := 0; trial < 150; trial++ {
 		p := randomForestProgram(rng)
 		got := solveTrace(t, p)
-		pivotRef = densePivot
+		pivotRef, reduceRef = densePivot, denseReduce
 		want := solveTrace(t, p)
-		pivotRef = nil
+		pivotRef, reduceRef = nil, nil
 		for k := range want {
 			g, w := got[k], want[k]
 			pivots += g.Pivots + g.WarmPivots

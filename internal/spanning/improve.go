@@ -59,7 +59,7 @@ func trySwap(edges []graph.Edge, f *forest, rf *rootedForest, k int) bool {
 	rf.root(f)
 	for _, e := range edges {
 		u, w := e.U, e.V
-		if _, in := f.adj[u][w]; in {
+		if f.has(u, w) {
 			continue
 		}
 		if f.degree(u) > k-2 || f.degree(w) > k-2 {
@@ -96,8 +96,7 @@ func newRootedForest(n int) *rootedForest {
 }
 
 // root roots every tree of f by breadth-first search. Parents and depths
-// depend only on the forest, not on the order the adjacency maps yield
-// neighbors in.
+// depend only on the forest, not on the order neighbors are visited in.
 func (rf *rootedForest) root(f *forest) {
 	for i := range rf.parent {
 		rf.parent[i] = -1
@@ -110,7 +109,7 @@ func (rf *rootedForest) root(f *forest) {
 		queue := append(rf.queue[:0], r)
 		for h := 0; h < len(queue); h++ {
 			x := queue[h]
-			for y := range f.adj[x] {
+			for _, y := range f.adj[x] {
 				if rf.parent[y] == -1 {
 					rf.parent[y], rf.depth[y] = x, rf.depth[x]+1
 					queue = append(queue, y)
@@ -255,7 +254,7 @@ func tryCappedSwap(edges []graph.Edge, f *forest, rf *rootedForest, caps []int) 
 	rf.root(f)
 	for _, e := range edges {
 		u, w := e.U, e.V
-		if _, in := f.adj[u][w]; in {
+		if f.has(u, w) {
 			continue
 		}
 		path := rf.path(u, w)

@@ -14,7 +14,7 @@ package spanning
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"nodedp/internal/graph"
 )
@@ -26,29 +26,38 @@ type Star struct {
 	Leaves []int
 }
 
-// forest is a small mutable adjacency-set forest used by the repair loop.
+// forest is a small mutable forest used by the repair loop and the local
+// searches: adj[v] lists v's forest neighbors in increasing order.
 type forest struct {
-	adj []map[int]struct{}
+	adj [][]int
 }
 
 func newForest(n int) *forest {
-	return &forest{adj: make([]map[int]struct{}, n)}
+	return &forest{adj: make([][]int, n)}
 }
 
 func (f *forest) add(u, v int) {
-	if f.adj[u] == nil {
-		f.adj[u] = make(map[int]struct{})
+	i, found := slices.BinarySearch(f.adj[u], v)
+	if found {
+		return
 	}
-	if f.adj[v] == nil {
-		f.adj[v] = make(map[int]struct{})
-	}
-	f.adj[u][v] = struct{}{}
-	f.adj[v][u] = struct{}{}
+	f.adj[u] = slices.Insert(f.adj[u], i, v)
+	j, _ := slices.BinarySearch(f.adj[v], u)
+	f.adj[v] = slices.Insert(f.adj[v], j, u)
 }
 
 func (f *forest) remove(u, v int) {
-	delete(f.adj[u], v)
-	delete(f.adj[v], u)
+	if i, ok := slices.BinarySearch(f.adj[u], v); ok {
+		f.adj[u] = slices.Delete(f.adj[u], i, i+1)
+	}
+	if j, ok := slices.BinarySearch(f.adj[v], u); ok {
+		f.adj[v] = slices.Delete(f.adj[v], j, j+1)
+	}
+}
+
+func (f *forest) has(u, v int) bool {
+	_, ok := slices.BinarySearch(f.adj[u], v)
+	return ok
 }
 
 func (f *forest) degree(v int) int { return len(f.adj[v]) }
@@ -57,19 +66,12 @@ func (f *forest) degree(v int) int { return len(f.adj[v]) }
 // successful Repair on an edgeless graph is distinguishable from failure.
 func (f *forest) edges() []graph.Edge {
 	out := make([]graph.Edge, 0, len(f.adj))
-	for u := range f.adj {
-		for v := range f.adj[u] {
-			if u < v {
-				out = append(out, graph.Edge{U: u, V: v})
-			}
+	for u, nbrs := range f.adj {
+		i, _ := slices.BinarySearch(nbrs, u)
+		for _, v := range nbrs[i:] {
+			out = append(out, graph.Edge{U: u, V: v})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
 	return out
 }
 
@@ -90,9 +92,6 @@ func RepairWithTrace(g *graph.Graph, delta int, trace func(step string)) ([]grap
 	if delta < 1 {
 		return nil, nil, fmt.Errorf("spanning: delta %d < 1", delta)
 	}
-	if trace == nil {
-		trace = func(string) {}
-	}
 	n := g.N()
 	order := insertionOrder(g)
 
@@ -110,11 +109,15 @@ func RepairWithTrace(g *graph.Graph, delta int, trace func(step string)) ([]grap
 			}
 		}
 		if v1 == -1 {
-			trace(fmt.Sprintf("insert %d (isolated among inserted vertices)", v0))
+			if trace != nil {
+				trace(fmt.Sprintf("insert %d (isolated among inserted vertices)", v0))
+			}
 			continue // v0 is isolated in the current induced subgraph
 		}
 		f.add(v0, v1)
-		trace(fmt.Sprintf("insert %d, attach to %d (deg_F(%d) = %d)", v0, v1, v1, f.degree(v1)))
+		if trace != nil {
+			trace(fmt.Sprintf("insert %d, attach to %d (deg_F(%d) = %d)", v0, v1, v1, f.degree(v1)))
+		}
 
 		// Local-repair walk (Algorithm 3). Claim 4.1(d): the repaired
 		// vertices form a simple path, so at most n iterations happen.
@@ -126,25 +129,28 @@ func RepairWithTrace(g *graph.Graph, delta int, trace func(step string)) ([]grap
 			// N: Δ forest-neighbors of cur excluding prev. deg(cur)=Δ+1
 			// and prev is a neighbor, so |N| = Δ exactly.
 			nbrs := make([]int, 0, delta)
-			for w := range f.adj[cur] {
+			for _, w := range f.adj[cur] {
 				if w != prev {
 					nbrs = append(nbrs, w)
 				}
 			}
-			sort.Ints(nbrs)
 			a, b, found := adjacentPair(g, nbrs)
 			if !found {
 				// nbrs is independent and cur is adjacent (in F ⊆ G) to
 				// every element: an induced Δ-star.
-				trace(fmt.Sprintf("blocked at %d: neighbors %v independent — induced %d-star", cur, nbrs, delta))
+				if trace != nil {
+					trace(fmt.Sprintf("blocked at %d: neighbors %v independent — induced %d-star", cur, nbrs, delta))
+				}
 				return nil, &Star{Center: cur, Leaves: nbrs}, nil
 			}
 			// F ← F \ {(cur,b)} ∪ {(a,b)}; a's degree grows by one and the
 			// walk continues at a.
 			f.remove(cur, b)
 			f.add(a, b)
-			trace(fmt.Sprintf("repair at %d: replace edge (%d,%d) with (%d,%d); walk moves to %d",
-				cur, cur, b, a, b, a))
+			if trace != nil {
+				trace(fmt.Sprintf("repair at %d: replace edge (%d,%d) with (%d,%d); walk moves to %d",
+					cur, cur, b, a, b, a))
+			}
 			prev, cur = cur, a
 		}
 	}

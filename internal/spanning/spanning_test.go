@@ -318,7 +318,7 @@ func forestPath(f *forest, u, w int) []int {
 		if x == w {
 			break
 		}
-		for y := range f.adj[x] {
+		for _, y := range f.adj[x] {
 			if parent[y] == -1 {
 				parent[y] = x
 				queue = append(queue, y)
@@ -361,7 +361,7 @@ func refImproveDegree(g *graph.Graph, forestEdges []graph.Edge) ([]graph.Edge, i
 	pass:
 		for _, e := range g.Edges() {
 			u, w := e.U, e.V
-			if _, in := f.adj[u][w]; in || f.degree(u) > k-2 || f.degree(w) > k-2 {
+			if f.has(u, w) || f.degree(u) > k-2 || f.degree(w) > k-2 {
 				continue
 			}
 			path := forestPath(f, u, w)
@@ -389,7 +389,7 @@ func refCappedSpanningForest(g *graph.Graph, caps []int) ([]graph.Edge, bool) {
 	pass:
 		for _, e := range g.Edges() {
 			u, w := e.U, e.V
-			if _, in := f.adj[u][w]; in {
+			if f.has(u, w) {
 				continue
 			}
 			path := forestPath(f, u, w)

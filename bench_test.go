@@ -109,23 +109,6 @@ func BenchmarkAlgorithm1EndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkAlgorithm1Release measures the amortized release path: the
-// extension values are evaluated once, each iteration only pays GEM +
-// Laplace.
-func BenchmarkAlgorithm1Release(b *testing.B) {
-	g := generate.Geometric(300, 1.0/math.Sqrt(300), generate.NewRand(5))
-	prep, err := core.PrepareSpanningForest(g, core.Options{Epsilon: 1, Rand: generate.NewRand(6)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := prep.Release(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRepair measures Algorithm 3 on a dense-ish random graph.
 func BenchmarkRepair(b *testing.B) {
 	g := generate.ErdosRenyi(500, 8.0/500, generate.NewRand(7))

@@ -185,10 +185,13 @@ func NewPlanCacheWeighted(maxWeight int64) *PlanCache {
 }
 
 // GridEval returns the grid evaluation for g, computing and caching it on a
-// miss with opts.ForestLP, the only field it reads (as EvaluateGrid).
-// hit reports whether planning was skipped. The key is g.Fingerprint(),
-// O(1); only a miss builds a CSR, whose one labelling pass yields the
-// shards and whose shards are hashed once for the sub-plan lookup.
+// miss. It is the one call that plans a *graph.Graph. Only opts.ForestLP
+// is read, and it schedules work without changing a value: the grid
+// depends on g alone. hit reports whether planning was skipped. The key is
+// g.Fingerprint(), O(1); only a miss builds a CSR, whose one labelling
+// pass yields the shards and whose shards are hashed once for the sub-plan
+// lookup. A nil cache evaluates every component, caches nothing and
+// reports no hit; the one-shot estimators plan that way.
 //
 // Concurrent misses on the same key are single-flighted: the first caller
 // evaluates, the rest wait on its result and report a cache hit (they did
@@ -197,6 +200,10 @@ func NewPlanCacheWeighted(maxWeight int64) *PlanCache {
 // evaluation rather than inheriting the cancelation.
 func (c *PlanCache) GridEval(ctx context.Context, g *graph.Graph, opts Options) (ge *GridEval, hit bool, err error) {
 	fp := g.Fingerprint()
+	if c == nil {
+		ge, _, err = evaluateGrid(ctx, graph.NewCSR(g).ComponentShards(), nil, fp, opts.ForestLP, nil)
+		return ge, false, err
+	}
 	ge, lk, err := c.plan(ctx, fp, func(ctx context.Context) (*GridEval, Lookup, error) {
 		return evaluateGrid(ctx, graph.NewCSR(g).ComponentShards(), nil, fp, opts.ForestLP, c)
 	})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"nodedp/internal/graph"
@@ -172,14 +173,29 @@ func TestPlanCacheLRUEvicts(t *testing.T) {
 
 // TestGridEvalMatchesOneShot pins the refactoring invariant: a release from
 // a cached grid evaluation is bit-for-bit the release of the one-shot
-// estimator with the same seed.
+// estimator with the same seed, and the nil cache the one-shot estimators
+// plan through returns a cold cache's evaluation bit for bit.
 func TestGridEvalMatchesOneShot(t *testing.T) {
 	g := cacheTestGraph(t, cacheTestEdges[:8])
 	ctx := context.Background()
-	cache := NewPlanCache(2)
-	ge, _, err := cache.GridEval(ctx, g, Options{})
+	ge, _, err := NewPlanCache(1).GridEval(ctx, g, Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	uncached, hit, err := (*PlanCache)(nil).GridEval(ctx, g, Options{})
+	if err != nil || hit {
+		t.Fatalf("nil cache: hit=%v err=%v, want a plan and no hit", hit, err)
+	}
+	if uncached.Fingerprint() != g.Fingerprint() || uncached.Fingerprint() != ge.Fingerprint() ||
+		!sameBits(uncached.fsf, ge.fsf) || uncached.stats != ge.stats || len(uncached.grid) != len(ge.grid) {
+		t.Fatalf("nil cache (fp=%v fsf=%v %+v), cold cache (fp=%v fsf=%v %+v)",
+			uncached.Fingerprint(), uncached.fsf, uncached.stats, ge.Fingerprint(), ge.fsf, ge.stats)
+	}
+	for i := range ge.grid {
+		if !sameBits(uncached.grid[i], ge.grid[i]) || !sameBits(uncached.fdeltas[i], ge.fdeltas[i]) {
+			t.Fatalf("point %d: nil cache (Δ=%v, %v), cold cache (Δ=%v, %v)", i,
+				uncached.grid[i], uncached.fdeltas[i], ge.grid[i], ge.fdeltas[i])
+		}
 	}
 	for seed := uint64(1); seed <= 5; seed++ {
 		for name, pair := range map[string][2]func(*rand.Rand) (Result, error){
@@ -216,13 +232,19 @@ func TestGridEvalMatchesOneShot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if oneShot.Value != fromGrid.Value || oneShot.Delta != fromGrid.Delta || oneShot.NHat != fromGrid.NHat {
-				t.Fatalf("%s seed %d: one-shot (%v, Δ=%v, n̂=%v) != from-grid (%v, Δ=%v, n̂=%v)",
-					name, seed, oneShot.Value, oneShot.Delta, oneShot.NHat,
-					fromGrid.Value, fromGrid.Delta, fromGrid.NHat)
+			if !sameResult(oneShot, fromGrid) {
+				t.Fatalf("%s seed %d: one-shot %+v != from-grid %+v", name, seed, oneShot, fromGrid)
 			}
 		}
 	}
+}
+
+// sameResult reports whether two releases agree in every float bit, every
+// per-Δ diagnostic and every work counter.
+func sameResult(a, b Result) bool {
+	return sameBits(a.Value, b.Value) && sameBits(a.Delta, b.Delta) && sameBits(a.FDelta, b.FDelta) &&
+		sameBits(a.NoiseScale, b.NoiseScale) && sameBits(a.NHat, b.NHat) &&
+		reflect.DeepEqual(a.Evaluations, b.Evaluations) && a.Stats == b.Stats
 }
 
 // TestPlanCacheSingleFlight launches many concurrent cold lookups of the
@@ -334,7 +356,7 @@ func TestPlanCacheWeightedAdmission(t *testing.T) {
 	ctx := context.Background()
 	big := weightTestGraph(t, 120, -1)
 	bigCost := func() int64 {
-		ge, err := EvaluateGrid(ctx, big, Options{})
+		ge, _, err := (*PlanCache)(nil).GridEval(ctx, big, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sync/atomic"
 
 	"nodedp/internal/dpnoise"
 	"nodedp/internal/forestlp"
@@ -47,18 +46,26 @@ type Options struct {
 	// changes a grid value, so plans are keyed by the graph alone, and
 	// sessions with different ForestLP settings share them.
 	ForestLP forestlp.Options
-	// DiscreteRelease replaces the float64 Laplace release with an exact
-	// integer mechanism: round(f_Δ̂) plus discrete Laplace noise sampled
-	// without floating-point arithmetic (internal/dpnoise). Rounding
-	// raises the release sensitivity from Δ̂ to Δ̂+1, so the noise scale is
-	// 2(Δ̂+1)/ε (rounded up to a nearby rational); the output lattice is
-	// the integers. Use this when float64 noise side channels matter.
+	// DiscreteRelease replaces the float64 Laplace releases with exact
+	// integer mechanisms sampled without floating-point arithmetic
+	// (internal/dpnoise): round(f_Δ̂) plus discrete Laplace noise, and for
+	// EstimateComponentCount a private vertex count of n plus discrete
+	// Laplace noise of scale 1/ε_count. Rounding raises the release
+	// sensitivity from Δ̂ to Δ̂+1, so the forest noise scale is 2(Δ̂+1)/ε;
+	// every scale is rounded up to a nearby rational. Every released value
+	// is then an integer. Use this when float64 noise side channels matter.
 	DiscreteRelease bool
 }
 
-func (o Options) withDefaults() (Options, error) {
+// withDefaults validates o and fills in the noise source. It also refuses
+// a done ctx: a release canceled after the last grid evaluation must still
+// abort before any noise is drawn, because a canceled run spends no budget.
+func (o Options) withDefaults(ctx context.Context) (Options, error) {
 	if o.Epsilon <= 0 || math.IsNaN(o.Epsilon) || math.IsInf(o.Epsilon, 0) {
 		return o, fmt.Errorf("core: epsilon %v must be positive and finite", o.Epsilon)
+	}
+	if err := ctx.Err(); err != nil {
+		return o, err
 	}
 	if o.Rand == nil {
 		o.Rand = dpnoise.NewCryptoRand()
@@ -155,15 +162,14 @@ func EstimateSpanningForestSizeCtx(ctx context.Context, g *graph.Graph, opts Opt
 	return EstimateSpanningForestSizeFromGrid(ctx, ge, opts)
 }
 
-// oneShotGrid applies the defaults and evaluates g's grid for a one-shot
-// estimator, which never consults a cache and so skips the fingerprint;
-// each estimator then releases through its FromGrid twin.
+// oneShotGrid applies the defaults and plans g uncached for a one-shot
+// estimator, which then releases through its FromGrid twin.
 func oneShotGrid(ctx context.Context, g *graph.Graph, opts Options) (*GridEval, Options, error) {
-	opts, err := opts.withDefaults()
+	opts, err := opts.withDefaults(ctx)
 	if err != nil {
 		return nil, opts, err
 	}
-	ge, _, err := evaluateGrid(ctx, graph.NewCSR(g).ComponentShards(), nil, graph.Fingerprint{}, opts.ForestLP, nil)
+	ge, _, err := (*PlanCache)(nil).GridEval(ctx, g, opts)
 	return ge, opts, err
 }
 
@@ -198,9 +204,6 @@ func (ge *GridEval) Cost() int64 {
 }
 
 // Fingerprint returns the canonical fingerprint of the evaluated graph.
-// Evaluations produced by EvaluateGrid or the PlanCache always carry one;
-// the one-shot estimators skip the hashing pass (they never consult a
-// cache) and leave it zero.
 func (ge *GridEval) Fingerprint() graph.Fingerprint { return ge.fingerprint }
 
 // SpanningForestSize returns the exact (non-private) f_sf of the evaluated
@@ -210,116 +213,35 @@ func (ge *GridEval) SpanningForestSize() float64 { return ge.fsf }
 // Stats aggregates the extension evaluator's work across the grid.
 func (ge *GridEval) Stats() forestlp.Stats { return ge.stats }
 
-// EvaluateGrid runs the deterministic half of Algorithm 1 for g: one CSR
-// snapshot, one shard plan, and one extension evaluation per grid point.
-// Only opts.ForestLP is read, and it schedules work without changing a
-// value: the grid depends on g alone.
-func EvaluateGrid(ctx context.Context, g *graph.Graph, opts Options) (*GridEval, error) {
-	ge, _, err := evaluateGrid(ctx, graph.NewCSR(g).ComponentShards(), nil, g.Fingerprint(), opts.ForestLP, nil)
-	return ge, err
-}
-
-// Prepared caches the deterministic, expensive part of Algorithm 1 — the
-// extension evaluations f_Δ(G) over the GEM grid — so that repeated
-// releases on the same graph skip the LP work. The random steps (GEM
-// selection and the Laplace release) happen per call to Release.
-//
-// Composition accounting is the caller's job at this layer: Epsilon,
-// Releases, and SpentBudget expose what has been spent so far, and the
-// session API in internal/serve enforces a total budget on top. Release and
-// the introspection methods are safe for concurrent use only when the
-// underlying noise source is (the default crypto source is not; guard a
-// shared *rand.Rand yourself or use a Session).
-type Prepared struct {
-	ge          *GridEval
-	qs          []float64
-	evaluations []DeltaEval
-	eps         float64
-	rand        *rand.Rand
-	discrete    bool
-	releases    atomic.Int64
-}
-
-// Evaluations returns the cached per-Δ diagnostics (not private).
-func (p *Prepared) Evaluations() []DeltaEval {
-	return append([]DeltaEval(nil), p.evaluations...)
-}
-
-// Epsilon returns ε, the privacy budget each Release spends.
-func (p *Prepared) Epsilon() float64 { return p.eps }
-
-// Releases returns how many Release calls have run so far. Calls that
-// returned an error still count: noise may have been drawn before the
-// failure, and budget accounting must stay conservative.
-func (p *Prepared) Releases() int { return int(p.releases.Load()) }
-
-// SpentBudget returns Releases()·Epsilon(), the total privacy cost of this
-// estimator so far under sequential composition (Lemma 2.4). Callers with a
-// hard budget should prefer the Session API, which enforces one.
-func (p *Prepared) SpentBudget() float64 { return float64(p.Releases()) * p.eps }
-
-// PrepareSpanningForest evaluates the extension family once for g under the
-// given options.
-func PrepareSpanningForest(g *graph.Graph, opts Options) (*Prepared, error) {
-	return PrepareSpanningForestCtx(context.Background(), g, opts)
-}
-
-// PrepareSpanningForestCtx is PrepareSpanningForest with cancelation and
-// deadline support.
-func PrepareSpanningForestCtx(ctx context.Context, g *graph.Graph, opts Options) (*Prepared, error) {
-	ge, opts, err := oneShotGrid(ctx, g, opts)
-	if err != nil {
-		return nil, err
-	}
-	return newPrepared(ge, opts, opts.Epsilon), nil
-}
-
-// newPrepared performs the ε-dependent scoring of a grid evaluation: the
-// GEM qualities q_Δ(G) = |f_Δ(G) − f_sf(G)| + Δ/(ε/2) (Algorithm 4 Step 4,
-// with GEM's own budget ε/2). It is cheap — O(grid) float ops — which is
-// why one cached GridEval can serve queries with different ε.
-func newPrepared(ge *GridEval, opts Options, eps float64) *Prepared {
+// release performs the random half of Algorithm 1 on ge with budget eps
+// (for a component count, the forest share of the caller's ε): it scores
+// the GEM qualities q_Δ(G) = |f_Δ(G) − f_sf(G)| + Δ/(ε/2) (Algorithm 4
+// Step 4, with GEM's own budget ε/2), selects Δ̂ by GEM at ε/2, and
+// releases f_Δ̂(G) with noise of scale Δ̂/(ε/2). Scoring is O(grid) float
+// ops, which is why one GridEval serves queries with any ε. The one-shot
+// estimators and every session query release here, through the
+// Estimate*FromGrid functions, which is what makes a seeded session query
+// bit-for-bit identical to the equivalent one-shot call.
+func release(ge *GridEval, opts Options, eps float64) (Result, error) {
 	epsHalf := eps / 2
-	p := &Prepared{
-		ge:          ge,
-		qs:          make([]float64, len(ge.grid)),
-		evaluations: make([]DeltaEval, len(ge.grid)),
-		eps:         eps,
-		rand:        opts.Rand,
-		discrete:    opts.DiscreteRelease,
-	}
+	qs := make([]float64, len(ge.grid))
+	res := Result{Evaluations: make([]DeltaEval, len(ge.grid)), Stats: ge.stats}
 	for i, d := range ge.grid {
-		v := ge.fdeltas[i]
-		p.qs[i] = math.Abs(v-ge.fsf) + d/epsHalf
-		p.evaluations[i] = DeltaEval{Delta: d, FDelta: v, Q: p.qs[i]}
+		qs[i] = math.Abs(ge.fdeltas[i]-ge.fsf) + d/epsHalf
+		res.Evaluations[i] = DeltaEval{Delta: d, FDelta: ge.fdeltas[i], Q: qs[i]}
 	}
-	return p
-}
-
-// Release performs the random half of Algorithm 1: GEM selection at ε/2 and
-// a Laplace release at ε/2, where ε = Epsilon() is the budget this
-// estimator was prepared with (for the component-count path that is the
-// forest share of the total, not the caller's whole budget). Each call is
-// an independent ε-node-private release: k calls compose to k·ε by
-// Lemma 2.4, tracked by Releases and SpentBudget but not enforced — use the
-// Session API for a hard budget.
-func (p *Prepared) Release() (Result, error) {
-	p.releases.Add(1)
-	res := Result{Evaluations: p.evaluations, Stats: p.ge.stats}
-	epsHalf := p.eps / 2
-	sel, err := mechanism.GEM(p.rand, p.ge.grid, p.qs, epsHalf, gemBeta(p.ge.n))
+	sel, err := mechanism.GEM(opts.Rand, ge.grid, qs, epsHalf, gemBeta(ge.n))
 	if err != nil {
 		return res, fmt.Errorf("core: GEM selection: %w", err)
 	}
 	res.Delta = sel.Delta
-	res.FDelta = p.evaluations[sel.Index].FDelta
+	res.FDelta = ge.fdeltas[sel.Index]
 	res.NoiseScale = sel.Delta / epsHalf
 
-	if p.discrete {
+	if opts.DiscreteRelease {
 		// Integer mechanism: rounding raises sensitivity to Δ̂+1.
-		scale := (sel.Delta + 1) / epsHalf
-		res.NoiseScale = scale
-		noise, err := dpnoise.DiscreteLaplaceScaled(p.rand, scale)
+		res.NoiseScale = (sel.Delta + 1) / epsHalf
+		noise, err := dpnoise.DiscreteLaplaceScaled(opts.Rand, res.NoiseScale)
 		if err != nil {
 			return res, fmt.Errorf("core: discrete release: %w", err)
 		}
@@ -327,27 +249,11 @@ func (p *Prepared) Release() (Result, error) {
 		return res, nil
 	}
 
-	release, err := mechanism.LaplaceRelease(p.rand, res.FDelta, sel.Delta, epsHalf)
+	res.Value, err = mechanism.LaplaceRelease(opts.Rand, res.FDelta, sel.Delta, epsHalf)
 	if err != nil {
 		return res, fmt.Errorf("core: release: %w", err)
 	}
-	res.Value = release
 	return res, nil
-}
-
-// estimateSFFromGrid is the release half of Algorithm 1 with total budget
-// eps on a grid evaluation. The one-shot estimators and the session serving
-// layer both funnel through here, which is what makes a seeded session
-// query bit-for-bit identical to the equivalent one-shot call.
-func estimateSFFromGrid(ctx context.Context, ge *GridEval, opts Options, eps float64) (Result, error) {
-	p := newPrepared(ge, opts, eps)
-	// A cancelation landing after the last grid evaluation must still
-	// abort before any noise is drawn — the contract is that a canceled
-	// run spends no budget.
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	return p.Release()
 }
 
 // EstimateSpanningForestSizeFromGrid is EstimateSpanningForestSizeCtx with
@@ -356,39 +262,38 @@ func estimateSFFromGrid(ctx context.Context, ge *GridEval, opts Options, eps flo
 // same options and noise source, the release is bit-for-bit identical to
 // the one-shot call on the same graph.
 func EstimateSpanningForestSizeFromGrid(ctx context.Context, ge *GridEval, opts Options) (Result, error) {
-	opts, err := opts.withDefaults()
+	opts, err := opts.withDefaults(ctx)
 	if err != nil {
 		return Result{}, err
 	}
-	return estimateSFFromGrid(ctx, ge, opts, opts.Epsilon)
+	return release(ge, opts, opts.Epsilon)
 }
 
 // EstimateComponentCountFromGrid is EstimateComponentCountCtx on a
-// precomputed grid evaluation; see EstimateSpanningForestSizeFromGrid.
+// precomputed grid evaluation; see EstimateSpanningForestSizeFromGrid. It
+// splits the budget between the private vertex count and the forest
+// estimate and draws the count noise first.
 func EstimateComponentCountFromGrid(ctx context.Context, ge *GridEval, opts Options) (Result, error) {
-	opts, err := opts.withDefaults()
+	opts, err := opts.withDefaults(ctx)
 	if err != nil {
 		return Result{}, err
 	}
-	return estimateCCFromGrid(ctx, ge, opts)
-}
-
-// estimateCCFromGrid splits the (defaulted) budget between the private
-// vertex count and the forest estimate, drawing the count noise first —
-// the same draw order as the one-shot path, so seeded runs agree.
-func estimateCCFromGrid(ctx context.Context, ge *GridEval, opts Options) (Result, error) {
 	epsCount := opts.Epsilon * countShare
-	epsSF := opts.Epsilon - epsCount
-	p := newPrepared(ge, opts, epsSF)
-	// As in estimateSFFromGrid: no noise draws once ctx is done.
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
+	var nHat float64
+	if opts.DiscreteRelease {
+		// The count has sensitivity 1 and is an integer already.
+		noise, err := dpnoise.DiscreteLaplaceScaled(opts.Rand, 1/epsCount)
+		if err != nil {
+			return Result{}, fmt.Errorf("core: discrete vertex count: %w", err)
+		}
+		nHat = float64(int64(ge.n) + noise)
+	} else {
+		nHat, err = mechanism.LaplaceRelease(opts.Rand, float64(ge.n), 1, epsCount)
+		if err != nil {
+			return Result{}, err
+		}
 	}
-	nHat, err := mechanism.LaplaceRelease(opts.Rand, float64(ge.n), 1, epsCount)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := p.Release()
+	res, err := release(ge, opts, opts.Epsilon-epsCount)
 	if err != nil {
 		return res, err
 	}
@@ -400,11 +305,11 @@ func estimateCCFromGrid(ctx context.Context, ge *GridEval, opts Options) (Result
 // EstimateComponentCountKnownNFromGrid is EstimateComponentCountKnownNCtx
 // on a precomputed grid evaluation; see EstimateSpanningForestSizeFromGrid.
 func EstimateComponentCountKnownNFromGrid(ctx context.Context, ge *GridEval, opts Options) (Result, error) {
-	opts, err := opts.withDefaults()
+	opts, err := opts.withDefaults(ctx)
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := estimateSFFromGrid(ctx, ge, opts, opts.Epsilon)
+	res, err := release(ge, opts, opts.Epsilon)
 	if err != nil {
 		return res, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -208,16 +209,17 @@ func TestNoiseInterval(t *testing.T) {
 // TestNoiseIntervalCoverage checks empirically that the injected noise
 // falls inside the interval at the advertised rate.
 func TestNoiseIntervalCoverage(t *testing.T) {
-	g := generate.Matching(50)
-	prep, err := PrepareSpanningForest(g, Options{Epsilon: 1, Rand: generate.NewRand(12)})
+	ctx := context.Background()
+	ge, _, err := (*PlanCache)(nil).GridEval(ctx, generate.Matching(50), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	opts := Options{Epsilon: 1, Rand: generate.NewRand(12)}
 	const trials = 2000
 	beta := 0.2
 	covered := 0
 	for i := 0; i < trials; i++ {
-		res, err := prep.Release()
+		res, err := EstimateSpanningForestSizeFromGrid(ctx, ge, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,17 +255,16 @@ func TestDiscreteRelease(t *testing.T) {
 }
 
 func TestDiscreteReleaseConcentrates(t *testing.T) {
-	g := generate.Matching(50) // f_sf = 50, Δ* = 1
-	prep, err := PrepareSpanningForest(g, Options{
-		Epsilon: 2, Rand: generate.NewRand(14), DiscreteRelease: true,
-	})
+	ctx := context.Background()
+	ge, _, err := (*PlanCache)(nil).GridEval(ctx, generate.Matching(50), Options{}) // f_sf = 50, Δ* = 1
 	if err != nil {
 		t.Fatal(err)
 	}
+	opts := Options{Epsilon: 2, Rand: generate.NewRand(14), DiscreteRelease: true}
 	const trials = 400
 	sum := 0.0
 	for i := 0; i < trials; i++ {
-		res, err := prep.Release()
+		res, err := EstimateSpanningForestSizeFromGrid(ctx, ge, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -131,8 +131,8 @@ func TestEstimateCtxCanceled(t *testing.T) {
 	if _, err := EstimateComponentCountKnownNCtx(ctx, g, opts); !errors.Is(err, context.Canceled) {
 		t.Errorf("EstimateComponentCountKnownNCtx: want context.Canceled, got %v", err)
 	}
-	if _, err := PrepareSpanningForestCtx(ctx, g, opts); !errors.Is(err, context.Canceled) {
-		t.Errorf("PrepareSpanningForestCtx: want context.Canceled, got %v", err)
+	if _, _, err := (*PlanCache)(nil).GridEval(ctx, g, opts); !errors.Is(err, context.Canceled) {
+		t.Errorf("nil PlanCache.GridEval: want context.Canceled, got %v", err)
 	}
 }
 

@@ -436,7 +436,7 @@ func TestLoadDefaultsV2Fixture(t *testing.T) {
 		if err != nil || !hit {
 			t.Fatalf("%s: hit=%v err=%v, want a hit", name, hit, err)
 		}
-		fresh, err := EvaluateGrid(ctx, g, Options{})
+		fresh, _, err := (*PlanCache)(nil).GridEval(ctx, g, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

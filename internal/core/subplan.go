@@ -88,8 +88,8 @@ type subPlanEntry struct {
 
 // evaluateGrid runs the deterministic half of Algorithm 1 on a component
 // decomposition — shards in graph.CSR.ComponentShards order — and is the
-// only producer of a GridEval: EvaluateGrid and the one-shot estimators
-// pass a nil store, the PlanCache's miss paths pass itself (see the file
+// only producer of a GridEval: a nil PlanCache's lookups pass a nil
+// store, the PlanCache's miss paths pass itself (see the file
 // comment). fps, when non-nil, holds the shards' fingerprints (a
 // graph.Decomposition carries them); with nil fps a store hashes each
 // non-trivial shard itself. The grid runs up to deltaMax of the shards'

@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
-	"nodedp/internal/core"
 	"nodedp/internal/dptest"
 	"nodedp/internal/generate"
 	"nodedp/internal/graph"
+	"nodedp/internal/serve"
 )
 
 // E12PrivacyAudit empirically audits the end-to-end Algorithm 1 on
@@ -42,35 +43,25 @@ func E12PrivacyAudit(cfg Config) (*Table, error) {
 			if discrete {
 				name += " (discrete)"
 			}
-			// Prepare once per input; each Release is one ε-DP run.
-			prepA, err := core.PrepareSpanningForest(p.a, core.Options{
-				Epsilon: eps, Rand: generate.NewRand(cfg.Seed*79 + uint64(i)),
-				DiscreteRelease: discrete,
-			})
+			// One session per input; each query is one ε-DP run.
+			sessA, err := releaseSession(p.a, cfg.Seed*79+uint64(i), discrete)
 			if err != nil {
 				return nil, err
 			}
-			prepB, err := core.PrepareSpanningForest(p.b, core.Options{
-				Epsilon: eps, Rand: generate.NewRand(cfg.Seed*83 + uint64(i)),
-				DiscreteRelease: discrete,
-			})
+			sessB, err := releaseSession(p.b, cfg.Seed*83+uint64(i), discrete)
 			if err != nil {
 				return nil, err
 			}
-			runA := func() float64 {
-				res, err := prepA.Release()
-				if err != nil {
-					panic(err)
+			run := func(sess *serve.Session) func() float64 {
+				return func() float64 {
+					res, err := sess.SpanningForestSize(context.Background(), serve.QueryOptions{Epsilon: eps})
+					if err != nil {
+						panic(err)
+					}
+					return res.Value
 				}
-				return res.Value
 			}
-			runB := func() float64 {
-				res, err := prepB.Release()
-				if err != nil {
-					panic(err)
-				}
-				return res.Value
-			}
+			runA, runB := run(sessA), run(sessB)
 			audit, err := dptest.Audit(runA, runB, dptest.Config{
 				Samples: samples, BinWidth: 1.0, MinBinCount: samples / 100,
 			})

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -9,6 +10,7 @@ import (
 	"nodedp/internal/forestlp"
 	"nodedp/internal/generate"
 	"nodedp/internal/graph"
+	"nodedp/internal/serve"
 	"nodedp/internal/spanning"
 )
 
@@ -133,28 +135,25 @@ func E11GEM(cfg Config) (*Table, error) {
 	for _, f := range families {
 		g := f.gen()
 		_, dUB := spanning.LowDegreeSpanningForest(g)
-		prep, err := core.PrepareSpanningForest(g, core.Options{
-			Epsilon: eps, Rand: generate.NewRand(cfg.Seed*73 + 7),
-		})
+		sess, err := releaseSession(g, cfg.Seed*73+7, false)
 		if err != nil {
 			return nil, err
-		}
-		evals := prep.Evaluations()
-		best := math.Inf(1)
-		for _, ev := range evals {
-			if ev.Q < best {
-				best = ev.Q
-			}
 		}
 		counts := map[float64]int{}
 		var ratios []float64
 		for s := 0; s < trials; s++ {
-			res, err := prep.Release()
+			res, err := sess.SpanningForestSize(context.Background(), serve.QueryOptions{Epsilon: eps})
 			if err != nil {
 				return nil, err
 			}
 			counts[res.Delta]++
-			for _, ev := range evals {
+			best := math.Inf(1)
+			for _, ev := range res.Evaluations {
+				if ev.Q < best {
+					best = ev.Q
+				}
+			}
+			for _, ev := range res.Evaluations {
 				if ev.Delta == res.Delta {
 					ratios = append(ratios, ev.Q/best)
 				}

@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
-	"nodedp/internal/core"
 	"nodedp/internal/generate"
 	"nodedp/internal/graph"
+	"nodedp/internal/serve"
 )
 
 // Runner is one experiment driver.
@@ -64,11 +65,13 @@ func Lookup(id string) (Runner, error) {
 	return nil, fmt.Errorf("experiments: unknown id %q (valid: %v)", id, ids)
 }
 
-// prepared is a small helper shared by drivers that reuse Algorithm 1's
-// deterministic phase across repeated releases.
-func prepared(g *graph.Graph, eps float64, seed uint64) (*core.Prepared, error) {
-	return core.PrepareSpanningForest(g, core.Options{
-		Epsilon: eps,
-		Rand:    generate.NewRand(seed),
+// releaseSession opens a session for drivers that draw many releases from
+// one grid evaluation: its unseeded queries draw one stream from
+// NewRand(seed), and its budget is one no driver exhausts.
+func releaseSession(g *graph.Graph, seed uint64, discrete bool) (*serve.Session, error) {
+	return serve.Open(context.Background(), g, serve.SessionOptions{
+		TotalBudget:     1e12,
+		Rand:            generate.NewRand(seed),
+		DiscreteRelease: discrete,
 	})
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"nodedp/internal/forestlp"
 	"nodedp/internal/generate"
 	"nodedp/internal/graph"
+	"nodedp/internal/serve"
 	"nodedp/internal/spanning"
 )
 
@@ -123,13 +125,13 @@ func EpsilonSweep(cfg Config) (*Table, error) {
 	g := generate.Geometric(n, 1.2/math.Sqrt(float64(n)), generate.NewRand(cfg.Seed*97))
 	fsf := float64(g.SpanningForestSize())
 	for _, eps := range []float64{0.25, 0.5, 1, 2, 4} {
-		prep, err := prepared(g, eps, cfg.Seed*101+uint64(eps*100))
+		sess, err := releaseSession(g, cfg.Seed*101+uint64(eps*100), false)
 		if err != nil {
 			return nil, err
 		}
 		var errs []float64
 		for s := 0; s < trials; s++ {
-			res, err := prep.Release()
+			res, err := sess.SpanningForestSize(context.Background(), serve.QueryOptions{Epsilon: eps})
 			if err != nil {
 				return nil, err
 			}

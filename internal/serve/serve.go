@@ -262,17 +262,7 @@ func Open(ctx context.Context, g *graph.Graph, opts SessionOptions) (*Session, e
 			return nil, fmt.Errorf("serve: %w", err)
 		}
 	}
-	probe := core.Options{ForestLP: opts.ForestLP}
-	var (
-		ge  *core.GridEval
-		hit bool
-		err error
-	)
-	if opts.Cache != nil {
-		ge, hit, err = opts.Cache.GridEval(ctx, g, probe)
-	} else {
-		ge, err = core.EvaluateGrid(ctx, g, probe)
-	}
+	ge, hit, err := opts.Cache.GridEval(ctx, g, core.Options{ForestLP: opts.ForestLP})
 	if err != nil {
 		return nil, err
 	}

@@ -115,6 +115,67 @@ func TestSessionMatchesOneShot(t *testing.T) {
 	if want := 4 * (0.5 + 0.25 + 0.25); math.Abs(st.Spent-want) > 1e-12 {
 		t.Fatalf("Spent = %v, want %v", st.Spent, want)
 	}
+
+	// Unseeded queries on a session opened with Rand: NewRand(seed) draw
+	// the one stream that successive FromGrid calls on one NewRand(seed)
+	// draw, in float and in discrete mode.
+	ge, _, err := (*core.PlanCache)(nil).GridEval(ctx, g, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, discrete := range []bool{false, true} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			shared := mustOpen(t, g, SessionOptions{TotalBudget: 100, Rand: generate.NewRand(seed), DiscreteRelease: discrete})
+			opts := core.Options{Epsilon: 0.5, Rand: generate.NewRand(seed), DiscreteRelease: discrete}
+			for k := 0; k < 6; k++ {
+				var want, got core.Result
+				var werr, gerr error
+				if k%2 == 0 {
+					want, werr = core.EstimateSpanningForestSizeFromGrid(ctx, ge, opts)
+					got, gerr = shared.SpanningForestSize(ctx, QueryOptions{Epsilon: 0.5})
+				} else {
+					want, werr = core.EstimateComponentCountFromGrid(ctx, ge, opts)
+					got, gerr = shared.ComponentCount(ctx, QueryOptions{Epsilon: 0.5})
+				}
+				if werr != nil || gerr != nil {
+					t.Fatal(werr, gerr)
+				}
+				if math.Float64bits(got.Value) != math.Float64bits(want.Value) || got.Delta != want.Delta ||
+					math.Float64bits(got.NHat) != math.Float64bits(want.NHat) || got.NoiseScale != want.NoiseScale {
+					t.Fatalf("discrete=%v seed %d query %d: session %+v != FromGrid %+v", discrete, seed, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDiscreteComponentCountIsInteger: with DiscreteRelease, a component
+// count and its private vertex count are integers, one-shot and through a
+// session, and the two agree.
+func TestDiscreteComponentCountIsInteger(t *testing.T) {
+	g := generate.Matching(10)
+	ctx := context.Background()
+	s := mustOpen(t, g, SessionOptions{TotalBudget: 1e12, DiscreteRelease: true})
+	for _, eps := range []float64{0.1, 1, 10} {
+		for seed := uint64(1); seed <= 200; seed++ {
+			oneShot, err := core.EstimateComponentCount(g, core.Options{Epsilon: eps, Rand: generate.NewRand(seed), DiscreteRelease: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.ComponentCount(ctx, QueryOptions{Epsilon: eps, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []core.Result{oneShot, got} {
+				if r.Value != math.Round(r.Value) || r.NHat != math.Round(r.NHat) {
+					t.Fatalf("ε=%v seed %d: value %v, n̂ %v, want integers", eps, seed, r.Value, r.NHat)
+				}
+			}
+			if got.Value != oneShot.Value || got.NHat != oneShot.NHat {
+				t.Fatalf("ε=%v seed %d: session (%v, n̂=%v) != one-shot (%v, n̂=%v)", eps, seed, got.Value, got.NHat, oneShot.Value, oneShot.NHat)
+			}
+		}
+	}
 }
 
 // TestConcurrentQueriesNeverOverspend is the composition property test: k

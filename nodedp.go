@@ -28,13 +28,14 @@
 //	res, err := nodedp.EstimateComponentCount(g, nodedp.Options{Epsilon: 1})
 //	// res.Value ≈ 3 (components {0,1}, {2,3}, {4}) + calibrated noise
 //
-// To serve many queries against one graph, Open a Session: the expensive
+// For repeated releases on one graph, Open a Session: the expensive
 // Δ-grid of LP evaluations is paid once (or fetched from a fingerprint-
 // keyed PlanCache) and every query spends its own ε against a total budget
 // enforced by the session's composition accountant — sequential
 // composition by default, or (ε, δ) advanced composition
 // (CompositionAdvanced), which admits many more small queries at equal
-// ε_total.
+// ε_total. The one-shot Estimate* functions plan the graph and release
+// once through the same code path.
 //
 // To serve queries over the network instead of in process, run the
 // bundled daemon (`ccdp daemon`): it exposes sessions over HTTP/JSON
@@ -126,7 +127,8 @@ func WriteGraph(w io.Writer, g *Graph) error { return graph.WriteEdgeList(w, g) 
 // on the graph. Grid sweeps warm-start adjacent Δ evaluations (cut pool,
 // simplex bases, and standing solvers slid across the grid); where the
 // cutting planes converge, that state moves only work counters, never
-// values.
+// values. DiscreteRelease makes every released value an integer, the
+// private vertex count included.
 type Options = core.Options
 
 // Result is the outcome of a private estimation, including the selected
@@ -171,26 +173,6 @@ func EstimateComponentCountKnownN(g *Graph, opts Options) (Result, error) {
 // cancelation and deadline support.
 func EstimateComponentCountKnownNCtx(ctx context.Context, g *Graph, opts Options) (Result, error) {
 	return core.EstimateComponentCountKnownNCtx(ctx, g, opts)
-}
-
-// PreparedEstimator caches the deterministic, expensive half of
-// Algorithm 1 — the extension evaluations over the whole Δ-grid, computed
-// once on the sharded parallel engine — so repeated releases on the same
-// graph only pay GEM selection plus Laplace noise. Each Release is an
-// independent release spending Epsilon(); Releases and SpentBudget report
-// the sequential-composition cost so far, but nothing is enforced at this
-// layer — Open a Session for a hard total budget.
-type PreparedEstimator = core.Prepared
-
-// PrepareSpanningForest evaluates the extension family once for g.
-func PrepareSpanningForest(g *Graph, opts Options) (*PreparedEstimator, error) {
-	return core.PrepareSpanningForest(g, opts)
-}
-
-// PrepareSpanningForestCtx is PrepareSpanningForest with cancelation and
-// deadline support.
-func PrepareSpanningForestCtx(ctx context.Context, g *Graph, opts Options) (*PreparedEstimator, error) {
-	return core.PrepareSpanningForestCtx(ctx, g, opts)
 }
 
 // Session is a long-lived serving handle on one sensitive graph: Open pays
@@ -388,17 +370,6 @@ func LipschitzExtensionValue(g *Graph, delta float64, opts LipschitzOptions) (fl
 func LipschitzExtensionValueCtx(ctx context.Context, g *Graph, delta float64, opts LipschitzOptions) (float64, LipschitzStats, error) {
 	return forestlp.ValueCtx(ctx, g, delta, opts)
 }
-
-// LipschitzPlan is the reusable sharded decomposition behind the extension
-// evaluator: an immutable CSR snapshot of the graph, split into
-// per-component shards with their fast-path certificates precomputed.
-// Build one with NewLipschitzPlan and call Value for as many (Δ, options)
-// pairs as needed — Algorithm 1 does exactly this across its Δ-grid.
-type LipschitzPlan = forestlp.Plan
-
-// NewLipschitzPlan snapshots g and plans its component shards for repeated
-// f_Δ evaluation.
-func NewLipschitzPlan(g *Graph) *LipschitzPlan { return forestlp.NewPlan(g) }
 
 // InducedStar describes an induced star: Center adjacent to every leaf,
 // leaves pairwise non-adjacent.

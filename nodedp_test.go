@@ -196,25 +196,6 @@ func TestSessionFacade(t *testing.T) {
 	}
 }
 
-func TestPreparedIntrospection(t *testing.T) {
-	g := Matching(10)
-	prep, err := PrepareSpanningForest(g, Options{Epsilon: 1, Rand: NewRand(3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prep.Epsilon() != 1 || prep.Releases() != 0 || prep.SpentBudget() != 0 {
-		t.Fatalf("fresh estimator: ε=%v releases=%d spent=%v", prep.Epsilon(), prep.Releases(), prep.SpentBudget())
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := prep.Release(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if prep.Releases() != 3 || prep.SpentBudget() != 3 {
-		t.Fatalf("after 3 releases: releases=%d spent=%v", prep.Releases(), prep.SpentBudget())
-	}
-}
-
 // TestFixedDeltaRefusesStalledEvaluation: on a spider, the one-shot
 // evaluation at a Δ below the hub's forced degree stalls and returns a
 // relaxation bound instead of f_Δ. The fixed-Δ release must refuse it

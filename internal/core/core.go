@@ -122,12 +122,21 @@ type Result struct {
 	Evaluations []DeltaEval
 	// Stats aggregates the extension evaluator's work.
 	Stats forestlp.Stats
+
+	// countScale is the noise scale of the private vertex count NHat, or
+	// zero when n is not released privately.
+	countScale float64
 }
 
-// NoiseInterval returns the half-width t such that the Laplace noise added
-// in the release step lies in [−t, t] with probability 1−beta (Lemma 2.3:
-// Pr[|Lap(b)| ≥ b·ln(1/beta)] = beta). It quantifies only the injected
-// noise — the extension's approximation error |f_Δ̂ − f_sf| is a separate,
+// NoiseInterval returns the half-width t such that the noise added in the
+// release lies in [−t, t] with probability at least 1−beta. A
+// spanning-forest or known-n release adds one Laplace term of scale
+// NoiseScale, so t = NoiseScale·ln(1/beta) (Lemma 2.3:
+// Pr[|Lap(b)| ≥ b·ln(1/beta)] = beta). A component count with a private
+// vertex count adds that count's noise too; each term leaves its own
+// b·ln(2/beta) with probability beta/2, so t = (NoiseScale + count
+// scale)·ln(2/beta). It quantifies only the injected noise — the
+// extension's approximation error |f_Δ̂ − f_sf| is a separate,
 // data-dependent quantity bounded by Theorem 1.3. The interval is a
 // post-processing of released values and safe to publish.
 func (r Result) NoiseInterval(beta float64) (float64, error) {
@@ -137,11 +146,10 @@ func (r Result) NoiseInterval(beta float64) (float64, error) {
 	if r.NoiseScale <= 0 {
 		return 0, fmt.Errorf("core: result carries no noise scale")
 	}
-	width := r.NoiseScale * math.Log(1/beta)
-	// Component-count mode adds the vertex-count noise; its scale is
-	// recoverable from NHat only if the caller tracked it, so we expose
-	// the forest-release interval and document the composition.
-	return width, nil
+	if r.countScale > 0 {
+		return (r.NoiseScale + r.countScale) * math.Log(2/beta), nil
+	}
+	return r.NoiseScale * math.Log(1/beta), nil
 }
 
 // EstimateSpanningForestSize runs Algorithm 1: an ε-node-private estimate
@@ -298,6 +306,7 @@ func EstimateComponentCountFromGrid(ctx context.Context, ge *GridEval, opts Opti
 		return res, err
 	}
 	res.NHat = nHat
+	res.countScale = 1 / epsCount
 	res.Value = nHat - res.Value
 	return res, nil
 }

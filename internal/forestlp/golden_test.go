@@ -42,14 +42,24 @@ func goldenSpider(k int, seed uint64) *graph.Graph {
 	return g
 }
 
+// goldenHubs is a sparse ER graph with hubs joined to a random quarter of
+// its vertices each, so that triage's greedy forests decide around hubs.
+func goldenHubs(n, hubs int, seed uint64) *graph.Graph {
+	rng := generate.NewRand(seed)
+	return generate.WithHubs(generate.ErdosRenyi(n, 1.2/float64(n), rng), hubs, 0.25, rng)
+}
+
 // gridGoldenSet is the pinned graph set: the planted 30-vertex blocks of
 // the end-to-end benchmark's input, the spider-er-a giant, two spiders
 // that stall a piece (the 40-cluster seed 50, on a standing solver that
 // falls back, and a 16-cluster one on the rebuild path; the 40-cluster
 // seed 53 also stalls but sweeps for ten seconds), sparse ER graphs near
-// the connectivity threshold and one random geometric graph. Together they
-// reach the standing solver, the rebuild path, the stall bailout and
-// multi-wave separation, and sweep in under a second at one worker.
+// the connectivity threshold, one random geometric graph, and two
+// hub-heavy graphs: four hubs of degree 62 to 76 on a sparse ER graph, and
+// a caterpillar whose spine vertices have degree 22. Together they reach
+// the standing solver, the rebuild path, the stall bailout, multi-wave
+// separation and the triage's greedy forests around hubs, and sweep in
+// under a second at one worker.
 func gridGoldenSet() []struct {
 	name string
 	g    *graph.Graph
@@ -70,6 +80,8 @@ func gridGoldenSet() []struct {
 		{"er-80-b", generate.ErdosRenyi(80, 2.2/80, generate.NewRand(4))},
 		{"er-120", generate.ErdosRenyi(120, 2.5/120, generate.NewRand(5))},
 		{"rgg-300", generate.Geometric(300, 0.9/math.Sqrt(300), generate.NewRand(7))},
+		{"er-300-hubs", goldenHubs(300, 4, 304)},
+		{"caterpillar-30x20", generate.Caterpillar(30, 20)},
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"nodedp/internal/graph"
+	"nodedp/internal/unionfind"
 )
 
 // peel performs the exact leaf-elimination preprocessing: in the LP of
@@ -168,18 +169,7 @@ func primalCappedForestBound(sub *graph.Graph, caps []float64) int {
 		intCaps[v] = c
 	}
 	deg := make([]int, n)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
+	dsu := unionfind.New(n)
 	count := 0
 	// Two passes: first edges whose endpoints have generous headroom, then
 	// anything that still fits — a cheap approximation of the max-edge
@@ -192,11 +182,9 @@ func primalCappedForestBound(sub *graph.Graph, caps []float64) int {
 			if pass == 0 && (intCaps[e.U]-deg[e.U] < 2 || intCaps[e.V]-deg[e.V] < 2) {
 				continue
 			}
-			ru, rv := find(e.U), find(e.V)
-			if ru == rv {
+			if !dsu.Union(e.U, e.V) {
 				continue
 			}
-			parent[ru] = rv
 			deg[e.U]++
 			deg[e.V]++
 			count++

@@ -3,7 +3,6 @@ package forestlp
 import (
 	"cmp"
 	"context"
-	"math"
 	"slices"
 	"sync"
 
@@ -236,8 +235,9 @@ func (ps *planShard) lowDegree() int {
 }
 
 // eval computes f_Δ restricted to this shard. It is the delta-dependent
-// pipeline: fast-path triage (three certificates of increasing cost), then
-// exact leaf peeling, then one cutting-plane LP per remaining 2-core piece.
+// pipeline: fast-path triage (two spanning-forest certificates, the BFS
+// tree's and the cached low-degree forest's), then exact leaf peeling, then
+// one cutting-plane LP per remaining 2-core piece.
 // sw, when non-nil, is this shard's cross-Δ warm-start state (cut pool and
 // piece basis memos); it is touched by one goroutine only — the worker
 // running this shard's job, which evaluates the grid points in order.
@@ -251,22 +251,9 @@ func (ps *planShard) eval(ctx context.Context, delta float64, opts Options, sw *
 			stats.FastPathHits++
 			return fsf, stats, nil
 		}
-		if delta >= 1 {
-			if float64(ps.lowDegree()) <= delta {
-				stats.FastPathHits++
-				return fsf, stats, nil
-			}
-			// Last cheap attempt: the paper's own Algorithm 3. It is only
-			// guaranteed for Δ > s(G), but succeeds opportunistically far
-			// beyond that; a returned forest is always a valid certificate.
-			if di := int(math.Floor(delta)); di >= 1 {
-				if forest, _, err := spanning.Repair(ps.sub, di); err == nil && forest != nil {
-					if graph.MaxDegreeOfEdgeSet(ps.n, forest) <= di && len(forest) == ps.n-1 {
-						stats.FastPathHits++
-						return fsf, stats, nil
-					}
-				}
-			}
+		if delta >= 1 && float64(ps.lowDegree()) <= delta {
+			stats.FastPathHits++
+			return fsf, stats, nil
 		}
 	}
 

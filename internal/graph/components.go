@@ -1,5 +1,7 @@
 package graph
 
+import "nodedp/internal/unionfind"
+
 // This file implements connectivity primitives: connected components,
 // spanning forests, and the counting functions f_cc and f_sf from the paper
 // (Section 1.1, Equation (1): f_cc(G) = |V(G)| - f_sf(G)).
@@ -93,27 +95,11 @@ func (g *Graph) IsConnected() bool { return g.CountComponents() <= 1 }
 // form a forest, i.e. contain no cycle. It does not require the edges to be
 // present in g.
 func IsForestEdgeSet(n int, edges []Edge) bool {
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
+	dsu := unionfind.New(n)
 	for _, e := range edges {
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n || e.U == e.V {
+		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n || e.U == e.V || !dsu.Union(e.U, e.V) {
 			return false
 		}
-		ru, rv := find(e.U), find(e.V)
-		if ru == rv {
-			return false
-		}
-		parent[ru] = rv
 	}
 	return true
 }

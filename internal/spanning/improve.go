@@ -1,9 +1,8 @@
 package spanning
 
 import (
-	"sort"
-
 	"nodedp/internal/graph"
+	"nodedp/internal/unionfind"
 )
 
 // This file implements a Fürer–Raghavachari-style local search that lowers
@@ -173,23 +172,16 @@ func CappedSpanningForest(g *graph.Graph, caps []int) (forest []graph.Edge, ok b
 	return forest, true
 }
 
-// greedyCappedForest is GreedyLowDegreeForest with per-vertex capacities:
-// the next edge maximizes remaining headroom at its endpoints.
+// greedyCappedForest builds a spanning forest Kruskal-style, repeatedly
+// adding the acyclic edge with the most headroom caps[v] − deg_F(v) − 1 at
+// its endpoints: first the larger minimum headroom, then the larger other
+// headroom, ties to the lowest edge index. Under uniform caps that is the
+// edge whose endpoints currently have the smallest degrees, which is how
+// LowDegreeSpanningForest uses it.
 func greedyCappedForest(g *graph.Graph, caps []int) []graph.Edge {
 	n := g.N()
 	deg := make([]int, n)
-	dsu := make([]int, n)
-	for i := range dsu {
-		dsu[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for dsu[x] != x {
-			dsu[x] = dsu[dsu[x]]
-			x = dsu[x]
-		}
-		return x
-	}
+	dsu := unionfind.New(n)
 	edges := g.Edges()
 	target := g.SpanningForestSize()
 	forest := make([]graph.Edge, 0, target)
@@ -198,11 +190,10 @@ func greedyCappedForest(g *graph.Graph, caps []int) []graph.Edge {
 		bestKey := [2]int{-(1 << 30), -(1 << 30)}
 		for i, e := range edges {
 			if e.U < 0 {
-				continue
+				continue // consumed
 			}
-			ru, rv := find(e.U), find(e.V)
-			if ru == rv {
-				edges[i].U = -1
+			if dsu.Same(e.U, e.V) {
+				edges[i].U = -1 // cycle edge: never useful again
 				continue
 			}
 			// Headroom after adding: prefer max of the minimum headroom,
@@ -218,11 +209,11 @@ func greedyCappedForest(g *graph.Graph, caps []int) []graph.Edge {
 			}
 		}
 		if best == -1 {
-			break
+			break // should not happen: target counts reachable merges
 		}
 		e := edges[best]
 		edges[best].U = -1
-		dsu[find(e.U)] = find(e.V)
+		dsu.Union(e.U, e.V)
 		deg[e.U]++
 		deg[e.V]++
 		forest = append(forest, e)
@@ -289,69 +280,13 @@ func tryCappedSwap(edges []graph.Edge, f *forest, rf *rootedForest, caps []int) 
 	return false
 }
 
-// GreedyLowDegreeForest builds a spanning forest Kruskal-style, repeatedly
-// adding the acyclic edge whose endpoints currently have the smallest
-// degrees (ties broken lexicographically). On sparse random graphs this
-// lands within one of Δ* far more reliably than a BFS tree.
-func GreedyLowDegreeForest(g *graph.Graph) []graph.Edge {
-	n := g.N()
-	deg := make([]int, n)
-	dsu := make([]int, n)
-	for i := range dsu {
-		dsu[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for dsu[x] != x {
-			dsu[x] = dsu[dsu[x]]
-			x = dsu[x]
-		}
-		return x
-	}
-	edges := g.Edges()
-	target := g.SpanningForestSize()
-	forest := make([]graph.Edge, 0, target)
-	for len(forest) < target {
-		best := -1
-		bestKey := [2]int{1 << 30, 1 << 30}
-		for i, e := range edges {
-			if e.U < 0 {
-				continue // consumed
-			}
-			ru, rv := find(e.U), find(e.V)
-			if ru == rv {
-				edges[i].U = -1 // cycle edge: never useful again
-				continue
-			}
-			hi, lo := deg[e.U], deg[e.V]
-			if hi < lo {
-				hi, lo = lo, hi
-			}
-			key := [2]int{hi, lo}
-			if key[0] < bestKey[0] || (key[0] == bestKey[0] && key[1] < bestKey[1]) {
-				best, bestKey = i, key
-			}
-		}
-		if best == -1 {
-			break // should not happen: target counts reachable merges
-		}
-		e := edges[best]
-		edges[best].U = -1
-		dsu[find(e.U)] = find(e.V)
-		deg[e.U]++
-		deg[e.V]++
-		forest = append(forest, e)
-	}
-	return forest
-}
-
 // LowDegreeSpanningForest returns a spanning forest of g with heuristically
 // minimized maximum degree, and that degree. It improves both the BFS
-// forest and the degree-greedy Kruskal forest by local search and keeps the
-// better result.
+// forest and the degree-greedy Kruskal forest (greedyCappedForest under
+// uniform caps) by local search and keeps the better result.
 func LowDegreeSpanningForest(g *graph.Graph) ([]graph.Edge, int) {
 	bfsForest, bfsDeg := ImproveDegree(g, g.SpanningForest())
-	greedyForest, greedyDeg := ImproveDegree(g, GreedyLowDegreeForest(g))
+	greedyForest, greedyDeg := ImproveDegree(g, greedyCappedForest(g, make([]int, g.N())))
 	if greedyDeg < bfsDeg {
 		return greedyForest, greedyDeg
 	}
@@ -404,16 +339,16 @@ func componentHasTree(sub *graph.Graph, delta int, budget *int) (ok, exceeded bo
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	// Backtracking undoes a union by making the old root a root again.
+	// That is exact only because find never moves a pointer: path
+	// compression would re-point vertices past that root, and they would
+	// keep the undone union.
+	find := func(x int) int {
 		for parent[x] != x {
-			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	// Backtracking needs undoable union: store (root, oldParent) pairs.
-	type undo struct{ a, pa int }
 	var rec func(idx, chosen int) (bool, bool)
 	rec = func(idx, chosen int) (bool, bool) {
 		*budget--
@@ -430,14 +365,13 @@ func componentHasTree(sub *graph.Graph, delta int, budget *int) (ok, exceeded bo
 		ru, rv := find(e.U), find(e.V)
 		if ru != rv && deg[e.U] < delta && deg[e.V] < delta {
 			// Include.
-			saved := undo{a: ru, pa: parent[ru]}
 			parent[ru] = rv
 			deg[e.U]++
 			deg[e.V]++
 			okk, exc := rec(idx+1, chosen+1)
 			deg[e.U]--
 			deg[e.V]--
-			parent[saved.a] = saved.pa
+			parent[ru] = ru
 			if okk || exc {
 				return okk, exc
 			}
@@ -466,17 +400,4 @@ func MinMaxDegreeExact(g *graph.Graph, budget int) (delta int, exceeded bool) {
 		}
 	}
 	return ub, false
-}
-
-// SortedEdges is a convenience: returns a copy of edges sorted
-// lexicographically, for deterministic comparisons in tests and demos.
-func SortedEdges(edges []graph.Edge) []graph.Edge {
-	out := append([]graph.Edge(nil), edges...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
-	return out
 }

@@ -3,10 +3,12 @@
 //   - Algorithm 3 "local repairs" (the constructive proof of Lemma 1.8): a
 //     graph with no induced Δ-star has a spanning Δ-forest, and Repair
 //     builds one — or returns an induced Δ-star witness if none exists.
-//   - A degree-reducing local search over spanning forests (Fürer–
-//     Raghavachari-style single swaps) used to estimate Δ*, the smallest
-//     possible maximum degree of a spanning forest, which parameterizes the
-//     paper's accuracy guarantee (Theorem 1.3).
+//   - A degree-greedy Kruskal forest and a degree-reducing local search
+//     over spanning forests (Fürer–Raghavachari-style single swaps) used
+//     to estimate Δ*, the smallest possible maximum degree of a spanning
+//     forest, which parameterizes the paper's accuracy guarantee
+//     (Theorem 1.3). With per-vertex caps, the same greedy and search are
+//     forestlp's fast-path certificates.
 //   - Exact brute-force Δ* for small graphs, the ground truth for tests and
 //     for the experiment tables on tiny inputs. (Computing Δ* exactly in
 //     general is NP-hard: it generalizes the Hamiltonian-path problem.)

@@ -1,6 +1,7 @@
 package spanning
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -192,6 +193,9 @@ func TestHasSpanningForestMaxDegree(t *testing.T) {
 		{"matching-d1", generate.Matching(3), 1, true},
 		{"edgeless-d0", graph.New(3), 0, true},
 		{"edge-d0", generate.Path(2), 0, false},
+		{"no-hamiltonian-path-d2", noHamiltonianPath(), 2, false},
+		{"no-hamiltonian-path-d3", noHamiltonianPath(), 3, true},
+		{"hamiltonian-path-d2", hamiltonianPath(), 2, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -221,6 +225,8 @@ func TestMinMaxDegreeExact(t *testing.T) {
 		{"matching", generate.Matching(4), 1},
 		{"grid", generate.Grid(3, 3), 2}, // 3x3 grid has a Hamiltonian path
 		{"K33", generate.CompleteBipartite(3, 3), 2},
+		{"no-hamiltonian-path", noHamiltonianPath(), 3},
+		{"hamiltonian-path", hamiltonianPath(), 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -263,6 +269,25 @@ func TestLocalSearchVsExact(t *testing.T) {
 	}
 }
 
+// noHamiltonianPath and hamiltonianPath are the graphs on which a union-find
+// whose find compresses paths broke the exact search's undo: the first has
+// no Hamiltonian path (Δ* = 3) but was reported to have one, and the second
+// has 6-0-2-5-1-4-7-3-8 (Δ* = 2) but was reported Δ* = 3.
+func noHamiltonianPath() *graph.Graph {
+	return graph.MustFromEdges(8, []graph.Edge{
+		graph.NewEdge(0, 2), graph.NewEdge(0, 3), graph.NewEdge(1, 3), graph.NewEdge(1, 6), graph.NewEdge(1, 7),
+		graph.NewEdge(2, 3), graph.NewEdge(3, 7), graph.NewEdge(4, 7), graph.NewEdge(5, 6), graph.NewEdge(6, 7),
+	})
+}
+
+func hamiltonianPath() *graph.Graph {
+	return graph.MustFromEdges(9, []graph.Edge{
+		graph.NewEdge(0, 1), graph.NewEdge(0, 2), graph.NewEdge(0, 6), graph.NewEdge(1, 2), graph.NewEdge(1, 4),
+		graph.NewEdge(1, 5), graph.NewEdge(1, 7), graph.NewEdge(2, 5), graph.NewEdge(2, 7), graph.NewEdge(3, 7),
+		graph.NewEdge(3, 8), graph.NewEdge(4, 7), graph.NewEdge(5, 7),
+	})
+}
+
 // bruteForceMaxInducedStar computes s(G) by enumerating subsets of each
 // neighborhood — exponential, for test graphs only.
 func bruteForceMaxInducedStar(g *graph.Graph) int {
@@ -285,17 +310,6 @@ func bruteForceMaxInducedStar(g *graph.Graph) int {
 		}
 	}
 	return best
-}
-
-func TestSortedEdges(t *testing.T) {
-	in := []graph.Edge{graph.NewEdge(2, 3), graph.NewEdge(0, 5), graph.NewEdge(0, 1)}
-	out := SortedEdges(in)
-	if out[0] != graph.NewEdge(0, 1) || out[1] != graph.NewEdge(0, 5) || out[2] != graph.NewEdge(2, 3) {
-		t.Fatalf("sorted %v", out)
-	}
-	if in[0] != graph.NewEdge(2, 3) {
-		t.Fatal("input mutated")
-	}
 }
 
 // forestPath is the reference path finder: a breadth-first search from u
@@ -426,6 +440,89 @@ func refCappedSpanningForest(g *graph.Graph, caps []int) ([]graph.Edge, bool) {
 	return edges, true
 }
 
+// refGreedyLowDegreeForest is the degree-greedy Kruskal forest written
+// directly: repeatedly add the acyclic edge whose endpoints currently have
+// the smallest degrees, (max, min) compared lexicographically, ties to the
+// lowest edge index.
+func refGreedyLowDegreeForest(g *graph.Graph) []graph.Edge {
+	n := g.N()
+	deg := make([]int, n)
+	dsu := make([]int, n)
+	for i := range dsu {
+		dsu[i] = i
+	}
+	find := func(x int) int {
+		for dsu[x] != x {
+			dsu[x] = dsu[dsu[x]]
+			x = dsu[x]
+		}
+		return x
+	}
+	edges := g.Edges()
+	target := g.SpanningForestSize()
+	forest := make([]graph.Edge, 0, target)
+	for len(forest) < target {
+		best := -1
+		bestKey := [2]int{1 << 30, 1 << 30}
+		for i, e := range edges {
+			if e.U < 0 {
+				continue
+			}
+			if find(e.U) == find(e.V) {
+				edges[i].U = -1
+				continue
+			}
+			hi, lo := deg[e.U], deg[e.V]
+			if hi < lo {
+				hi, lo = lo, hi
+			}
+			if hi < bestKey[0] || (hi == bestKey[0] && lo < bestKey[1]) {
+				best, bestKey = i, [2]int{hi, lo}
+			}
+		}
+		e := edges[best]
+		edges[best].U = -1
+		dsu[find(e.U)] = find(e.V)
+		deg[e.U]++
+		deg[e.V]++
+		forest = append(forest, e)
+	}
+	return forest
+}
+
+// TestGreedyCappedMatchesLowDegreeReference checks that greedyCappedForest
+// under uniform caps is the degree-greedy forest: with every cap equal,
+// the largest headroom is the smallest degree, so it must return the
+// reference's edge list, whatever the cap.
+func TestGreedyCappedMatchesLowDegreeReference(t *testing.T) {
+	graphs := []*graph.Graph{
+		generate.Star(40), generate.Caterpillar(12, 5), generate.Caterpillar(1, 3),
+		generate.Complete(6), graph.New(5),
+	}
+	for seed := uint64(1); seed <= 120; seed++ {
+		rng := generate.NewRand(seed)
+		n := 10 + rng.IntN(60)
+		switch seed % 3 {
+		case 0:
+			graphs = append(graphs, randomSearchGraph(seed))
+		case 1:
+			g := generate.ErdosRenyi(n, (1+2*rng.Float64())/float64(n), rng)
+			graphs = append(graphs, generate.WithHubs(g, 1+rng.IntN(3), 0.2+0.4*rng.Float64(), rng))
+		default:
+			graphs = append(graphs, generate.Geometric(n, 1.5/math.Sqrt(float64(n)), rng))
+		}
+	}
+	for i, g := range graphs {
+		want := refGreedyLowDegreeForest(g)
+		for _, c := range []int{0, 1, 3, 1000} {
+			if got := greedyCappedForest(g, uniformCaps(g.N(), c)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("graph %d (n=%d, m=%d) caps %d: greedyCappedForest = %v, reference %v",
+					i, g.N(), g.M(), c, got, want)
+			}
+		}
+	}
+}
+
 // randomSearchGraph draws a small ER graph, with hubs on odd seeds, sparse
 // enough to have several components at times.
 func randomSearchGraph(seed uint64) *graph.Graph {
@@ -475,7 +572,7 @@ func TestRootedPathMatchesSearch(t *testing.T) {
 func TestLocalSearchMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 250; seed++ {
 		g := randomSearchGraph(seed)
-		for _, start := range [][]graph.Edge{g.SpanningForest(), GreedyLowDegreeForest(g)} {
+		for _, start := range [][]graph.Edge{g.SpanningForest(), refGreedyLowDegreeForest(g)} {
 			got, gotDeg := ImproveDegree(g, start)
 			want, wantDeg := refImproveDegree(g, start)
 			if gotDeg != wantDeg || !reflect.DeepEqual(got, want) {

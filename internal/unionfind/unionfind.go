@@ -1,7 +1,10 @@
 // Package unionfind provides a disjoint-set union (DSU) structure with
-// union by rank and path compression. It is the workhorse behind fast
-// connected-component counting, forest/cycle detection in the spanning
-// machinery, and the cutting-plane bookkeeping in the forest-polytope LP.
+// union by rank and path compression. Its callers: graph.IsForestEdgeSet
+// (cycle detection), the degree-greedy Kruskal forest behind spanning's
+// low-degree and capped forests (the fast-path triage), forestlp's greedy
+// primal forest bound, and serve's count of components a delta merges.
+// The one union-find it does not serve is spanning's exact Δ* search,
+// which must undo unions and so cannot compress paths.
 package unionfind
 
 // DSU is a disjoint-set union over elements 0..n-1.

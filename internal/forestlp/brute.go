@@ -36,9 +36,12 @@ func ValueBruteForce(g *graph.Graph, delta float64) (float64, error) {
 		if err != nil {
 			panic(err)
 		}
-		rows, rhs := explicitConstraints(sub, delta)
-		edges := sub.Edges()
-		c := make([]float64, len(edges))
+		sets, rhs := explicitConstraints(sub, delta)
+		var rows lp.Rows
+		for _, set := range sets {
+			rows.Add(set, nil)
+		}
+		c := make([]float64, sub.M())
 		for i := range c {
 			c[i] = 1
 		}
@@ -69,18 +72,21 @@ func ValueBruteForceRat(g *graph.Graph, delta *big.Rat) (*big.Rat, error) {
 			panic(err)
 		}
 		deltaF, _ := delta.Float64()
-		rows, rhs := explicitConstraints(sub, deltaF)
-		edges := sub.Edges()
-		cr := make([]*big.Rat, len(edges))
+		sets, rhs := explicitConstraints(sub, deltaF)
+		m := sub.M()
+		cr := make([]*big.Rat, m)
 		for i := range cr {
 			cr[i] = big.NewRat(1, 1)
 		}
-		ar := make([][]*big.Rat, len(rows))
-		br := make([]*big.Rat, len(rows))
-		for i, row := range rows {
-			ar[i] = make([]*big.Rat, len(row))
-			for j, v := range row {
-				ar[i][j] = lp.RatFromFloat(v)
+		ar := make([][]*big.Rat, len(sets))
+		br := make([]*big.Rat, len(sets))
+		for i, set := range sets {
+			ar[i] = make([]*big.Rat, m)
+			for j := range ar[i] {
+				ar[i][j] = new(big.Rat)
+			}
+			for _, j := range set {
+				ar[i][j].SetInt64(1)
 			}
 			br[i] = lp.RatFromFloat(rhs[i])
 		}
@@ -100,22 +106,22 @@ func ValueBruteForceRat(g *graph.Graph, delta *big.Rat) (*big.Rat, error) {
 	return total, nil
 }
 
-// explicitConstraints builds degree rows (first n rows, rhs delta) followed
-// by one subtour row per connected vertex subset of size ≥ 2.
-func explicitConstraints(sub *graph.Graph, delta float64) ([][]float64, []float64) {
+// explicitConstraints lists the explicit program's 0/1 rows as ascending
+// edge-index sets: the degree rows (first n rows, rhs delta), then one
+// subtour row per connected vertex subset of size ≥ 2.
+func explicitConstraints(sub *graph.Graph, delta float64) ([][]int32, []float64) {
 	n := sub.N()
 	edges := sub.Edges()
-	m := len(edges)
-	var rows [][]float64
+	var sets [][]int32
 	var rhs []float64
 	for v := 0; v < n; v++ {
-		row := make([]float64, m)
+		var set []int32
 		for i, e := range edges {
 			if e.U == v || e.V == v {
-				row[i] = 1
+				set = append(set, int32(i))
 			}
 		}
-		rows = append(rows, row)
+		sets = append(sets, set)
 		rhs = append(rhs, delta)
 	}
 	for mask := 1; mask < 1<<n; mask++ {
@@ -123,16 +129,16 @@ func explicitConstraints(sub *graph.Graph, delta float64) ([][]float64, []float6
 		if size < 2 || !connectedMask(sub, mask) {
 			continue
 		}
-		row := make([]float64, m)
+		var set []int32
 		for i, e := range edges {
 			if mask&(1<<e.U) != 0 && mask&(1<<e.V) != 0 {
-				row[i] = 1
+				set = append(set, int32(i))
 			}
 		}
-		rows = append(rows, row)
+		sets = append(sets, set)
 		rhs = append(rhs, float64(size-1))
 	}
-	return rows, rhs
+	return sets, rhs
 }
 
 // connectedMask reports whether the vertices in mask induce a connected

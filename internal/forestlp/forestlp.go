@@ -282,26 +282,16 @@ func lpValue(ctx context.Context, sub *graph.Graph, caps []float64, opts Options
 	}
 
 	// Base constraints: degree rows and the whole-component subtour row.
-	// Each edge sets its column in its two endpoints' degree rows.
-	baseRows := make([][]float64, n, n+1)
-	baseRHS := make([]float64, n, n+1)
-	for v := range baseRows {
-		baseRows[v] = make([]float64, m)
+	// Their rhs is built here; the rows themselves only where a solver is
+	// (separator.baseRows), so a parametric slide builds none.
+	baseRHS := make([]float64, n+1)
+	for v := 0; v < n; v++ {
 		baseRHS[v] = caps[v]
 		if caps[v] < 0 {
 			baseRHS[v] = 0
 		}
 	}
-	for i, e := range edges {
-		baseRows[e.U][i] = 1
-		baseRows[e.V][i] = 1
-	}
-	all := make([]float64, m)
-	for i := range all {
-		all[i] = 1
-	}
-	baseRows = append(baseRows, all)
-	baseRHS = append(baseRHS, fsf)
+	baseRHS[n] = fsf
 
 	// primalLB is the value of a greedily built feasible 0/1 forest — a
 	// lower bound on the piece's optimum that the relaxation value (an
@@ -317,8 +307,8 @@ func lpValue(ctx context.Context, sub *graph.Graph, caps []float64, opts Options
 	// rebuilding. Any trouble — numerical distress, row-cap overflow —
 	// falls through to the rebuild loop below, which re-solves the piece
 	// from the (deterministically grown) cut pool.
-	if sw != nil && len(baseRows) >= incrMinRows {
-		v, ok, err := lpValueIncr(ctx, sub, edges, c, baseRows, baseRHS, primalLB, opts, stats, sw, orig)
+	if sw != nil && len(baseRHS) >= incrMinRows {
+		v, ok, err := lpValueIncr(ctx, sub, edges, c, baseRHS, primalLB, opts, stats, sw, orig)
 		if err != nil {
 			return 0, err
 		}
@@ -334,14 +324,6 @@ func lpValue(ctx context.Context, sub *graph.Graph, caps []float64, opts Options
 		return 0, err
 	}
 	sep := newSeparator(sub, edges, resolveWorkers(opts.Workers, sepWaveWidth))
-	cutRow := func(ct *cut) []float64 {
-		row := make([]float64, m)
-		for _, i := range ct.edgeIdx {
-			row[i] = 1
-		}
-		return row
-	}
-
 	defer func() { stats.CutsRevived += sep.revived }()
 
 	// Cross-Δ warm start: seed the parked pool with every cut known for
@@ -355,7 +337,11 @@ func lpValue(ctx context.Context, sub *graph.Graph, caps []float64, opts Options
 		stats.WarmCutsReused += seeded
 	}
 
-	baseRowCount := len(baseRows)
+	// Each round's program is the base rows and the active cuts' rows, laid
+	// out over the previous round's storage.
+	rows := sep.baseRows()
+	baseRowCount := rows.Len()
+	rhs := baseRHS[:baseRowCount:baseRowCount]
 	prevValue := math.Inf(1)
 	stall := 0
 	warmFails := 0
@@ -363,14 +349,14 @@ func lpValue(ctx context.Context, sub *graph.Graph, caps []float64, opts Options
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		rows := append([][]float64(nil), baseRows...)
-		rhs := append([]float64(nil), baseRHS...)
+		rows.Truncate(baseRowCount)
+		rhs = rhs[:baseRowCount]
 		for _, ct := range active {
-			rows = append(rows, cutRow(ct))
+			rows.Add(ct.edgeIdx, nil)
 			rhs = append(rhs, float64(ct.size-1))
 		}
 		lpOpts := lp.Options{MaxPivots: opts.maxPivots}
-		if len(rows) >= warmBasisMinRows && warmFails < maxWarmFails {
+		if len(rhs) >= warmBasisMinRows && warmFails < maxWarmFails {
 			lpOpts.Basis = curBasis
 		}
 		sol, err := lp.MaximizeCtx(ctx, c, rows, rhs, lpOpts)

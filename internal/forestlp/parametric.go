@@ -60,7 +60,7 @@ const IncrementalCheapPivots = 8
 // before a fallback are already pooled, so the rebuild pass revives them
 // instead of re-running max-flow separation.
 func lpValueIncr(ctx context.Context, sub *graph.Graph, edges []graph.Edge, c []float64,
-	baseRows [][]float64, baseRHS []float64, primalLB float64,
+	baseRHS []float64, primalLB float64,
 	opts Options, stats *Stats, sw *shardWarm, orig []int) (float64, bool, error) {
 
 	m := len(c)
@@ -74,13 +74,6 @@ func lpValueIncr(ctx context.Context, sub *graph.Graph, edges []graph.Edge, c []
 	sep := newSeparator(sub, edges, resolveWorkers(opts.Workers, sepWaveWidth))
 	defer func() { stats.CutsRevived += sep.revived }()
 
-	cutRow := func(ct *cut) []float64 {
-		row := make([]float64, m)
-		for _, i := range ct.edgeIdx {
-			row[i] = 1
-		}
-		return row
-	}
 	fullRHS := func(active []*cut) []float64 {
 		rhs := append([]float64(nil), baseRHS...)
 		for _, ct := range active {
@@ -99,7 +92,7 @@ func lpValueIncr(ctx context.Context, sub *graph.Graph, edges []graph.Edge, c []
 	// is this path's equivalent of the rebuild+restore round.
 	slid := false
 	if pi != nil {
-		if pi.Cols() == m && pi.Rows() == len(baseRows)+len(active) &&
+		if pi.Cols() == m && pi.Rows() == len(baseRHS)+len(active) &&
 			pi.SetRHS(fullRHS(active)) == nil {
 			slid = true
 			stats.ParametricSlides++
@@ -109,9 +102,9 @@ func lpValueIncr(ctx context.Context, sub *graph.Graph, edges []graph.Edge, c []
 		}
 	}
 	if pi == nil {
-		rows := append([][]float64(nil), baseRows...)
+		rows := sep.baseRows()
 		for _, ct := range active {
-			rows = append(rows, cutRow(ct))
+			rows.Add(ct.edgeIdx, nil)
 		}
 		lpOpts := lp.Options{MaxPivots: opts.maxPivots, Basis: memoBasis}
 		var err error
@@ -131,6 +124,7 @@ func lpValueIncr(ctx context.Context, sub *graph.Graph, edges []graph.Edge, c []
 		}
 	}
 
+	var cutRows lp.Rows // each round's new cuts, over the last round's storage
 	prevValue := math.Inf(1)
 	stall := 0
 	pivotsSpent := 0
@@ -213,16 +207,16 @@ func lpValueIncr(ctx context.Context, sub *graph.Graph, edges []graph.Edge, c []
 			return value, true, nil
 		}
 
-		if len(baseRows)+len(active)+len(cuts) > incrRowCap {
+		if len(baseRHS)+len(active)+len(cuts) > incrRowCap {
 			return fallback()
 		}
-		newRows := make([][]float64, len(cuts))
+		cutRows.Truncate(0)
 		newRHS := make([]float64, len(cuts))
 		for i, ct := range cuts {
-			newRows[i] = cutRow(ct)
+			cutRows.Add(ct.edgeIdx, nil)
 			newRHS[i] = float64(ct.size - 1)
 		}
-		if err := pi.AppendRows(newRows, newRHS); err != nil {
+		if err := pi.AppendRows(cutRows, newRHS); err != nil {
 			return fallback()
 		}
 		for _, ct := range cuts {

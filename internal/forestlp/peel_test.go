@@ -1,6 +1,7 @@
 package forestlp
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -323,6 +324,23 @@ func TestHubStaysLinear(t *testing.T) {
 		pieces, caps, fixed := peel(built, 2)
 		if len(pieces) != 0 || fixed != 2 || caps[0] != 0 {
 			t.Fatalf("star at Δ=2: %d pieces, fixed %v, hub budget %v", len(pieces), fixed, caps[0])
+		}
+	})
+	// Planning triages the star with the low-degree and capped greedy
+	// forests; a greedy that rescans the edges per addition is O(n·m).
+	grid, err := mechanism.PowerOfTwoGrid(float64(leaves + 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	step("plan and sweep", func() {
+		values, _, err := NewPlan(built).GridValues(context.Background(), grid, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, delta := range grid {
+			if want := math.Min(delta, leaves); values[i] != want {
+				t.Fatalf("star at Δ=%v: f_Δ = %v, want %v", delta, values[i], want)
+			}
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"nodedp/internal/graph"
+	"nodedp/internal/lp"
 	"nodedp/internal/maxflow"
 )
 
@@ -299,6 +300,22 @@ func (sp *separator) edgesWithin(ids []int32) []int32 {
 		mask[v] = false
 	}
 	return out
+}
+
+// baseRows returns the piece LP's base rows: each vertex's degree row over
+// its incident edges, then the whole-piece row over every edge. The
+// incident lists are ascending, as lp.Rows needs.
+func (sp *separator) baseRows() lp.Rows {
+	var rows lp.Rows
+	for _, inc := range sp.incident {
+		rows.Add(inc, nil)
+	}
+	all := make([]int32, len(sp.edges))
+	for i := range all {
+		all[i] = int32(i)
+	}
+	rows.Add(all, nil)
+	return rows
 }
 
 // scratchMask returns the shared n-length membership scratch (callers must

@@ -56,13 +56,9 @@ type Incremental struct {
 	c    []float64 // objective, length n
 	rhs  []float64 // original rhs, length m
 
-	// The original constraint rows, each stored once as its nonzeros in
-	// ascending column order: row i holds cols[start[i]:start[i+1]] with
-	// coefficients vals[start[i]:start[i+1]]. The residual check and
-	// refactorization read them; len(start) = m+1.
-	start []int
-	cols  []int32
-	vals  []float64
+	// orig holds the original constraint rows; the residual check and
+	// refactorization read them.
+	orig Rows
 
 	tab   *tableau // m constraint rows + objective row at index m; width n+m+1
 	basis []int    // basis[i] = variable basic in row i
@@ -89,41 +85,17 @@ type Incremental struct {
 // Maximize would — the shared warm start, silently falling back to the
 // all-slack start on rejection — and the restoration pivots are reported
 // by the first solve as WarmPivots/WarmStarted.
-func NewIncremental(c []float64, a [][]float64, b []float64, opts Options) (*Incremental, error) {
-	if err := checkProblem(c, a, b); err != nil {
+func NewIncremental(c []float64, a Rows, b []float64, opts Options) (*Incremental, error) {
+	if err := checkProblem(c, &a, b); err != nil {
 		return nil, err
 	}
-	if err := checkEntries(a); err != nil {
-		return nil, err
+	inc := &Incremental{
+		opts: Options{MaxPivots: opts.MaxPivots}, n: len(c), m: a.Len(),
+		c: append([]float64(nil), c...), rhs: append([]float64(nil), b...),
+		orig: a.clone(), tab: new(tableau),
 	}
-	inc := &Incremental{opts: Options{MaxPivots: opts.MaxPivots}, n: len(c), m: len(a), start: []int{0}}
-	inc.c = append([]float64(nil), c...)
-	for _, row := range a {
-		inc.storeRow(row)
-	}
-	inc.rhs = append([]float64(nil), b...)
-	inc.tab, inc.basis, inc.pendingWarmPivots, inc.pendingWarmStart = startTableau(inc.c, inc.rhs, inc.fillRow, opts.Basis)
+	inc.basis, inc.pendingWarmPivots, inc.pendingWarmStart = startTableau(inc.tab, inc.c, inc.rhs, &inc.orig, opts.Basis)
 	return inc, nil
-}
-
-// storeRow appends an original constraint row's nonzeros to the stored
-// rows.
-func (inc *Incremental) storeRow(row []float64) {
-	for j, v := range row {
-		if v != 0 {
-			inc.cols = append(inc.cols, int32(j))
-			inc.vals = append(inc.vals, v)
-		}
-	}
-	inc.start = append(inc.start, len(inc.cols))
-}
-
-// fillRow writes stored row i into a zeroed tableau row (newTableau's
-// fill).
-func (inc *Incremental) fillRow(i int, row []float64) {
-	for k := inc.start[i]; k < inc.start[i+1]; k++ {
-		row[inc.cols[k]] = inc.vals[k]
-	}
 }
 
 // Rows returns the current number of constraint rows.
@@ -164,33 +136,22 @@ func (inc *Incremental) SetRHS(b []float64) error {
 	return nil
 }
 
-// AppendRows appends constraint rows (the cutting-plane step). Each row is
-// given in structural coordinates with rhs b[t] ≥ 0. New rows enter the
-// basis on their own slack and are Gauss-reduced against the current basis
-// in one pass — exact single eliminations, because basic columns are exact
-// unit vectors — which may leave their reduced rhs negative when the
-// current optimum violates the cut; that is the dual repair's job at the
-// next solve. The objective row needs no update (slacks cost zero).
-//
-// The tableau grows in place: every row, new ones included, is widened by
-// appending its zero slack cells before the rhs cell, so a long
-// cutting-plane run reallocates each row O(log rows) times (append's
-// geometric capacity growth) instead of once per call. The arithmetic is
-// the same either way.
-func (inc *Incremental) AppendRows(a [][]float64, b []float64) error {
-	k := len(a)
+// AppendRows appends constraint rows (the cutting-plane step), each with
+// rhs b[t] ≥ 0. New rows enter the basis on their own slack and are
+// Gauss-reduced against the current basis in one pass — exact single
+// eliminations, because basic columns are exact unit vectors — which may
+// leave their reduced rhs negative when the current optimum violates the
+// cut; that is the dual repair's job at the next solve. The objective row
+// needs no update (slacks cost zero). The tableau grows in place (grow).
+func (inc *Incremental) AppendRows(a Rows, b []float64) error {
+	k := a.Len()
 	if len(b) != k {
 		return fmt.Errorf("%w: %d appended rows but %d rhs entries", ErrBadInput, k, len(b))
 	}
 	if k == 0 {
 		return nil
 	}
-	for t, row := range a {
-		if len(row) != inc.n {
-			return fmt.Errorf("%w: appended row %d has %d entries, want %d", ErrBadInput, t, len(row), inc.n)
-		}
-	}
-	if err := checkEntries(a); err != nil {
+	if err := a.check(inc.n); err != nil {
 		return err
 	}
 	if err := checkRHS(b); err != nil {
@@ -199,26 +160,17 @@ func (inc *Incremental) AppendRows(a [][]float64, b []float64) error {
 
 	n, oldM := inc.n, inc.m
 	newM := oldM + k
-	oldW := n + oldM + 1
 	newW := n + newM + 1
-
-	// Widen every existing row: k fresh (zero) slack columns slide in
-	// before the rhs cell.
+	fresh := inc.tab.grow(k)
 	rows := inc.tab.rows
-	for i := 0; i <= oldM; i++ {
-		row := append(rows[i], make([]float64, k)...)
-		row[newW-1], row[oldW-1] = row[oldW-1], 0
-		rows[i] = row
-	}
 	obj := rows[oldM]
 
 	// The new rows take the objective row's slot onward; it moves last.
 	rows = rows[:oldM]
 	inc.nzOf = append(inc.nzOf[:0], make([][]int32, oldM)...)
 	inc.nzBuf = inc.nzBuf[:0]
-	for t := 0; t < k; t++ {
-		row := make([]float64, newW)
-		copy(row, a[t])
+	for t, row := range fresh {
+		a.fill(t, row)
 		row[n+oldM+t] = 1
 		row[newW-1] = b[t]
 		// Reduce against the standing basis: each basic column is an exact
@@ -242,7 +194,7 @@ func (inc *Incremental) AppendRows(a [][]float64, b []float64) error {
 			row[inc.basis[i]] = 0 // avoid drift
 		}
 		rows = append(rows, row)
-		inc.storeRow(a[t])
+		inc.orig.Add(a.row(t))
 		inc.rhs = append(inc.rhs, b[t])
 		inc.basis = append(inc.basis, n+oldM+t)
 	}
@@ -250,6 +202,54 @@ func (inc *Incremental) AppendRows(a [][]float64, b []float64) error {
 	inc.m = newM
 	return nil
 }
+
+// grow widens every row of the tableau by k zero cells before its rhs
+// cell and returns k zeroed rows of the new width for AppendRows to fill.
+// All rows share one capacity, the stride. While the new width fits in
+// it, the rows widen in place and the new rows take one fresh block;
+// otherwise every row moves into one block whose stride is half again the
+// new width, about the 1.4–1.6× that append's growth gives rows a few
+// hundred cells long. Each row keeps its cells, so the arithmetic is the
+// same however the storage grows.
+func (tab *tableau) grow(k int) [][]float64 {
+	if growRef != nil {
+		return growRef(tab, k)
+	}
+	rows := tab.rows
+	oldW := len(rows[0])
+	newW := oldW + k
+	stride := cap(rows[0])
+	var block []float64
+	if newW > stride {
+		stride = newW + newW/2
+		block = make([]float64, (len(rows)+k)*stride)
+		for i, row := range rows {
+			rows[i] = block[i*stride : i*stride+oldW : (i+1)*stride]
+			copy(rows[i], row)
+		}
+		tab.cells = block
+		block = block[len(rows)*stride:]
+	} else {
+		block = make([]float64, k*stride)
+	}
+	for i, row := range rows {
+		row = row[:newW]
+		row[newW-1] = row[oldW-1]
+		clear(row[oldW-1 : newW-1])
+		rows[i] = row
+	}
+	fresh := make([][]float64, k)
+	for t := range fresh {
+		fresh[t] = block[t*stride : t*stride+newW : (t+1)*stride]
+	}
+	return fresh
+}
+
+// growRef, when set, replaces grow: the kernel equivalence tests install a
+// reference that widens each row by append and allocates each new row on
+// its own, as they install pivotRef and reduceRef. Production code never
+// sets it.
+var growRef func(tab *tableau, k int) [][]float64
 
 // rowNonzeros returns the nonzero columns of old row i (prow), gathering
 // them on the first call of an AppendRows call. The old rows do not change
@@ -276,20 +276,20 @@ func (inc *Incremental) rowNonzeros(i int, prow []float64) []int32 {
 // never sets it.
 var reduceRef func(row, prow []float64, f float64)
 
-// refactorize rebuilds the tableau from the stored original rows and
-// warm-starts it on the current basis set, discarding whatever rounding
-// error the standing tableau accumulated. If the basis set no longer
-// restores, it falls back to the pristine all-slack start — legal here
-// because every stored rhs is ≥ 0, so all-slack is primal-feasible and
-// the next primal loop simply solves cold. A restored basis that the dual
-// repair cannot make feasible returns ok=false: the solver is in
-// distress. pivots counts the work either way.
+// refactorize rebuilds the tableau from the stored original rows, in its
+// own storage, and warm-starts it on the current basis set, discarding
+// whatever rounding error the standing tableau accumulated. If the basis
+// set no longer restores, it falls back to the pristine all-slack start —
+// legal here because every stored rhs is ≥ 0, so all-slack is
+// primal-feasible and the next primal loop simply solves cold. A restored
+// basis that the dual repair cannot make feasible returns ok=false: the
+// solver is in distress. pivots counts the work either way.
 func (inc *Incremental) refactorize() (pivots int, ok bool) {
 	want := inc.basis
-	inc.tab, inc.basis = newTableau(inc.c, inc.rhs, inc.fillRow)
+	inc.basis = inc.tab.build(inc.c, inc.rhs, &inc.orig)
 	pivots, restored, repaired := warmStart(inc.tab, inc.basis, want, inc.n, inc.m)
 	if !restored {
-		inc.tab, inc.basis = newTableau(inc.c, inc.rhs, inc.fillRow)
+		inc.basis = inc.tab.build(inc.c, inc.rhs, &inc.orig)
 		return pivots, true
 	}
 	return pivots, repaired
@@ -306,8 +306,9 @@ func (inc *Incremental) residualOK(x []float64) bool {
 	}
 	for i, rhs := range inc.rhs {
 		s := 0.0
-		for k := inc.start[i]; k < inc.start[i+1]; k++ {
-			s += inc.vals[k] * x[inc.cols[k]]
+		cols, vals := inc.orig.row(i)
+		for k, j := range cols {
+			s += vals[k] * x[j]
 		}
 		if s > rhs+certTol*(1+math.Abs(rhs)) {
 			return false

@@ -86,13 +86,13 @@ func TestIncrementalAppendRowsAgainstRebuild(t *testing.T) {
 		c, a, b := randomForestish(rng, n, mTotal)
 		m0 := 1 + rng.Intn(mTotal)
 
-		inc, err := NewIncremental(c, a[:m0], b[:m0], Options{})
+		inc, err := NewIncremental(c, dense(a[:m0]), b[:m0], Options{})
 		if err != nil {
 			t.Fatalf("trial %d: NewIncremental: %v", trial, err)
 		}
 		for m := m0; m <= mTotal; m++ {
 			if m > m0 {
-				if err := inc.AppendRows(a[m-1:m], b[m-1:m]); err != nil {
+				if err := inc.AppendRows(dense(a[m-1:m]), b[m-1:m]); err != nil {
 					t.Fatalf("trial %d: AppendRows: %v", trial, err)
 				}
 			}
@@ -100,7 +100,7 @@ func TestIncrementalAppendRowsAgainstRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d m=%d: incremental Solve: %v", trial, m, err)
 			}
-			want, err := Maximize(c, a[:m], b[:m], Options{})
+			want, err := Maximize(c, dense(a[:m]), b[:m], Options{})
 			if err != nil {
 				t.Fatalf("trial %d m=%d: Maximize: %v", trial, m, err)
 			}
@@ -125,7 +125,7 @@ func TestIncrementalAppendRowsAgainstRebuild(t *testing.T) {
 func TestIncrementalAppendRowsAmortized(t *testing.T) {
 	const n, m0, rounds, k = 200, 100, 80, 4
 	c, a, b := randomForestish(rand.New(rand.NewSource(64)), n, m0+rounds*k)
-	inc, err := NewIncremental(c, a[:m0], b[:m0], Options{})
+	inc, err := NewIncremental(c, dense(a[:m0]), b[:m0], Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestIncrementalAppendRowsAmortized(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	for r := 0; r < rounds; r++ {
 		lo := m0 + r*k
-		if err := inc.AppendRows(a[lo:lo+k], b[lo:lo+k]); err != nil {
+		if err := inc.AppendRows(dense(a[lo:lo+k]), b[lo:lo+k]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,7 +160,7 @@ func TestIncrementalSetRHSSweep(t *testing.T) {
 		m := 4 + rng.Intn(5)
 		c, a, b := randomForestish(rng, n, m)
 
-		inc, err := NewIncremental(c, a, b, Options{})
+		inc, err := NewIncremental(c, dense(a), b, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestIncrementalDegenerate(t *testing.T) {
 		a = append(a, row)
 		b = append(b, 2)
 	}
-	inc, err := NewIncremental(c, a, b, Options{})
+	inc, err := NewIncremental(c, dense(a), b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestIncrementalDegenerate(t *testing.T) {
 			}
 			a = append(a, row)
 			b = append(b, float64(1+rng.Intn(2)))
-			if err := inc.AppendRows(a[len(a)-1:], b[len(b)-1:]); err != nil {
+			if err := inc.AppendRows(dense(a[len(a)-1:]), b[len(b)-1:]); err != nil {
 				t.Fatal(err)
 			}
 		default:
@@ -249,11 +249,11 @@ func TestIncrementalDegenerate(t *testing.T) {
 func TestIncrementalWarmStartAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	c, a, b := randomForestish(rng, 8, 6)
-	cold, err := Maximize(c, a, b, Options{})
+	cold, err := Maximize(c, dense(a), b, Options{})
 	if err != nil || cold.Status != Optimal {
 		t.Fatalf("cold: %v %v", err, cold.Status)
 	}
-	inc, err := NewIncremental(c, a, b, Options{Basis: cold.Basis})
+	inc, err := NewIncremental(c, dense(a), b, Options{Basis: cold.Basis})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestIncrementalWarmStartAccounting(t *testing.T) {
 
 	// A malformed basis must silently fall back to the all-slack start.
 	badBasis := []int{0, 0, 0, 0, 0, 0}
-	inc2, err := NewIncremental(c, a, b, Options{Basis: badBasis})
+	inc2, err := NewIncremental(c, dense(a), b, Options{Basis: badBasis})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,14 +302,14 @@ func TestIncrementalWarmStartAccounting(t *testing.T) {
 func TestIncrementalRefactorize(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	c, a, b := randomForestish(rng, 10, 5)
-	inc, err := NewIncremental(c, a[:3], b[:3], Options{})
+	inc, err := NewIncremental(c, dense(a[:3]), b[:3], Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := inc.SolveCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := inc.AppendRows(a[3:], b[3:]); err != nil {
+	if err := inc.AppendRows(dense(a[3:]), b[3:]); err != nil {
 		t.Fatal(err)
 	}
 	before, err := inc.SolveCtx(context.Background())
@@ -336,7 +336,7 @@ func TestIncrementalRefactorize(t *testing.T) {
 func TestIncrementalPoison(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	c, a, b := randomForestish(rng, 6, 4)
-	inc, err := NewIncremental(c, a, b, Options{})
+	inc, err := NewIncremental(c, dense(a), b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestIncrementalPoison(t *testing.T) {
 func TestIncrementalResidualCheckHeals(t *testing.T) {
 	rng := rand.New(rand.NewSource(68))
 	c, a, b := randomForestish(rng, 8, 6)
-	inc, err := NewIncremental(c, a, b, Options{})
+	inc, err := NewIncremental(c, dense(a), b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,13 +397,13 @@ func TestIncrementalBadInput(t *testing.T) {
 	c := []float64{1, 1}
 	a := [][]float64{{1, 1}}
 	b := []float64{2}
-	if _, err := NewIncremental(c, a, []float64{-1}, Options{}); !errors.Is(err, ErrBadInput) {
+	if _, err := NewIncremental(c, dense(a), []float64{-1}, Options{}); !errors.Is(err, ErrBadInput) {
 		t.Fatal("negative rhs must be rejected")
 	}
-	if _, err := NewIncremental(c, [][]float64{{1}}, b, Options{}); !errors.Is(err, ErrBadInput) {
-		t.Fatal("ragged row must be rejected")
+	if _, err := NewIncremental(c, dense([][]float64{{1, 1, 1}}), b, Options{}); !errors.Is(err, ErrBadInput) {
+		t.Fatal("a column outside the program must be rejected")
 	}
-	inc, err := NewIncremental(c, a, b, Options{})
+	inc, err := NewIncremental(c, dense(a), b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,10 +413,10 @@ func TestIncrementalBadInput(t *testing.T) {
 	if err := inc.SetRHS([]float64{1, 2}); !errors.Is(err, ErrBadInput) {
 		t.Fatal("SetRHS length mismatch must be rejected")
 	}
-	if err := inc.AppendRows([][]float64{{1}}, []float64{1}); !errors.Is(err, ErrBadInput) {
-		t.Fatal("AppendRows ragged row must be rejected")
+	if err := inc.AppendRows(dense([][]float64{{1, 1, 1}}), []float64{1}); !errors.Is(err, ErrBadInput) {
+		t.Fatal("AppendRows column outside the program must be rejected")
 	}
-	if err := inc.AppendRows(nil, nil); err != nil {
+	if err := inc.AppendRows(dense(nil), nil); err != nil {
 		t.Fatalf("empty append must be a no-op, got %v", err)
 	}
 }
@@ -439,7 +439,7 @@ func TestMaximizeMatchesFreshIncremental(t *testing.T) {
 		for j := range c {
 			c[j] += float64(rng.Intn(10)) / 10
 		}
-		opt, err := Maximize(c, a, b, Options{})
+		opt, err := Maximize(c, dense(a), b, Options{})
 		if err != nil || opt.Status != Optimal {
 			t.Fatalf("trial %d: cold solve: %v %v", trial, err, opt.Status)
 		}
@@ -458,11 +458,11 @@ func TestMaximizeMatchesFreshIncremental(t *testing.T) {
 			{"rejected", b, make([]int, m), false},
 		}
 		for _, st := range starts {
-			want, err := Maximize(c, a, st.b, Options{Basis: st.basis})
+			want, err := Maximize(c, dense(a), st.b, Options{Basis: st.basis})
 			if err != nil {
 				t.Fatalf("trial %d %s: Maximize: %v", trial, st.name, err)
 			}
-			inc, err := NewIncremental(c, a, st.b, Options{Basis: st.basis})
+			inc, err := NewIncremental(c, dense(a), st.b, Options{Basis: st.basis})
 			if err != nil {
 				t.Fatalf("trial %d %s: NewIncremental: %v", trial, st.name, err)
 			}

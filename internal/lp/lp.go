@@ -17,15 +17,18 @@
 // rule throughout) that tests use to certify the float results on small
 // instances.
 //
-// The tableau is stored dense, and pricing and the ratio test scan it
-// densely, but a pivot touches only nonzeros: it gathers the scaled pivot
-// row's nonzero columns once and eliminates only the rows with a nonzero
-// entering-column entry, at those columns. The forest programs are sparse
-// (a pivot row averages 11 nonzeros in 137 columns, and the entering
-// column 7 in 59 rows, over a cold plan of the end-to-end benchmark's
-// graph), and a skipped cell could only have changed a zero's sign, so
-// every comparison, basis and pivot count is the one dense elimination
-// gives.
+// Constraints arrive sparse, as Rows: each row's nonzero coefficients in
+// ascending column order, which every entry point validates in
+// O(nonzeros). The tableau is stored dense, and pricing and the ratio test
+// scan it densely, but a pivot touches only nonzeros: it gathers the
+// scaled pivot row's nonzero columns once and eliminates only the rows
+// with a nonzero entering-column entry, at those columns. The forest
+// programs are sparse (a pivot row averages 11 nonzeros in 137 columns,
+// and the entering column 7 in 59 rows, over a cold plan of the
+// end-to-end benchmark's graph), and a skipped cell could only have
+// changed a zero's sign, so every comparison, basis and pivot count is the
+// one dense elimination gives. Maximize solves on pooled tableau storage,
+// so the rounds of a cutting-plane loop reuse one tableau's cells.
 package lp
 
 import (
@@ -33,6 +36,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"nodedp/internal/obs"
 )
@@ -141,7 +146,8 @@ func (o Options) pivotLimit(rows, cols int) int {
 var ErrBadInput = errors.New("lp: bad input")
 
 // Maximize solves max c·x s.t. Ax ≤ b, x ≥ 0. Every b[i] must be ≥ 0.
-func Maximize(c []float64, a [][]float64, b []float64, opts Options) (Solution, error) {
+// It keeps no reference to its inputs.
+func Maximize(c []float64, a Rows, b []float64, opts Options) (Solution, error) {
 	return MaximizeCtx(context.Background(), c, a, b, opts)
 }
 
@@ -157,8 +163,8 @@ func Maximize(c []float64, a [][]float64, b []float64, opts Options) (Solution, 
 // it — the pivot-loop boundary telemetry behind per-request solver
 // attribution. Counters are deterministic sums; an un-instrumented
 // context pays one value lookup.
-func MaximizeCtx(ctx context.Context, c []float64, a [][]float64, b []float64, opts Options) (Solution, error) {
-	sol, err := maximizeCtx(ctx, c, a, b, opts)
+func MaximizeCtx(ctx context.Context, c []float64, a Rows, b []float64, opts Options) (Solution, error) {
+	sol, err := maximizeCtx(ctx, c, &a, b, opts)
 	if sp := obs.SpanFrom(ctx); sp != nil {
 		sp.AddCounter("lp_solves", 1)
 		sp.AddCounter("lp_pivots", int64(sol.Pivots))
@@ -167,20 +173,25 @@ func MaximizeCtx(ctx context.Context, c []float64, a [][]float64, b []float64, o
 	return sol, err
 }
 
-func maximizeCtx(ctx context.Context, c []float64, a [][]float64, b []float64, opts Options) (Solution, error) {
+// tableaus holds the tableaux Maximize solves on: a solve takes one, lays
+// its program out in the storage it already has, and returns it.
+var tableaus = sync.Pool{New: func() any { return new(tableau) }}
+
+func maximizeCtx(ctx context.Context, c []float64, a *Rows, b []float64, opts Options) (Solution, error) {
 	if err := checkProblem(c, a, b); err != nil {
 		return Solution{}, err
 	}
-	m, n := len(a), len(c)
-	tab, basis, warmPivots, warm := startTableau(c, b, denseFill(a), opts.Basis)
-	sol := Solution{WarmPivots: warmPivots, WarmStarted: warm}
+	m, n := len(b), len(c)
+	tab := tableaus.Get().(*tableau)
+	defer tableaus.Put(tab)
+	basis, warmPivots, warm := startTableau(tab, c, b, a, opts.Basis)
+	sol := Solution{WarmPivots: warmPivots, WarmStarted: warm, Basis: basis}
 	var err error
 	sol.Status, sol.Pivots, err = primalIterate(ctx, tab, basis, n, m, opts.pivotLimit(m, n))
 	if err != nil {
 		return Solution{}, err
 	}
 	sol.X = extractX(tab, basis, n, m)
-	sol.Basis = append([]int(nil), basis...)
 	if sol.Status == Unbounded {
 		sol.Value = math.Inf(1)
 		return sol, nil
@@ -191,19 +202,14 @@ func maximizeCtx(ctx context.Context, c []float64, a [][]float64, b []float64, o
 	return sol, nil
 }
 
-// checkProblem validates a program's shape, rhs and objective in
-// O(rows + cols), cheap enough for every Maximize call. NewIncremental,
-// whose tableau outlives many solves, also scans every entry of a
-// (checkEntries).
-func checkProblem(c []float64, a [][]float64, b []float64) error {
-	m, n := len(a), len(c)
-	if len(b) != m {
+// checkProblem validates a program: rows against the columns
+// (Rows.check), rhs and objective, in O(nonzeros + rows + columns).
+func checkProblem(c []float64, a *Rows, b []float64) error {
+	if m := a.Len(); len(b) != m {
 		return fmt.Errorf("%w: %d rows but %d rhs entries", ErrBadInput, m, len(b))
 	}
-	for i, row := range a {
-		if len(row) != n {
-			return fmt.Errorf("%w: row %d has %d entries, want %d", ErrBadInput, i, len(row), n)
-		}
+	if err := a.check(len(c)); err != nil {
+		return err
 	}
 	if err := checkRHS(b); err != nil {
 		return err
@@ -229,18 +235,6 @@ func checkRHS(b []float64) error {
 	return nil
 }
 
-// checkEntries requires every constraint coefficient to be finite.
-func checkEntries(a [][]float64) error {
-	for i, row := range a {
-		for j, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("%w: a[%d][%d]=%v", ErrBadInput, i, j, v)
-			}
-		}
-	}
-	return nil
-}
-
 // tableau is the dense simplex tableau of max c·x s.t. Ax ≤ b, x ≥ 0.
 // Rows 0..m-1 are the constraints over columns [0,n) structural, [n,n+m)
 // slack and n+m the rhs; row m is the objective row, holding the reduced
@@ -250,54 +244,57 @@ type tableau struct {
 	// nz is pivot's scratch: the nonzero columns of the scaled pivot row.
 	// It lives as long as the tableau, so pivots allocate nothing.
 	nz []int
+	// cells is the storage build lays the rows out in, and reuses when it
+	// rebuilds the tableau. Rows that grow adds may live elsewhere.
+	cells []float64
 }
 
-// denseFill writes row i of a into a tableau row's structural cells.
-func denseFill(a [][]float64) func(i int, row []float64) {
-	return func(i int, row []float64) { copy(row, a[i]) }
-}
-
-// newTableau builds the all-slack tableau of max c·x s.t. Ax ≤ b, x ≥ 0
-// and its basis (basis[i] = the variable basic in row i); fill writes
-// constraint row i's structural coefficients into a zeroed row.
-func newTableau(c, b []float64, fill func(i int, row []float64)) (*tableau, []int) {
+// build lays out the all-slack tableau of max c·x s.t. Ax ≤ b, x ≥ 0 in
+// tab's storage, each row exactly as wide as the tableau, and returns its
+// basis (basis[i] = the variable basic in row i).
+func (tab *tableau) build(c, b []float64, a *Rows) []int {
 	m, n := len(b), len(c)
 	width := n + m + 1
-	rows := make([][]float64, m+1)
-	for i := 0; i < m; i++ {
-		rows[i] = make([]float64, width)
-		fill(i, rows[i])
-		rows[i][n+i] = 1
-		rows[i][n+m] = b[i]
+	need := (m + 1) * width
+	tab.cells = slices.Grow(tab.cells[:0], need)[:need]
+	clear(tab.cells)
+	tab.rows = tab.rows[:0]
+	for i := 0; i <= m; i++ {
+		tab.rows = append(tab.rows, tab.cells[i*width:(i+1)*width:(i+1)*width])
 	}
-	obj := make([]float64, width)
+	for i := 0; i < m; i++ {
+		row := tab.rows[i]
+		a.fill(i, row)
+		row[n+i] = 1
+		row[n+m] = b[i]
+	}
+	obj := tab.rows[m]
 	for j := 0; j < n; j++ {
 		obj[j] = -c[j]
 	}
-	rows[m] = obj
 	basis := make([]int, m)
 	for i := range basis {
 		basis[i] = n + i
 	}
-	return &tableau{rows: rows}, basis
+	return basis
 }
 
-// startTableau builds the tableau of max c·x s.t. Ax ≤ b, x ≥ 0 (A's rows
-// written by fill, as in newTableau) and, when want is non-nil,
-// warm-starts it on that basis. A rejected basis leaves the all-slack
-// start, which b ≥ 0 makes feasible: the result is correct either way,
-// only the pivot count changes. It returns the warm-start pivots, counted
-// even on rejection, and whether want was accepted.
-func startTableau(c, b []float64, fill func(i int, row []float64), want []int) (tab *tableau, basis []int, pivots int, warm bool) {
-	tab, basis = newTableau(c, b, fill)
+// startTableau builds the tableau of max c·x s.t. Ax ≤ b, x ≥ 0 in tab
+// and, when want is non-nil, warm-starts it on that basis. A rejected
+// basis leaves the all-slack start, which b ≥ 0 makes feasible: the result
+// is correct either way, only the pivot count changes. It returns the
+// basis, the warm-start pivots, counted even on rejection, and whether
+// want was accepted.
+func startTableau(tab *tableau, c, b []float64, a *Rows, want []int) (basis []int, pivots int, warm bool) {
+	basis = tab.build(c, b, a)
 	if want == nil {
-		return tab, basis, 0, false
+		return basis, 0, false
 	}
 	pivots, restored, repaired := warmStart(tab, basis, want, len(c), len(b))
 	if warm = restored && repaired; !warm {
-		tab, basis = newTableau(c, b, fill)
+		basis = tab.build(c, b, a)
 	}
-	return tab, basis, pivots, warm
+	return basis, pivots, warm
 }
 
 // warmStart moves a freshly built all-slack tableau onto the basis set

@@ -14,7 +14,7 @@ func TestMaximizeTextbook(t *testing.T) {
 	// max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18  => x=2, y=6, z=36.
 	sol, err := Maximize(
 		[]float64{3, 5},
-		[][]float64{{1, 0}, {0, 2}, {3, 2}},
+		dense([][]float64{{1, 0}, {0, 2}, {3, 2}}),
 		[]float64{4, 12, 18},
 		Options{},
 	)
@@ -33,7 +33,7 @@ func TestMaximizeDegenerate(t *testing.T) {
 	// Classic degenerate LP; must terminate and find optimum 1 at x1=1.
 	sol, err := Maximize(
 		[]float64{1, 0, 0},
-		[][]float64{{1, 1, 0}, {1, 0, 1}, {1, -1, -1}},
+		dense([][]float64{{1, 1, 0}, {1, 0, 1}, {1, -1, -1}}),
 		[]float64{1, 1, 1},
 		Options{},
 	)
@@ -47,7 +47,7 @@ func TestMaximizeDegenerate(t *testing.T) {
 
 func TestMaximizeUnbounded(t *testing.T) {
 	// max x with only y bounded.
-	sol, err := Maximize([]float64{1, 0}, [][]float64{{0, 1}}, []float64{5}, Options{})
+	sol, err := Maximize([]float64{1, 0}, dense([][]float64{{0, 1}}), []float64{5}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestMaximizeUnbounded(t *testing.T) {
 }
 
 func TestMaximizeZeroObjective(t *testing.T) {
-	sol, err := Maximize([]float64{0, 0}, [][]float64{{1, 1}}, []float64{3}, Options{})
+	sol, err := Maximize([]float64{0, 0}, dense([][]float64{{1, 1}}), []float64{3}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestMaximizeZeroObjective(t *testing.T) {
 }
 
 func TestMaximizeNoConstraintsBoundedByNothing(t *testing.T) {
-	sol, err := Maximize([]float64{1}, nil, nil, Options{})
+	sol, err := Maximize([]float64{1}, dense(nil), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,19 +77,19 @@ func TestMaximizeNoConstraintsBoundedByNothing(t *testing.T) {
 }
 
 func TestMaximizeInputValidation(t *testing.T) {
-	if _, err := Maximize([]float64{1}, [][]float64{{1}}, []float64{-1}, Options{}); !errors.Is(err, ErrBadInput) {
+	if _, err := Maximize([]float64{1}, dense([][]float64{{1}}), []float64{-1}, Options{}); !errors.Is(err, ErrBadInput) {
 		t.Error("negative rhs should be rejected")
 	}
-	if _, err := Maximize([]float64{1}, [][]float64{{1, 2}}, []float64{1}, Options{}); !errors.Is(err, ErrBadInput) {
-		t.Error("ragged row should be rejected")
+	if _, err := Maximize([]float64{1}, dense([][]float64{{1, 2}}), []float64{1}, Options{}); !errors.Is(err, ErrBadInput) {
+		t.Error("a column outside the program should be rejected")
 	}
-	if _, err := Maximize([]float64{1}, [][]float64{{1}}, []float64{1, 2}, Options{}); !errors.Is(err, ErrBadInput) {
+	if _, err := Maximize([]float64{1}, dense([][]float64{{1}}), []float64{1, 2}, Options{}); !errors.Is(err, ErrBadInput) {
 		t.Error("rhs length mismatch should be rejected")
 	}
-	if _, err := Maximize([]float64{math.NaN()}, [][]float64{{1}}, []float64{1}, Options{}); !errors.Is(err, ErrBadInput) {
+	if _, err := Maximize([]float64{math.NaN()}, dense([][]float64{{1}}), []float64{1}, Options{}); !errors.Is(err, ErrBadInput) {
 		t.Error("NaN objective should be rejected")
 	}
-	if _, err := Maximize([]float64{1}, [][]float64{{1}}, []float64{math.Inf(1)}, Options{}); !errors.Is(err, ErrBadInput) {
+	if _, err := Maximize([]float64{1}, dense([][]float64{{1}}), []float64{math.Inf(1)}, Options{}); !errors.Is(err, ErrBadInput) {
 		t.Error("Inf rhs should be rejected")
 	}
 }
@@ -97,7 +97,7 @@ func TestMaximizeInputValidation(t *testing.T) {
 func TestIterationLimit(t *testing.T) {
 	sol, err := Maximize(
 		[]float64{3, 5},
-		[][]float64{{1, 0}, {0, 2}, {3, 2}},
+		dense([][]float64{{1, 0}, {0, 2}, {3, 2}}),
 		[]float64{4, 12, 18},
 		Options{MaxPivots: 1},
 	)
@@ -120,14 +120,14 @@ func TestWarmStartSameProblem(t *testing.T) {
 	c := []float64{3, 5}
 	a := [][]float64{{1, 0}, {0, 2}, {3, 2}}
 	b := []float64{4, 12, 18}
-	cold, err := Maximize(c, a, b, Options{})
+	cold, err := Maximize(c, dense(a), b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.Status != Optimal || len(cold.Basis) != 3 {
 		t.Fatalf("cold solve %+v", cold)
 	}
-	warm, err := Maximize(c, a, b, Options{Basis: cold.Basis})
+	warm, err := Maximize(c, dense(a), b, Options{Basis: cold.Basis})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,17 +153,17 @@ func TestWarmStartSameProblem(t *testing.T) {
 func TestWarmStartShiftedRHS(t *testing.T) {
 	c := []float64{3, 5}
 	a := [][]float64{{1, 0}, {0, 2}, {3, 2}}
-	cold, err := Maximize(c, a, []float64{4, 12, 18}, Options{})
+	cold, err := Maximize(c, dense(a), []float64{4, 12, 18}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Relax every bound: with b = {6, 14, 26}, 2y<=14 and 3x+2y<=26 give
 	// y=7, x=4, z=47.
-	warm, err := Maximize(c, a, []float64{6, 14, 26}, Options{Basis: cold.Basis})
+	warm, err := Maximize(c, dense(a), []float64{6, 14, 26}, Options{Basis: cold.Basis})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Maximize(c, a, []float64{6, 14, 26}, Options{})
+	ref, err := Maximize(c, dense(a), []float64{6, 14, 26}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestWarmStartRejectsBadBasis(t *testing.T) {
 		"out-of-range": {0, 1, 99},
 		"duplicate":    {0, 0, 1},
 	} {
-		sol, err := Maximize(c, a, b, Options{Basis: basis})
+		sol, err := Maximize(c, dense(a), b, Options{Basis: basis})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -207,7 +207,7 @@ func TestWarmStartSlackPermutation(t *testing.T) {
 	c := []float64{3, 5}
 	a := [][]float64{{1, 0}, {0, 2}, {3, 2}}
 	b := []float64{4, 12, 18}
-	sol, err := Maximize(c, a, b, Options{Basis: []int{3, 2, 4}})
+	sol, err := Maximize(c, dense(a), b, Options{Basis: []int{3, 2, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestFloatMatchesRational(t *testing.T) {
 			b[i] = float64(bv)
 			br[i] = big.NewRat(bv, 1)
 		}
-		fs, err := Maximize(c, a, b, Options{})
+		fs, err := Maximize(c, dense(a), b, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,8 +353,54 @@ func BenchmarkSimplexDense(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Maximize(c, a, bvec, Options{}); err != nil {
+		if _, err := Maximize(c, dense(a), bvec, Options{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestEntryPointsRejectBadRows checks that Maximize, NewIncremental and
+// AppendRows each return ErrBadInput for a non-finite coefficient, a
+// column outside the program and columns out of ascending order, and that
+// a rejected append leaves the solver as it was.
+func TestEntryPointsRejectBadRows(t *testing.T) {
+	c := []float64{1, 1, 1}
+	b := []float64{1, 1}
+	for _, tc := range []struct {
+		name string
+		cols []int32
+		vals []float64
+	}{
+		{"NaN coefficient", []int32{0, 1}, []float64{1, math.NaN()}},
+		{"+Inf coefficient", []int32{0, 1}, []float64{1, math.Inf(1)}},
+		{"-Inf coefficient", []int32{2}, []float64{math.Inf(-1)}},
+		{"column past the end", []int32{1, 3}, []float64{1, 1}},
+		{"negative column", []int32{-1, 0}, []float64{1, 1}},
+		{"repeated column", []int32{0, 0}, []float64{1, 1}},
+		{"descending columns", []int32{2, 1}, []float64{1, 1}},
+	} {
+		var bad Rows
+		bad.Add([]int32{0, 1, 2}, nil)
+		bad.Add(tc.cols, tc.vals)
+		if sol, err := Maximize(c, bad, b, Options{}); !errors.Is(err, ErrBadInput) {
+			t.Errorf("%s: Maximize = %+v, %v; want ErrBadInput", tc.name, sol, err)
+		}
+		if _, err := NewIncremental(c, bad, b, Options{}); !errors.Is(err, ErrBadInput) {
+			t.Errorf("%s: NewIncremental error %v, want ErrBadInput", tc.name, err)
+		}
+		var good Rows
+		good.Add([]int32{0, 1, 2}, nil)
+		inc, err := NewIncremental(c, good, b[:1], Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var row Rows
+		row.Add(tc.cols, tc.vals)
+		if err := inc.AppendRows(row, b[1:]); !errors.Is(err, ErrBadInput) {
+			t.Errorf("%s: AppendRows error %v, want ErrBadInput", tc.name, err)
+		}
+		if inc.Rows() != 1 || inc.orig.Len() != 1 || len(inc.tab.rows) != 2 {
+			t.Errorf("%s: a rejected append changed the solver", tc.name)
 		}
 	}
 }

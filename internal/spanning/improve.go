@@ -2,7 +2,6 @@ package spanning
 
 import (
 	"nodedp/internal/graph"
-	"nodedp/internal/unionfind"
 )
 
 // This file implements a Fürer–Raghavachari-style local search that lowers
@@ -170,55 +169,6 @@ func CappedSpanningForest(g *graph.Graph, caps []int) (forest []graph.Edge, ok b
 		}
 	}
 	return forest, true
-}
-
-// greedyCappedForest builds a spanning forest Kruskal-style, repeatedly
-// adding the acyclic edge with the most headroom caps[v] − deg_F(v) − 1 at
-// its endpoints: first the larger minimum headroom, then the larger other
-// headroom, ties to the lowest edge index. Under uniform caps that is the
-// edge whose endpoints currently have the smallest degrees, which is how
-// LowDegreeSpanningForest uses it.
-func greedyCappedForest(g *graph.Graph, caps []int) []graph.Edge {
-	n := g.N()
-	deg := make([]int, n)
-	dsu := unionfind.New(n)
-	edges := g.Edges()
-	target := g.SpanningForestSize()
-	forest := make([]graph.Edge, 0, target)
-	for len(forest) < target {
-		best := -1
-		bestKey := [2]int{-(1 << 30), -(1 << 30)}
-		for i, e := range edges {
-			if e.U < 0 {
-				continue // consumed
-			}
-			if dsu.Same(e.U, e.V) {
-				edges[i].U = -1 // cycle edge: never useful again
-				continue
-			}
-			// Headroom after adding: prefer max of the minimum headroom,
-			// then max of the other endpoint's headroom.
-			hu := caps[e.U] - deg[e.U] - 1
-			hv := caps[e.V] - deg[e.V] - 1
-			if hu > hv {
-				hu, hv = hv, hu
-			}
-			key := [2]int{hu, hv}
-			if key[0] > bestKey[0] || (key[0] == bestKey[0] && key[1] > bestKey[1]) {
-				best, bestKey = i, key
-			}
-		}
-		if best == -1 {
-			break // should not happen: target counts reachable merges
-		}
-		e := edges[best]
-		edges[best].U = -1
-		dsu.Union(e.U, e.V)
-		deg[e.U]++
-		deg[e.V]++
-		forest = append(forest, e)
-	}
-	return forest
 }
 
 // improveDegreeCapped reduces the total capacity excess Σ_v max(0, deg_F(v)

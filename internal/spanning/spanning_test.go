@@ -7,6 +7,7 @@ import (
 
 	"nodedp/internal/generate"
 	"nodedp/internal/graph"
+	"nodedp/internal/unionfind"
 )
 
 func TestRepairOnStarBlocked(t *testing.T) {
@@ -395,7 +396,7 @@ func refImproveDegree(g *graph.Graph, forestEdges []graph.Edge) ([]graph.Edge, i
 
 func refCappedSpanningForest(g *graph.Graph, caps []int) ([]graph.Edge, bool) {
 	f := newForest(g.N())
-	for _, e := range greedyCappedForest(g, caps) {
+	for _, e := range refGreedyCappedForest(g, caps) {
 		f.add(e.U, e.V)
 	}
 	for swapped := true; swapped; {
@@ -438,6 +439,148 @@ func refCappedSpanningForest(g *graph.Graph, caps []int) ([]graph.Edge, bool) {
 		}
 	}
 	return edges, true
+}
+
+// refGreedyCappedForest is the capped greedy written as a scan: for each
+// edge it adds, it rescans every live edge for the largest (minimum
+// headroom, other headroom), ties to the lowest edge index.
+func refGreedyCappedForest(g *graph.Graph, caps []int) []graph.Edge {
+	n := g.N()
+	deg := make([]int, n)
+	dsu := unionfind.New(n)
+	edges := g.Edges()
+	target := g.SpanningForestSize()
+	forest := make([]graph.Edge, 0, target)
+	for len(forest) < target {
+		best := -1
+		bestKey := [2]int{-(1 << 30), -(1 << 30)}
+		for i, e := range edges {
+			if e.U < 0 {
+				continue // consumed
+			}
+			if dsu.Same(e.U, e.V) {
+				edges[i].U = -1 // cycle edge: never useful again
+				continue
+			}
+			hu := caps[e.U] - deg[e.U] - 1
+			hv := caps[e.V] - deg[e.V] - 1
+			if hu > hv {
+				hu, hv = hv, hu
+			}
+			key := [2]int{hu, hv}
+			if key[0] > bestKey[0] || (key[0] == bestKey[0] && key[1] > bestKey[1]) {
+				best, bestKey = i, key
+			}
+		}
+		e := edges[best]
+		edges[best].U = -1
+		dsu.Union(e.U, e.V)
+		deg[e.U]++
+		deg[e.V]++
+		forest = append(forest, e)
+	}
+	return forest
+}
+
+// checkGreedyCapped requires greedyCappedForest to return the scan's edges
+// in the scan's order.
+func checkGreedyCapped(t *testing.T, g *graph.Graph, caps []int) {
+	t.Helper()
+	if got, want := greedyCappedForest(g, caps), refGreedyCappedForest(g, caps); !reflect.DeepEqual(got, want) {
+		t.Fatalf("n=%d edges %v caps %v: greedyCappedForest = %v, scan %v", g.N(), g.Edges(), caps, got, want)
+	}
+}
+
+// centeredStar is a star on n vertices whose center is vertex c, so that
+// leaves sit on both sides of it in the edge order.
+func centeredStar(n, c int) *graph.Graph {
+	var edges []graph.Edge
+	for v := 0; v < n; v++ {
+		if v != c {
+			edges = append(edges, graph.NewEdge(c, v))
+		}
+	}
+	return graph.MustFromEdges(n, edges)
+}
+
+// TestGreedyCappedMatchesScanReference checks that the heap greedy picks
+// the scan's edges in the scan's order on ER, geometric, Chung–Lu, hub,
+// caterpillar, complete, complete bipartite and star graphs, under zero
+// caps, random caps in 0–3 and random caps in 1–6.
+func TestGreedyCappedMatchesScanReference(t *testing.T) {
+	checked := 0
+	for seed := uint64(1); seed <= 150; seed++ {
+		rng := generate.NewRand(seed)
+		n := 4 + rng.IntN(50)
+		er := generate.ErdosRenyi(n, (1+3*rng.Float64())/float64(n), rng)
+		graphs := []*graph.Graph{
+			er,
+			generate.Geometric(n, 1.5/math.Sqrt(float64(n)), rng),
+			generate.ChungLu(generate.PowerLawWeights(n, 2.5, 3), rng),
+			generate.WithHubs(er, 1+rng.IntN(3), 0.2+0.4*rng.Float64(), rng),
+			generate.Caterpillar(1+rng.IntN(8), rng.IntN(5)),
+			generate.Complete(2 + rng.IntN(9)),
+			generate.CompleteBipartite(1+rng.IntN(5), 1+rng.IntN(8)),
+			centeredStar(n, rng.IntN(n)),
+		}
+		for _, g := range graphs {
+			zero := make([]int, g.N())
+			low := make([]int, g.N())
+			high := make([]int, g.N())
+			for v := range low {
+				low[v] = rng.IntN(4)
+				high[v] = 1 + rng.IntN(6)
+			}
+			for _, caps := range [][]int{zero, low, high} {
+				checkGreedyCapped(t, g, caps)
+				checked++
+			}
+		}
+	}
+	t.Logf("%d graph-cap pairs matched", checked)
+}
+
+// fuzzCappedInput decodes a fuzz input: n = 1 + data[0]%12 vertices, then
+// one bit per vertex pair (u, v), u < v, in lexicographic order, then one
+// byte per vertex for its cap (byte%8; missing bytes give 0).
+func fuzzCappedInput(data []byte) (*graph.Graph, []int) {
+	if len(data) == 0 {
+		return graph.New(1), []int{0}
+	}
+	n := 1 + int(data[0])%12
+	data = data[1:]
+	var edges []graph.Edge
+	k := 0
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if k/8 < len(data) && data[k/8]&(1<<(k%8)) != 0 {
+				edges = append(edges, graph.NewEdge(u, v))
+			}
+			k++
+		}
+	}
+	data = data[min((k+7)/8, len(data)):]
+	caps := make([]int, n)
+	for v := range caps {
+		if v < len(data) {
+			caps[v] = int(data[v]) % 8
+		}
+	}
+	return graph.MustFromEdges(n, edges), caps
+}
+
+// FuzzGreedyCappedForest compares the heap greedy with the scan on graphs
+// of at most 12 vertices.
+//
+//	go test -run '^$' -fuzz FuzzGreedyCappedForest -fuzztime 30s ./internal/spanning
+func FuzzGreedyCappedForest(f *testing.F) {
+	f.Add([]byte{11, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{7, 0x7f, 0, 0, 0, 3, 1, 1, 1, 1, 1, 1, 1})
+	f.Add([]byte{9, 0x55, 0xaa, 0x55, 0xaa, 0x55, 2, 0, 3, 1, 2, 0, 3, 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, caps := fuzzCappedInput(data)
+		checkGreedyCapped(t, g, caps)
+	})
 }
 
 // refGreedyLowDegreeForest is the degree-greedy Kruskal forest written

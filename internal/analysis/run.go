@@ -31,12 +31,12 @@ type Scope map[string][]string
 //
 //   - maporder runs on the determinism-critical packages named in the
 //     contract: everything between a seeded query and its released bytes,
-//     plus the snapshot and wire layers whose output must be stable.
+//     plus the snapshot and wire layers whose output must be stable, and
+//     the reproduction suite, whose tables are pinned byte for byte.
 //   - rngsource covers the release path end to end — any ambient
 //     randomness or wall-clock read there either breaks seeded
-//     reproducibility or is an operational clock that must be annotated.
-//     internal/experiments and the bench harness measure wall time by
-//     design and are out of scope.
+//     reproducibility or is an operational clock that must be annotated —
+//     and the reproduction suite, whose output depends on its seed alone.
 //   - floatorder runs where float64 values are merged across workers or
 //     compared: the LP engine, the evaluator, and the serving layers.
 //   - wireleak runs everywhere; //privacy:secret annotations and the
@@ -45,7 +45,7 @@ var DefaultScope = Scope{
 	"maporder": {
 		"internal/forestlp", "internal/lp", "internal/core", "internal/graph",
 		"internal/maxflow", "internal/serve", "internal/snapshot", "internal/httpapi",
-		"cmd/ccdp", "cmd/detlint",
+		"internal/experiments", "cmd/ccdp", "cmd/detlint", "cmd/experiments",
 	},
 	"rngsource": {
 		"internal/forestlp", "internal/lp", "internal/core", "internal/graph",
@@ -53,7 +53,8 @@ var DefaultScope = Scope{
 		"internal/dpnoise", "internal/mechanism", "internal/privacy",
 		"internal/spanning", "internal/downsens", "internal/lipschitz",
 		"internal/unionfind", "internal/enumerate", "internal/generate",
-		"internal/baseline", "nodedp", "cmd/ccdp",
+		"internal/baseline", "internal/experiments", "nodedp", "cmd/ccdp",
+		"cmd/experiments",
 	},
 	"floatorder": {
 		"internal/forestlp", "internal/lp", "internal/core", "internal/graph",

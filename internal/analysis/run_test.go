@@ -26,11 +26,15 @@ func TestScopeInScope(t *testing.T) {
 	}
 }
 
-func TestDefaultScopeExcludesExperiments(t *testing.T) {
-	// internal/experiments measures wall time by design; rngsource must not
-	// police it.
-	if DefaultScope.inScope("rngsource", "nodedp/internal/experiments") {
-		t.Error("rngsource must not cover internal/experiments")
+func TestDefaultScopeCoversExperiments(t *testing.T) {
+	// The reproduction suite's tables are pinned byte for byte, so no map
+	// order, clock or ambient randomness may reach them.
+	for _, analyzer := range []string{"maporder", "rngsource"} {
+		for _, pkg := range []string{"nodedp/internal/experiments", "nodedp/cmd/experiments"} {
+			if !DefaultScope.inScope(analyzer, pkg) {
+				t.Errorf("%s must cover %s", analyzer, pkg)
+			}
+		}
 	}
 	if !DefaultScope.inScope("rngsource", "nodedp/internal/forestlp") {
 		t.Error("rngsource must cover the release-path engine")

@@ -520,6 +520,15 @@ func TestLoadFileMissingAndCorruptHeader(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatal("failed loads left entries behind")
 	}
+
+	// Usable: the cold cache still plans a graph, and a second open of it
+	// hits the entry the first admitted.
+	g := generate.Grid(3, 3)
+	for _, wantHit := range []bool{false, true} {
+		if _, hit, err := c.GridEval(context.Background(), g, Options{}); err != nil || hit != wantHit {
+			t.Fatalf("GridEval after the failed loads: hit=%v err=%v, want hit=%v", hit, err, wantHit)
+		}
+	}
 }
 
 // TestSaveFileAtomic: SaveFile writes a decodable file, and a failed save

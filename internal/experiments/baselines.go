@@ -139,14 +139,13 @@ func E11GEM(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		counts := map[float64]int{}
-		var ratios []float64
+		var chosen, ratios []float64
 		for s := 0; s < trials; s++ {
 			res, err := sess.SpanningForestSize(context.Background(), serve.QueryOptions{Epsilon: eps})
 			if err != nil {
 				return nil, err
 			}
-			counts[res.Delta]++
+			chosen = append(chosen, res.Delta)
 			best := math.Inf(1)
 			for _, ev := range res.Evaluations {
 				if ev.Q < best {
@@ -159,12 +158,7 @@ func E11GEM(cfg Config) (*Table, error) {
 				}
 			}
 		}
-		modeDelta, modeCount := 0.0, 0
-		for d, c := range counts {
-			if c > modeCount {
-				modeDelta, modeCount = d, c
-			}
-		}
+		modeDelta, modeCount := mode(chosen)
 		t.AddRow(f.name, n, dUB, fmt.Sprintf("%.0f (%d/%d)", modeDelta, modeCount, trials),
 			mean(ratios), maxFloat(ratios))
 	}

@@ -117,3 +117,22 @@ func TestStatHelpers(t *testing.T) {
 		t.Fatal("absErr broken")
 	}
 }
+
+func TestModeBreaksTiesTowardSmallest(t *testing.T) {
+	cases := []struct {
+		xs    []float64
+		value float64
+		count int
+	}{
+		{nil, 0, 0},
+		{[]float64{4, 2, 4, 2, 8}, 2, 2},
+		{[]float64{2, 4, 4, 2, 8}, 2, 2},
+		{[]float64{8, 4, 2}, 2, 1},
+		{[]float64{8, 4, 8, 2}, 8, 2},
+	}
+	for _, c := range cases {
+		if value, count := mode(c.xs); value != c.value || count != c.count {
+			t.Errorf("mode(%v) = %v (%d), want %v (%d)", c.xs, value, count, c.value, c.count)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"io"
 	"sort"
 
 	"nodedp/internal/generate"
@@ -39,11 +40,6 @@ func Registry() []struct {
 		{"E13", E13GenericExtension},
 		{"E14", E14LPScaling},
 		{"E15", EpsilonSweep},
-		{"E16", E16ParallelEngine},
-		{"E17", E17SessionServing},
-		{"E19", E19DaemonServing},
-		{"E20", E20WarmRestart},
-		{"E22", E22LiveGraphDeltas},
 		{"F1", F1RepairTrace},
 		{"F2", F2Lemma52},
 		{"F3", F3WinDecomposition},
@@ -63,6 +59,39 @@ func Lookup(id string) (Runner, error) {
 	}
 	sort.Strings(ids)
 	return nil, fmt.Errorf("experiments: unknown id %q (valid: %v)", id, ids)
+}
+
+// Render writes the suite's header and the table of experiment id, or of
+// every experiment in registry order when id is empty. The bytes depend on
+// cfg alone: no table reads a clock.
+func Render(w io.Writer, cfg Config, id string) error {
+	size := "quick"
+	if !cfg.Quick {
+		size = "full"
+	}
+	fmt.Fprintf(w, "# node-DP connected components — reproduction suite (%s mode, seed %d)\n\n", size, cfg.Seed)
+	if id != "" {
+		runner, err := Lookup(id)
+		if err != nil {
+			return err
+		}
+		return renderOne(w, cfg, id, runner)
+	}
+	for _, e := range Registry() {
+		if err := renderOne(w, cfg, e.ID, e.Run); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func renderOne(w io.Writer, cfg Config, id string, runner Runner) error {
+	table, err := runner(cfg)
+	if err != nil {
+		return fmt.Errorf("%s: %w", id, err)
+	}
+	table.Fprint(w)
+	return nil
 }
 
 // releaseSession opens a session for drivers that draw many releases from

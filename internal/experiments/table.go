@@ -2,7 +2,9 @@
 // paper (PODS 2023) is theory-only — it has no empirical tables — so each
 // experiment here validates one of its quantitative claims (theorems,
 // lemmas, and the Section 1.1.4 graph-family analyses) and emits a table
-// that names the claim it checks and carries its own notes.
+// that names the claim it checks and carries its own notes. A table is a
+// function of its Config alone: none reads a clock, and testdata pins the
+// quick suite at seeds 1 and 7 byte for byte.
 // cmd/experiments regenerates every table; bench_test.go wires each
 // experiment to a benchmark.
 package experiments
@@ -17,7 +19,7 @@ import (
 
 // Table is one experiment's output.
 type Table struct {
-	// ID is the experiment identifier (E1..E14, F1, F2).
+	// ID is the experiment identifier (E0..E15, F1..F3).
 	ID string
 	// Title is a one-line description.
 	Title string
@@ -138,6 +140,25 @@ func percentile(xs []float64, q float64) float64 {
 	}
 	frac := idx - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// mode returns the most frequent value of xs and how often it occurs. A
+// tie goes to the smallest value, so the result does not depend on the
+// order of xs.
+func mode(xs []float64) (value float64, count int) {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	for i := 0; i < len(sorted); {
+		j := i + 1
+		for j < len(sorted) && sorted[j] == sorted[i] {
+			j++
+		}
+		if j-i > count {
+			value, count = sorted[i], j-i
+		}
+		i = j
+	}
+	return value, count
 }
 
 func maxFloat(xs []float64) float64 {

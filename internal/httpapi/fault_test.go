@@ -139,8 +139,8 @@ func TestHTTPRetryAfterJitterGolden(t *testing.T) {
 	want := []string{"3", "2", "1", "1", "1", "2", "1", "2"}
 	sequence := func() []string {
 		s := New(Config{RetryJitterSeed: 5})
-		s.TestingHoldSlot(int64(DefaultMaxInflight))
-		defer s.TestingHoldSlot(-int64(DefaultMaxInflight))
+		s.inflight.Add(int64(DefaultMaxInflight))
+		defer s.inflight.Add(-int64(DefaultMaxInflight))
 		var got []string
 		for range want {
 			req := httptest.NewRequest("GET", "/v1/sessions/x", nil)

@@ -145,6 +145,13 @@ func TestHTTPPatchValidationAndNoOp(t *testing.T) {
 	}, &eb); code != http.StatusBadRequest || eb.Error.Code != CodeInvalidRequest {
 		t.Fatalf("adds∩removes overlap: got (%d, %q)", code, eb.Error.Code)
 	}
+	var info SessionInfo
+	if code := doJSON(t, "GET", ts.URL+"/v1/sessions/"+sess.SessionID, nil, &info); code != http.StatusOK {
+		t.Fatalf("session info: status %d", code)
+	}
+	if info.Fingerprint != sess.Fingerprint {
+		t.Fatalf("rejected overlap changed the fingerprint: %s → %s", sess.Fingerprint, info.Fingerprint)
+	}
 	eb = ErrorBody{}
 	if code := doJSON(t, "PATCH", ts.URL+"/v1/graphs/"+sess.SessionID, PatchRequest{
 		Adds: [][2]int{{0, g.N()}},
@@ -168,7 +175,6 @@ func TestHTTPPatchValidationAndNoOp(t *testing.T) {
 		t.Fatalf("no-op changed the fingerprint: %s → %s", sess.Fingerprint, pr.Fingerprint)
 	}
 
-	var info SessionInfo
 	if code := doJSON(t, "GET", ts.URL+"/v1/sessions/"+sess.SessionID, nil, &info); code != http.StatusOK {
 		t.Fatalf("session info: status %d", code)
 	}

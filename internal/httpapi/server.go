@@ -241,12 +241,6 @@ func (s *Server) StartDrain() { s.draining.Store(true) }
 // free even with zero traffic.
 func (s *Server) Sweep() { s.registry.sweep() }
 
-// TestingHoldSlot adjusts the inflight counter directly, as if delta
-// requests were executing. It exists for tests and experiments that need
-// to observe the load-shedding path deterministically instead of racing a
-// real slow request; production code must never call it.
-func (s *Server) TestingHoldSlot(delta int64) { s.inflight.Add(delta) }
-
 // ErrPersistenceNotConfigured is returned by SaveCache when the server has
 // no shared cache or no snapshot path to save it to.
 var ErrPersistenceNotConfigured = errors.New("httpapi: cache persistence not configured (a shared Cache and a CacheFile are both required)")
